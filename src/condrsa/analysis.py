@@ -20,6 +20,7 @@ from .context import ScenarioContext
 from .core import (
     A,
     C,
+    RELATION_ORDER,
     CausalStructure,
     Event,
     JointTable,
@@ -51,15 +52,6 @@ class CertaintyCell(Enum):
     UNCERTAIN_BOTH = "uncertain_both"
     MIXED = "mixed"
 
-
-#: canonical order of causal structures in array encodings and output tables
-RELATION_ORDER: tuple[CausalStructure, ...] = (
-    CausalStructure.INDEPENDENT,
-    CausalStructure.AC_POS,
-    CausalStructure.AC_NEG,
-    CausalStructure.CA_POS,
-    CausalStructure.CA_NEG,
-)
 
 #: the conditional utterance the dependency analyses condition on
 A_IMPLIES_C = Conditional(Lit(Var.A), Lit(Var.C))

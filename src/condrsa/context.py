@@ -3,7 +3,8 @@
 A context bundles weighted world states, the utterance alternatives, the
 speaker rationality ``alpha`` and the assertability threshold ``theta``.
 Contexts are immutable; derived arrays (float tables, weights, the
-assertability matrix) are computed once at construction and cached.
+assertability matrix) are computed once at construction and cached, and
+each context carries a private memo for the engine's results.
 
 A context is *exact* when every number in it is an int or Fraction; the
 engine then computes with exact rational arithmetic.  Any float anywhere
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -34,10 +34,15 @@ class ScenarioContext:
     alpha: Scalar
     theta: Scalar
 
+    #: whether every number is an int or Fraction, decided at construction
+    exact: bool = field(init=False, repr=False, compare=False)
+
     # caches, filled in __post_init__
     _tables: np.ndarray = field(init=False, repr=False, compare=False)
     _weight_arr: np.ndarray = field(init=False, repr=False, compare=False)
     _assertability: np.ndarray = field(init=False, repr=False, compare=False)
+    #: the engine's per-context results (read-only arrays), filled lazily
+    _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         states = tuple(self.states)
@@ -62,8 +67,13 @@ class ScenarioContext:
         for w in weights:
             if w < 0:
                 raise ContextError(f"prior weights must be nonnegative, got {w!r}")
+        exact = all(is_rational(x) for x in (self.alpha, self.theta, *weights)) and all(
+            s.table.exact for s in states
+        )
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "_memo", {})
         total = sum(weights)
-        if self.exact:
+        if exact:
             if total != 1:
                 raise ContextError(f"prior weights must sum to 1, got {total}")
         elif abs(total - 1) > WEIGHT_SUM_TOL:
@@ -76,7 +86,7 @@ class ScenarioContext:
 
         from . import semantics  # deferred: semantics has no context dependency
 
-        if self.exact:
+        if exact:
             matrix = semantics.bool_matrix_exact(states, utterances, self.theta)
         else:
             matrix = semantics.bool_matrix_float(tables, utterances, float(self.theta))
@@ -128,13 +138,6 @@ class ScenarioContext:
         return len(self.states)
 
     @property
-    def exact(self) -> bool:
-        numbers: list[Scalar] = [self.alpha, self.theta, *self.weights]
-        return all(is_rational(x) for x in numbers) and all(
-            s.table.exact for s in self.states
-        )
-
-    @property
     def tables(self) -> np.ndarray:
         """Float view of all joint tables, shape (n_states, 4), read-only."""
         view = self._tables.view()
@@ -177,17 +180,3 @@ class ScenarioContext:
                 return self.utterances.index(parsed)
             raise KeyError(f"no utterance {utterance!r}")
         return self.utterances.index(utterance)
-
-    def integer_alpha(self) -> int:
-        """``alpha`` as an exact integer exponent, for the rational backend."""
-        alpha = self.alpha
-        if isinstance(alpha, Fraction) and alpha.denominator == 1:
-            return int(alpha)
-        if isinstance(alpha, int):
-            return alpha
-        if isinstance(alpha, float) and alpha.is_integer():
-            return int(alpha)
-        raise ContextError(
-            f"exact arithmetic needs an integer alpha, got {alpha!r}; "
-            "use float inputs for non-integer rationality"
-        )

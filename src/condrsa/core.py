@@ -182,6 +182,16 @@ class CausalStructure(Enum):
         return self in (CausalStructure.AC_POS, CausalStructure.CA_POS)
 
 
+#: canonical order of causal structures: array encodings, output tables and
+#: the prior's draw order (part of the sampling determinism contract)
+RELATION_ORDER: tuple[CausalStructure, ...] = (
+    CausalStructure.INDEPENDENT,
+    CausalStructure.AC_POS,
+    CausalStructure.AC_NEG,
+    CausalStructure.CA_POS,
+    CausalStructure.CA_NEG,
+)
+
 #: relation groups used when aggregating analyses
 POSITIVE_RELATIONS = (CausalStructure.AC_POS, CausalStructure.CA_POS)
 NEGATIVE_RELATIONS = (CausalStructure.AC_NEG, CausalStructure.CA_NEG)

@@ -23,7 +23,14 @@ from fractions import Fraction
 import numpy as np
 
 from .context import ScenarioContext
-from .core import CausalStructure, Scalar, State, joint_from_marginals, joint_from_noisy_or
+from .core import (
+    RELATION_ORDER,
+    CausalStructure,
+    Scalar,
+    State,
+    joint_from_marginals,
+    joint_from_noisy_or,
+)
 from .semantics import default_utterances
 from .utterances import Utterance
 
@@ -37,17 +44,9 @@ RELATION_PRIOR: dict[CausalStructure, Fraction] = {
     CausalStructure.CA_NEG: Fraction(1, 8),
 }
 
-#: draw order for `sample_relation` (fixed: it is part of the determinism contract)
-_RELATION_ORDER = (
-    CausalStructure.INDEPENDENT,
-    CausalStructure.AC_POS,
-    CausalStructure.AC_NEG,
-    CausalStructure.CA_POS,
-    CausalStructure.CA_NEG,
-)
 _RELATION_CDF = tuple(
-    float(sum(RELATION_PRIOR[r] for r in _RELATION_ORDER[: i + 1]))
-    for i in range(len(_RELATION_ORDER))
+    float(sum(RELATION_PRIOR[r] for r in RELATION_ORDER[: i + 1]))
+    for i in range(len(RELATION_ORDER))
 )
 
 
@@ -78,10 +77,10 @@ DEFAULT_HYPERPARAMS = PriorHyperparams()
 def sample_relation(rng: np.random.Generator) -> CausalStructure:
     """One draw from the causal-structure prior (single uniform, fixed CDF)."""
     u = rng.random()
-    for relation, cum in zip(_RELATION_ORDER, _RELATION_CDF):
+    for relation, cum in zip(RELATION_ORDER, _RELATION_CDF):
         if u < cum:
             return relation
-    return _RELATION_ORDER[-1]
+    return RELATION_ORDER[-1]
 
 
 def sample_state(

@@ -19,16 +19,25 @@ one table, so marginalizing listener mass over causal relations attached
 to the same table leaves the speaker unchanged; speakers here depend only
 on which utterances are assertable and on the masses.
 
-Exact contexts (all Fractions, integer alpha) are evaluated in rational
-arithmetic, where the soft-max is literally ``x ** alpha``; float contexts
-are evaluated with vectorized numpy in log space.
+One matrix engine serves both numeric backends, over two dtypes.  An exact
+context (all ints and Fractions, integer alpha) runs it on ``object`` arrays
+of Fractions, where the soft-max is literally ``(1 / mass(u)) ** alpha``,
+computed once per utterance and row-normalised; a float context runs it on
+float64 arrays, with the soft-max in log space.
+
+Each context memoises the utterance masses and, per speaker rule, the
+speaker matrix and the surprise vector, as read-only arrays.  The
+per-state and per-utterance operations (`speaker`, `literal_listener`,
+`pragmatic_listener`, `utterance_surprise`) read one row or column of
+them.  The listener matrices are not memoised: on large sampled contexts
+they would add a full (states x utterances) array per rule to memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -108,65 +117,93 @@ def _integer_alpha(alpha: Scalar) -> int:
     )
 
 
-def utterance_masses(ctx: ScenarioContext) -> tuple[Scalar, ...]:
-    """Prior mass supporting each utterance: ``mass(u) = sum of prior(s) over s
-    where u is assertable``.  Exact under the rational backend."""
-    matrix = ctx.assertability
+def _weight_vector(ctx: ScenarioContext) -> np.ndarray:
+    """The prior in the context's dtype: Fractions (``object``) or float64."""
     if ctx.exact:
-        return tuple(
-            sum((w for w, ok in zip(ctx.weights, matrix[:, j]) if ok), Fraction(0))
-            for j in range(len(ctx.utterances))
-        )
-    return tuple(ctx.weight_array @ matrix)
+        return np.array([Fraction(w) for w in ctx.weights], dtype=object)
+    return ctx.weight_array
 
 
-# --------------------------------------------------------------------------
-# float backend: whole-context matrices
-# --------------------------------------------------------------------------
-
-
-def literal_listener_matrix(ctx: ScenarioContext) -> np.ndarray:
-    """P_lit(state | utterance) as an (n_states, n_utterances) float matrix.
-
-    Columns for utterances assertable nowhere are identically zero.
-    """
-    matrix = ctx.assertability
-    scores = matrix * ctx.weight_array[:, None]
-    mass = scores.sum(axis=0)
-    out = np.zeros_like(scores)
-    ok = mass > 0
-    out[:, ok] = scores[:, ok] / mass[ok]
-    return out
-
-
-def speaker_matrix(
-    ctx: ScenarioContext, rule: SpeakerRule | None = None
+def _memoised(
+    ctx: ScenarioContext, key: object, compute: Callable[[], np.ndarray]
 ) -> np.ndarray:
-    """P_S(utterance | state) as an (n_states, n_utterances) float matrix."""
-    rule = _resolve_rule(ctx, rule)
-    matrix = ctx.assertability
-    mass = ctx.weight_array @ matrix
-    valid = matrix & (mass > 0)
+    memo = ctx._memo
+    if key not in memo:
+        value = compute()
+        value.setflags(write=False)
+        memo[key] = value
+    return memo[key]
+
+
+def _compute_masses(ctx: ScenarioContext) -> np.ndarray:
+    return _weight_vector(ctx) @ ctx.assertability
+
+
+def _compute_speaker(ctx: ScenarioContext, rule: SpeakerRule) -> np.ndarray:
+    mass = utterance_masses(ctx)
+    valid = ctx.assertability & (mass > 0)
     if not valid.any(axis=1).all():
         bad = int(np.flatnonzero(~valid.any(axis=1))[0])
         label = ctx.states[bad].label or f"state #{bad}"
         raise ContextError(f"{label} has no assertable utterance with prior mass")
 
+    zero, one = (Fraction(0), Fraction(1)) if ctx.exact else (0.0, 1.0)
     if isinstance(rule, Argmax):
-        mass_rows = np.where(valid, mass[None, :], np.inf)
-        best = mass_rows.min(axis=1)
-        ties = mass_rows == best[:, None]
-        return ties / ties.sum(axis=1, keepdims=True)
-
-    # soft-max in log space; the per-state prior factor of the literal
-    # listener cancels row-wise, leaving -alpha * log(mass)
-    alpha = float(rule.alpha)
-    utility = np.zeros_like(mass)
-    np.log(mass, where=mass > 0, out=utility)
-    logits = np.where(valid, -alpha * utility[None, :], -np.inf)
-    logits -= logits.max(axis=1, keepdims=True)
-    scores = np.exp(logits, where=np.isfinite(logits), out=np.zeros_like(logits))
+        mass_rows = np.where(valid, mass, np.inf)
+        best = mass_rows == mass_rows.min(axis=1, keepdims=True)
+        scores = np.where(best, one, zero)
+    elif ctx.exact:
+        # the per-state prior factor of the literal listener cancels
+        # row-wise, leaving (1 / mass) ** alpha
+        alpha = _integer_alpha(rule.alpha)
+        power = np.array(
+            [(1 / m) ** alpha if m > 0 else zero for m in mass], dtype=object
+        )
+        scores = np.where(valid, power, zero)
+    else:
+        # the same soft-max in log space: -alpha * log(mass)
+        alpha = float(rule.alpha)
+        utility = np.zeros_like(mass)
+        np.log(mass, where=mass > 0, out=utility)
+        logits = np.where(valid, -alpha * utility[None, :], -np.inf)
+        logits -= logits.max(axis=1, keepdims=True)
+        scores = np.exp(logits, where=np.isfinite(logits), out=np.zeros_like(logits))
     return scores / scores.sum(axis=1, keepdims=True)
+
+
+def _bayes(production: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Normalise each column by its total; a zero total leaves a zero column
+    (its production is zero, as every term is nonnegative)."""
+    return production / np.where(totals > 0, totals, 1)
+
+
+# --------------------------------------------------------------------------
+# whole-context arrays, in the context's dtype
+# --------------------------------------------------------------------------
+
+
+def utterance_masses(ctx: ScenarioContext) -> np.ndarray:
+    """Prior mass supporting each utterance: ``mass(u) = sum of prior(s) over s
+    where u is assertable``.  Read-only, memoised per context."""
+    return _memoised(ctx, "masses", lambda: _compute_masses(ctx))
+
+
+def literal_listener_matrix(ctx: ScenarioContext) -> np.ndarray:
+    """P_lit(state | utterance) as an (n_states, n_utterances) matrix.
+
+    Columns for utterances assertable nowhere are identically zero.
+    """
+    production = _weight_vector(ctx)[:, None] * ctx.assertability
+    return _bayes(production, utterance_masses(ctx))
+
+
+def speaker_matrix(
+    ctx: ScenarioContext, rule: SpeakerRule | None = None
+) -> np.ndarray:
+    """P_S(utterance | state) as an (n_states, n_utterances) matrix.
+    Read-only, memoised per context and rule."""
+    rule = _resolve_rule(ctx, rule)
+    return _memoised(ctx, ("speaker", rule), lambda: _compute_speaker(ctx, rule))
 
 
 def pragmatic_listener_matrix(
@@ -174,82 +211,36 @@ def pragmatic_listener_matrix(
 ) -> np.ndarray:
     """P_PL(state | utterance) columns; zero columns where no speaker ever
     produces the utterance."""
-    production = speaker_matrix(ctx, rule) * ctx.weight_array[:, None]
-    totals = production.sum(axis=0)
-    out = np.zeros_like(production)
-    ok = totals > 0
-    out[:, ok] = production[:, ok] / totals[ok]
-    return out
+    production = _weight_vector(ctx)[:, None] * speaker_matrix(ctx, rule)
+    return _bayes(production, surprise_vector(ctx, rule))
 
 
 def surprise_vector(
     ctx: ScenarioContext, rule: SpeakerRule | None = None
 ) -> np.ndarray:
-    """Expected production probability of every utterance under the prior."""
-    return ctx.weight_array @ speaker_matrix(ctx, rule)
+    """Expected production probability of every utterance under the prior.
+    Read-only, memoised per context and rule."""
+    rule = _resolve_rule(ctx, rule)
+    return _memoised(
+        ctx, ("surprise", rule), lambda: _weight_vector(ctx) @ speaker_matrix(ctx, rule)
+    )
 
 
 # --------------------------------------------------------------------------
-# exact backend helpers
-# --------------------------------------------------------------------------
-
-
-def _speaker_row_exact(
-    ctx: ScenarioContext,
-    index: int,
-    rule: SpeakerRule,
-    masses: Sequence[Scalar],
-) -> list[Fraction]:
-    row = ctx.assertability[index]
-    support = [j for j in range(len(masses)) if row[j] and masses[j] > 0]
-    if not support:
-        label = ctx.states[index].label or f"state #{index}"
-        raise ContextError(f"{label} has no assertable utterance with prior mass")
-
-    weights = [Fraction(0)] * len(masses)
-    if isinstance(rule, Argmax):
-        best = min(masses[j] for j in support)
-        ties = [j for j in support if masses[j] == best]
-        share = Fraction(1, len(ties))
-        for j in ties:
-            weights[j] = share
-        return weights
-
-    alpha = _integer_alpha(rule.alpha)
-    scores = {j: Fraction(1, 1) / Fraction(masses[j]) for j in support}
-    powered = {j: s**alpha for j, s in scores.items()}
-    total = sum(powered.values())
-    for j, s in powered.items():
-        weights[j] = s / total
-    return weights
-
-
-# --------------------------------------------------------------------------
-# public operations
+# public operations: rows and columns of the arrays above
 # --------------------------------------------------------------------------
 
 
 def literal_listener(ctx: ScenarioContext, utterance: Utterance | str) -> Posterior:
     """Prior conditioned on the states where ``utterance`` is assertable."""
     j = ctx.index_of_utterance(utterance)
-    column = ctx.assertability[:, j]
-    if ctx.exact:
-        mass = sum((w for w, ok in zip(ctx.weights, column) if ok), Fraction(0))
-        if mass == 0:
-            raise ZeroSupportError(
-                f"utterance {ctx.utterances[j]} is assertable in no state"
-            )
-        weights = tuple(
-            Fraction(w) / mass if ok else Fraction(0)
-            for w, ok in zip(ctx.weights, column)
-        )
-        return Posterior(ctx, weights)
-    col = literal_listener_matrix(ctx)[:, j]
-    if not col.any():
+    mass = utterance_masses(ctx)[j]
+    if mass == 0:
         raise ZeroSupportError(
             f"utterance {ctx.utterances[j]} is assertable in no state"
         )
-    return Posterior(ctx, tuple(col.tolist()))
+    column = _weight_vector(ctx) * ctx.assertability[:, j] / mass
+    return Posterior(ctx, tuple(column.tolist()))
 
 
 def speaker(
@@ -258,13 +249,8 @@ def speaker(
     rule: SpeakerRule | None = None,
 ) -> dict[Utterance, Scalar]:
     """Utterance choice probabilities of a speaker in ``state``."""
-    rule = _resolve_rule(ctx, rule)
     i = state if isinstance(state, int) else ctx.index_of_state(state)
-    if ctx.exact:
-        row = _speaker_row_exact(ctx, i, rule, utterance_masses(ctx))
-    else:
-        row = speaker_matrix(ctx, rule)[i].tolist()
-    return dict(zip(ctx.utterances, row))
+    return dict(zip(ctx.utterances, speaker_matrix(ctx, rule)[i].tolist()))
 
 
 def argmax_utterances(
@@ -281,24 +267,12 @@ def pragmatic_listener(
     rule: SpeakerRule | None = None,
 ) -> Posterior:
     """Bayesian inversion of the speaker: prior times production probability."""
-    rule = _resolve_rule(ctx, rule)
     j = ctx.index_of_utterance(utterance)
-    if ctx.exact:
-        masses = utterance_masses(ctx)
-        production = [
-            w * _speaker_row_exact(ctx, i, rule, masses)[j]
-            for i, w in enumerate(ctx.weights)
-        ]
-        total = sum(production)
-        if total == 0:
-            raise ZeroSupportError(
-                f"no speaker ever produces {ctx.utterances[j]}"
-            )
-        return Posterior(ctx, tuple(p / total for p in production))
-    col = pragmatic_listener_matrix(ctx, rule)[:, j]
-    if not col.any():
+    total = surprise_vector(ctx, rule)[j]
+    if total == 0:
         raise ZeroSupportError(f"no speaker ever produces {ctx.utterances[j]}")
-    return Posterior(ctx, tuple(col.tolist()))
+    column = _weight_vector(ctx) * speaker_matrix(ctx, rule)[:, j] / total
+    return Posterior(ctx, tuple(column.tolist()))
 
 
 def utterance_surprise(
@@ -309,15 +283,8 @@ def utterance_surprise(
     """How much the listener expects to hear ``utterance`` at all:
     ``sum over s of prior(s) * P_S(u | s)``.  Low values mark utterances a
     cooperative speaker would rarely produce under the prior."""
-    rule = _resolve_rule(ctx, rule)
     j = ctx.index_of_utterance(utterance)
-    if ctx.exact:
-        masses = utterance_masses(ctx)
-        return sum(
-            w * _speaker_row_exact(ctx, i, rule, masses)[j]
-            for i, w in enumerate(ctx.weights)
-        )
-    return float(surprise_vector(ctx, rule)[j])
+    return surprise_vector(ctx, rule).tolist()[j]
 
 
 def expectation(post: Posterior, f: Callable[[State], Scalar]) -> Scalar:

@@ -16,11 +16,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, analysis, engine
-from .analysis import RELATION_ORDER
 from .context import ScenarioContext
 from .core import (
     A,
     C,
+    RELATION_ORDER,
     CausalStructure,
     ModelError,
     Scalar,

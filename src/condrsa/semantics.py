@@ -127,10 +127,12 @@ def _joint_prob(tables: np.ndarray, first: Lit, second: Lit) -> np.ndarray:
     return tables[:, _CELL_INDEX[(a_lit.positive, c_lit.positive)]]
 
 
-def bool_matrix_float(
-    tables: np.ndarray, utterances: Sequence[Utterance], theta: float
+def _assertability_columns(
+    tables: np.ndarray, utterances: Sequence[Utterance], theta: Scalar
 ) -> np.ndarray:
-    """Vectorized assertability for float tables, one column per utterance."""
+    """The `assertable` formulas over the rows of an (n, 4) table of cells,
+    float64 or ``object`` (Fractions compare exactly), one column per
+    utterance."""
     lit_probs = _lit_prob_columns(tables)
     columns = []
     for u in utterances:
@@ -152,11 +154,20 @@ def bool_matrix_float(
     return np.stack(columns, axis=1)
 
 
+def bool_matrix_float(
+    tables: np.ndarray, utterances: Sequence[Utterance], theta: float
+) -> np.ndarray:
+    """Vectorized assertability for float tables, one column per utterance."""
+    return _assertability_columns(tables, utterances, theta)
+
+
 def bool_matrix_exact(
     states: Iterable[State], utterances: Sequence[Utterance], theta: Scalar
 ) -> np.ndarray:
-    rows = [[assertable(u, s, theta) for u in utterances] for s in states]
-    return np.array(rows, dtype=bool)
+    """Assertability computed on the states' own cells, so exact tables are
+    decided in exact arithmetic."""
+    cells = np.array([s.table.cells for s in states], dtype=object)
+    return _assertability_columns(cells, utterances, theta)
 
 
 def assertability_matrix(ctx: "ScenarioContext") -> AssertabilityMatrix:

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import condrsa as cr
+from condrsa import engine
 from condrsa import (
     Argmax,
     CausalStructure,
@@ -19,6 +20,7 @@ from condrsa import (
     parse_utterance,
     query,
 )
+from condrsa.runner import RunConfig, run
 from condrsa.utterances import Conditional, Conjunction, Likely, Literal
 
 
@@ -344,6 +346,50 @@ class TestTableGrouping:
         w_cause = post.weight("cause")
         w_diag = post.weight("diagnosis")
         assert w_cause == 2 * w_diag  # prior ratio survives identical tables
+
+
+class TestMemo:
+    def test_exact_run_computes_masses_once_and_speaker_once_per_rule(
+        self, monkeypatch, tmp_path
+    ):
+        masses, speakers = [], []
+
+        def spy(calls, compute):
+            def wrapper(ctx, *rule):
+                calls.append((ctx, *rule))  # holds ctx, so its id stays unique
+                return compute(ctx, *rule)
+            return wrapper
+
+        def once_each(calls):
+            keys = [(id(ctx), *rule) for ctx, *rule in calls]
+            return bool(keys) and len(set(keys)) == len(keys)
+
+        monkeypatch.setattr(engine, "_compute_masses", spy(masses, engine._compute_masses))
+        monkeypatch.setattr(engine, "_compute_speaker", spy(speakers, engine._compute_speaker))
+        run(RunConfig(command="run-scenario", scenario="garden_party", output_dir=tmp_path))
+        assert once_each(masses)
+        assert once_each(speakers)
+
+    @pytest.mark.parametrize(
+        "read",
+        [cr.utterance_masses, cr.speaker_matrix, cr.surprise_vector,
+         lambda ctx: cr.speaker_matrix(ctx, Argmax())],
+    )
+    def test_memoised_arrays_are_read_only(self, toy_ctx, small_ctx, read):
+        for ctx in (toy_ctx, small_ctx):
+            array = read(ctx)
+            assert read(ctx) is array
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_with_params_gets_a_fresh_memo(self, toy_ctx):
+        before = cr.speaker_matrix(toy_ctx)
+        changed = toy_ctx.with_params(alpha=3)
+        after = cr.speaker_matrix(changed)
+        assert after is not before
+        assert cr.speaker(changed, "s1") != cr.speaker(toy_ctx, "s1")
+        assert cr.speaker(changed, "s1") == cr.speaker(toy_ctx, "s1", Softmax(3))
+        assert cr.speaker_matrix(toy_ctx) is before
 
 
 class TestPosterior:

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import condrsa as cr
@@ -17,6 +17,7 @@ from condrsa import (
     joint_from_marginals,
     parse_utterance,
 )
+from condrsa.semantics import bool_matrix_exact
 
 THETA = F(9, 10)
 
@@ -28,6 +29,36 @@ def state(cells, relation=CausalStructure.INDEPENDENT, label=None):
 TOY_S1 = state((F(81, 100), F(9, 100), F(9, 100), F(1, 100)), label="s1")
 TOY_S2 = state((F(60, 100), F(5, 100), F(5, 100), F(30, 100)), label="s2")
 TOY_S3 = state((F(36, 100), F(24, 100), F(24, 100), F(16, 100)), label="s3")
+
+
+@st.composite
+def boundary_tables(draw, theta):
+    """Rational tables that favour the boundary cases of `assertable`: a cell
+    or a conditional exactly at ``theta``, a literal of probability zero or
+    of exactly 1/2, or none of these."""
+    unit = st.fractions(min_value=0, max_value=1, max_denominator=12)
+    q, r = draw(unit), draw(unit)
+    kind = draw(st.sampled_from(["plain", "cell", "conditional", "zero", "half"]))
+    if kind == "plain":
+        parts = draw(st.lists(st.integers(0, 6), min_size=4, max_size=4).filter(sum))
+        return tuple(F(x, sum(parts)) for x in parts)
+    if kind == "cell":
+        cells = [(1 - theta) * x for x in (q * r, q * (1 - r), 1 - q)]
+        cells.insert(draw(st.integers(0, 3)), theta)
+        return tuple(cells)
+    if kind == "conditional":
+        p = draw(st.fractions(min_value=F(1, 12), max_value=1, max_denominator=12))
+        return (theta * p, (1 - theta) * p, (1 - p) * q, (1 - p) * (1 - q))
+    # a literal's two cells (A, ~A, C, ~C) and the other two
+    lit = draw(st.sampled_from([(0, 1), (2, 3), (0, 2), (1, 3)]))
+    other = tuple(i for i in range(4) if i not in lit)
+    cells = [F(0)] * 4
+    if kind == "zero":
+        cells[other[0]], cells[other[1]] = q, 1 - q
+    else:
+        cells[lit[0]], cells[lit[1]] = q / 2, (1 - q) / 2
+        cells[other[0]], cells[other[1]] = r / 2, (1 - r) / 2
+    return tuple(cells)
 
 
 class TestAssertable:
@@ -137,10 +168,21 @@ class TestAssertabilityMatrix:
             )
 
     def test_float_and_exact_paths_agree(self, small_ctx):
-        from condrsa.semantics import bool_matrix_exact
-
         exact = bool_matrix_exact(small_ctx.states, small_ctx.utterances, small_ctx.theta)
         assert (exact == small_ctx.assertability).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_vectorized_exact_matches_scalar_oracle(self, data):
+        theta = data.draw(st.one_of(
+            st.sampled_from([F(3, 5), F(3, 4), F(9, 10), F(1)]),
+            st.fractions(min_value="11/20", max_value=1, max_denominator=20),
+        ))
+        tables = data.draw(st.lists(boundary_tables(theta), min_size=1, max_size=6))
+        states = [state(cells) for cells in tables]
+        utterances = default_utterances()
+        oracle = [[assertable(u, s, theta) for u in utterances] for s in states]
+        assert bool_matrix_exact(states, utterances, theta).tolist() == oracle
 
 
 class TestContext:
