@@ -91,12 +91,7 @@ from .scenarios import (
     joint_event_belief,
     observation_update,
 )
-from .semantics import (
-    AssertabilityMatrix,
-    assertability_matrix,
-    assertable,
-    default_utterances,
-)
+from .semantics import assertable, default_utterances
 from .tolerances import TOLERANCES, ToleranceManifest
 from .utterances import (
     Conditional,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -178,12 +179,20 @@ class CPMetrics:
 
 
 def cp_metrics(post: Posterior) -> CPMetrics:
+    """`CPMetrics` of a posterior, in its context's arithmetic: Fractions
+    (or ints) on exact contexts, Python floats otherwise."""
     ctx = post.context
     if ctx.exact:
-        return _cp_metrics_exact(post)
-    tables = ctx.tables
-    weights = post.as_array()
-    p_a, p_c = marginal_arrays(ctx)
+        # Fraction cells, so that no ratio of two ints becomes a float
+        tables = np.array(
+            [[Fraction(c) for c in s.table.cells] for s in ctx.states], dtype=object
+        )
+        weights = np.array(post.weights, dtype=object)
+        scalar = _unchanged
+    else:
+        tables, weights, scalar = ctx.tables, post.as_array(), float
+    p_a = tables[:, 0] + tables[:, 1]
+    p_c = tables[:, 0] + tables[:, 2]
 
     def conditional_expectation(num, den):
         ok = den > 0
@@ -192,32 +201,16 @@ def cp_metrics(post: Posterior) -> CPMetrics:
             raise ZeroProbabilityEventError(
                 "conditioning event has probability zero in every supported state"
             )
-        value = float((weights[ok] * (num[ok] / den[ok])).sum() / included)
-        return value, float(weights[~ok].sum())
+        value = (weights[ok] * (num[ok] / den[ok])).sum() / included
+        return scalar(value), scalar(weights[~ok].sum())
 
     ncna, excl_a = conditional_expectation(tables[:, 3], 1 - p_a)
     ac, excl_c = conditional_expectation(tables[:, 0], p_c)
     return CPMetrics(ncna, ac, excl_a, excl_c)
 
 
-def _cp_metrics_exact(post: Posterior) -> CPMetrics:
-    def conditional_expectation(event: Event, given: Event):
-        total = value = excluded = 0
-        for w, s in zip(post.weights, post.context.states):
-            if query(s.table, given) == 0:
-                excluded = excluded + w
-                continue
-            total = total + w
-            value = value + w * query(s.table, event, given)
-        if total == 0:
-            raise ZeroProbabilityEventError(
-                "conditioning event has probability zero in every supported state"
-            )
-        return value / total, excluded
-
-    ncna, excl_a = conditional_expectation(~C, ~A)
-    ac, excl_c = conditional_expectation(A, C)
-    return CPMetrics(ncna, ac, excl_a, excl_c)
+def _unchanged(x: Scalar) -> Scalar:
+    return x
 
 
 def delta_p_star(table: JointTable) -> Scalar:

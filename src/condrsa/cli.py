@@ -46,11 +46,6 @@ figure_option = click.option(
     "--figure", default=None, envvar="CONDRSA_FIGURE", show_envvar=True,
     help="Emit plot data for one figure id (implies plotdata output).",
 )
-threads_option = click.option(
-    "--threads", type=int, default=1, envvar="CONDRSA_THREADS",
-    show_envvar=True, show_default=True,
-    help="Worker threads for sampling; never affects results.",
-)
 
 
 @click.group()
@@ -109,11 +104,10 @@ def run_scenario(scenario, alpha, theta, numeric, out, formats, figure) -> None:
               envvar="CONDRSA_ALPHA", show_envvar=True, show_default=True)
 @click.option("--theta", type=float, default=TOLERANCES.default_theta,
               envvar="CONDRSA_THETA", show_envvar=True, show_default=True)
-@threads_option
 @out_option
 @format_option
 @figure_option
-def run_default_context(seed, n_states, alpha, theta, threads, out, formats, figure) -> None:
+def run_default_context(seed, n_states, alpha, theta, out, formats, figure) -> None:
     """Sample the default prior and run all aggregate analyses and checks."""
     try:
         config = RunConfig(
@@ -122,7 +116,6 @@ def run_default_context(seed, n_states, alpha, theta, threads, out, formats, fig
             n_states=n_states,
             alpha=alpha,
             theta=theta,
-            threads=threads,
             output_dir=out,
             formats=_formats(formats),
             figure=figure,
@@ -143,10 +136,9 @@ def run_default_context(seed, n_states, alpha, theta, threads, out, formats, fig
     show_envvar=True,
     help="Grid like 'alpha=1,3,5,10;theta=0.9,0.95,0.975' (default: that grid).",
 )
-@threads_option
 @out_option
 @format_option
-def sweep(seed, n_states, grid, threads, out, formats) -> None:
+def sweep(seed, n_states, grid, out, formats) -> None:
     """Qualitative robustness checks over a rationality/threshold grid."""
     try:
         config = RunConfig(
@@ -154,7 +146,6 @@ def sweep(seed, n_states, grid, threads, out, formats) -> None:
             seed=seed,
             n_states=n_states,
             grid=None if grid is None else parse_grid(grid),
-            threads=threads,
             output_dir=out,
             formats=_formats(formats),
         )

@@ -19,11 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ContextError, Scalar, State, is_rational
+from .core import ContextError, Scalar, State, is_rational, sums_to_one
 from .utterances import Utterance
-
-#: float prior weights may deviate from summing to one by at most this much
-WEIGHT_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -73,11 +70,8 @@ class ScenarioContext:
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "_memo", {})
         total = sum(weights)
-        if exact:
-            if total != 1:
-                raise ContextError(f"prior weights must sum to 1, got {total}")
-        elif abs(total - 1) > WEIGHT_SUM_TOL:
-            raise ContextError(f"prior weights must sum to 1, got {total!r}")
+        if not sums_to_one(total, exact):
+            raise ContextError(f"prior weights must sum to 1, got {total}")
 
         tables = np.array([s.table.as_floats() for s in states], dtype=float)
         weight_arr = np.array([float(w) for w in weights], dtype=float)

@@ -21,8 +21,8 @@ from typing import Union
 
 Scalar = Union[int, float, Fraction]
 
-#: tolerance for float joint tables handed in from outside (file parsing etc.)
-TABLE_SUM_TOL = 1e-9
+#: how far a float total may deviate from 1 and still count as summing to 1
+SUM_TOL = 1e-9
 
 
 class ModelError(Exception):
@@ -56,6 +56,11 @@ class ImpossibleObservationError(ModelError):
 def is_rational(x: Scalar) -> bool:
     """True if ``x`` participates in exact arithmetic (int or Fraction)."""
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
+def sums_to_one(total: Scalar, exact: bool) -> bool:
+    """Whether ``total`` is 1: exactly for rationals, within `SUM_TOL` for floats."""
+    return total == 1 if exact else abs(total - 1) <= SUM_TOL
 
 
 def check_probability(x: Scalar, name: str) -> None:
@@ -192,11 +197,6 @@ RELATION_ORDER: tuple[CausalStructure, ...] = (
     CausalStructure.CA_NEG,
 )
 
-#: relation groups used when aggregating analyses
-POSITIVE_RELATIONS = (CausalStructure.AC_POS, CausalStructure.CA_POS)
-NEGATIVE_RELATIONS = (CausalStructure.AC_NEG, CausalStructure.CA_NEG)
-DEPENDENT_RELATIONS = POSITIVE_RELATIONS + NEGATIVE_RELATIONS
-
 
 @dataclass(frozen=True)
 class JointTable:
@@ -214,11 +214,8 @@ class JointTable:
         for world, cell in zip(World, self.cells):
             check_probability(cell, f"cell {world.name}")
         total = sum(self.cells)
-        if self.exact:
-            if total != 1:
-                raise ProbabilityError(f"table cells must sum to 1, got {total}")
-        elif abs(total - 1) > TABLE_SUM_TOL:
-            raise ProbabilityError(f"table cells must sum to 1, got {total!r}")
+        if not sums_to_one(total, self.exact):
+            raise ProbabilityError(f"table cells must sum to 1, got {total}")
 
     @property
     def exact(self) -> bool:

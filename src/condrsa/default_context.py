@@ -9,14 +9,13 @@ build the leaky noisy-or table.  The Beta shapes put the causal power's
 mean above the usual assertability threshold of 0.9 and skew the
 background noise towards 0.
 
-Sampling is reproducible and parallelism-proof: the seed is split into one
-independent stream per state index, so the same seed yields the same
-context no matter how the work is chunked across threads.
+Sampling is reproducible: the seed is split into one independent stream
+per state index, so state ``i`` depends only on the seed and ``i``, and
+the same seed always yields the same context.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,6 +31,7 @@ from .core import (
     joint_from_noisy_or,
 )
 from .semantics import default_utterances
+from .tolerances import TOLERANCES
 from .utterances import Utterance
 
 #: prior over causal structures: independence is as likely as dependence,
@@ -111,37 +111,28 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
 
 
 def sample_default_states(
-    seed,
-    hyper: PriorHyperparams = DEFAULT_HYPERPARAMS,
-    threads: int = 1,
+    seed, hyper: PriorHyperparams = DEFAULT_HYPERPARAMS
 ) -> tuple[State, ...]:
     """``hyper.n_states`` prior samples, split one RNG stream per state index.
 
-    The result depends only on ``seed`` and ``hyper``, never on ``threads``.
+    The result depends only on ``seed`` and ``hyper``.
     """
-    children = _seed_sequence(seed).spawn(hyper.n_states)
-
-    def build(index: int) -> State:
-        return sample_state(np.random.default_rng(children[index]), hyper)
-
-    indices = range(hyper.n_states)
-    if threads <= 1:
-        return tuple(build(i) for i in indices)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return tuple(pool.map(build, indices))
+    return tuple(
+        sample_state(np.random.default_rng(child), hyper)
+        for child in _seed_sequence(seed).spawn(hyper.n_states)
+    )
 
 
 def build_default_context(
     seed,
     hyper: PriorHyperparams = DEFAULT_HYPERPARAMS,
     utterances: tuple[Utterance, ...] | None = None,
-    alpha: Scalar = 3.0,
-    theta: Scalar = 0.9,
-    threads: int = 1,
+    alpha: Scalar = TOLERANCES.default_alpha,
+    theta: Scalar = TOLERANCES.default_theta,
 ) -> ScenarioContext:
     """A context of equally weighted prior samples with the balanced
     utterance set (or a custom one)."""
-    states = sample_default_states(seed, hyper, threads)
+    states = sample_default_states(seed, hyper)
     n = len(states)
     return ScenarioContext(
         states=states,

@@ -106,7 +106,6 @@ class RunConfig:
     theta: Scalar | None = None
     n_states: int = TOLERANCES.default_n_states
     seed: int | None = None
-    threads: int = 1
     grid: tuple[tuple[float, ...], tuple[float, ...]] | None = None
     output_dir: Path | None = None
     formats: tuple[str, ...] = ("csv", "json")
@@ -128,8 +127,6 @@ class RunConfig:
                 raise ModelError("sampled contexts only support float numerics")
             if self.n_states < 1:
                 raise ModelError("n_states must be positive")
-        if self.threads < 1:
-            raise ModelError("threads must be at least 1")
         if self.command == "sweep" and self.figure is not None:
             raise ModelError(
                 "sweep does not emit plot data; run run-default-context "
@@ -146,7 +143,7 @@ def _echo(value) -> object:
 
 
 def _config_dict(config: RunConfig, **extra) -> dict:
-    # deliberately excludes threads, formats, figure and the output
+    # deliberately excludes formats, figure and the output
     # directory: those never influence computed values, so bundles stay
     # byte-identical across them
     base = {
@@ -437,7 +434,7 @@ def default_context_bundle(
 def _default_context(config: RunConfig, states=None) -> ScenarioContext:
     if states is None:
         states = sample_default_states(
-            config.seed, PriorHyperparams(n_states=config.n_states), config.threads
+            config.seed, PriorHyperparams(n_states=config.n_states)
         )
     n = len(states)
     alpha = TOLERANCES.default_alpha if config.alpha is None else float(config.alpha)
@@ -456,7 +453,7 @@ def sweep_bundles(config: RunConfig) -> tuple[ResultBundle, dict[tuple[float, fl
         TOLERANCES.grid_alphas, TOLERANCES.grid_thetas,
     )
     states = sample_default_states(
-        config.seed, PriorHyperparams(n_states=config.n_states), config.threads
+        config.seed, PriorHyperparams(n_states=config.n_states)
     )
     master = make_bundle(_config_dict(config, numeric=FLOAT, grid={
         "alpha": list(alphas), "theta": list(thetas)}))
@@ -471,7 +468,6 @@ def sweep_bundles(config: RunConfig) -> tuple[ResultBundle, dict[tuple[float, fl
                 theta=theta,
                 n_states=config.n_states,
                 seed=config.seed,
-                threads=config.threads,
                 formats=config.formats,
             )
             ctx = _default_context(sub_config, states)

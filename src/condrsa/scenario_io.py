@@ -27,12 +27,10 @@ from .core import (
     Var,
     joint_from_marginals,
     joint_from_noisy_or,
+    sums_to_one,
 )
 from .scenarios import ObservationLink, ScenarioDefinition
 from .utterances import Utterance, parse_utterance
-
-#: float prior weights in a file may deviate from 1 by at most this much
-FILE_WEIGHT_TOL = 1e-9
 
 
 class ScenarioFormatError(ModelError):
@@ -207,7 +205,7 @@ def parse_scenario_dict(data: Any, source: str = "<scenario>") -> ScenarioDefini
 
     total = sum(weights)
     exact = all(isinstance(w, (int, Fraction)) for w in weights)
-    if (exact and total != 1) or (not exact and abs(total - 1) > FILE_WEIGHT_TOL):
+    if not sums_to_one(total, exact):
         raise _fail("states", f"prior weights must sum to 1, got {total}")
 
     observation = None

@@ -19,8 +19,7 @@ sampled states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,9 +32,6 @@ from .utterances import (
     Literal,
     Utterance,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .context import ScenarioContext
 
 
 def assertable(utterance: Utterance, state: State, theta: Scalar) -> bool:
@@ -87,18 +83,6 @@ def default_utterances(include_reverse_conditionals: bool = True) -> tuple[Utter
             for cons in (a_pos, a_neg)
         ]
     return tuple(utterances)
-
-
-@dataclass(frozen=True)
-class AssertabilityMatrix:
-    """Boolean matrix of `assertable` over states (rows) and utterances (columns)."""
-
-    utterances: tuple[Utterance, ...]
-    labels: tuple[str | None, ...]
-    values: np.ndarray  # bool, shape (n_states, n_utterances)
-
-    def column(self, utterance: Utterance) -> np.ndarray:
-        return self.values[:, self.utterances.index(utterance)]
 
 
 def _lit_prob_columns(tables: np.ndarray) -> dict[tuple[Var, bool], np.ndarray]:
@@ -168,21 +152,6 @@ def bool_matrix_exact(
     decided in exact arithmetic."""
     cells = np.array([s.table.cells for s in states], dtype=object)
     return _assertability_columns(cells, utterances, theta)
-
-
-def assertability_matrix(ctx: "ScenarioContext") -> AssertabilityMatrix:
-    """The full assertability matrix of a context.
-
-    Raises `ContextError` naming the first state that can assert nothing,
-    which would make the speaker undefined there.
-    """
-    values = ctx.assertability
-    check_all_rows_assertable(values, [s.label for s in ctx.states])
-    return AssertabilityMatrix(
-        utterances=ctx.utterances,
-        labels=tuple(s.label for s in ctx.states),
-        values=values.copy(),
-    )
 
 
 def check_all_rows_assertable(values: np.ndarray, labels: Sequence[str | None]) -> None:

@@ -2,6 +2,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import condrsa as cr
 from condrsa import (
@@ -18,6 +20,7 @@ from condrsa import (
     delta_p_star,
     joint_from_marginals,
     parse_utterance,
+    query,
 )
 from condrsa.analysis import certainty_cell_array
 from condrsa.engine import Argmax, Softmax
@@ -25,6 +28,45 @@ from condrsa.engine import Argmax, Softmax
 
 def istate(pa, pc, label=None):
     return State(joint_from_marginals(pa, pc), CausalStructure.INDEPENDENT, label)
+
+
+def cp_metrics_oracle(post):
+    """State-by-state `cp_metrics` in the posterior's own arithmetic."""
+
+    def conditional_expectation(event, given):
+        total = value = excluded = 0
+        for w, s in zip(post.weights, post.context.states):
+            if query(s.table, given) == 0:
+                excluded = excluded + w
+                continue
+            total = total + w
+            value = value + w * query(s.table, event, given)
+        if total == 0:
+            raise ZeroProbabilityEventError("no supported state")
+        return value / total, excluded
+
+    ncna, excl_a = conditional_expectation(~cr.C, ~cr.A)
+    ac, excl_c = conditional_expectation(cr.A, cr.C)
+    return (ncna, ac, excl_a, excl_c)
+
+
+@st.composite
+def exact_tables(draw):
+    """Rational tables, often with P(a) or P(c) equal to 0 or 1, so that a
+    conditioning event has probability zero; zero cells are sometimes the
+    integer 0, as a scenario file may write them."""
+    if draw(st.booleans()):
+        parts = draw(st.lists(st.integers(0, 6), min_size=4, max_size=4).filter(sum))
+        cells = [F(x, sum(parts)) for x in parts]
+    else:
+        # the two cells of a literal's complement (~A, A, ~C, C) are zero
+        zero = draw(st.sampled_from([(0, 1), (2, 3), (0, 2), (1, 3)]))
+        p = draw(st.fractions(min_value=0, max_value=1, max_denominator=12))
+        rest = iter((p, 1 - p))
+        cells = [F(0) if i in zero else next(rest) for i in range(4)]
+    if draw(st.booleans()):
+        cells = [0 if c == 0 else c for c in cells]
+    return tuple(cells)
 
 
 class TestCertainty:
@@ -161,6 +203,59 @@ class TestCPMetrics:
         assert metrics.excluded_mass_not_a == F(1, 4)  # P(~a) = 0 in "all_a"
         assert metrics.excluded_mass_c == 0
         assert metrics.not_c_given_not_a == F(5, 100)
+
+    def test_whole_support_excluded_raises(self):
+        ctx = ScenarioContext(
+            states=(istate(1, F(95, 100)),),  # P(~a) = 0
+            weights=(1,),
+            utterances=default_utterances(),
+            alpha=1,
+            theta=F(9, 10),
+        )
+        with pytest.raises(ZeroProbabilityEventError):
+            cr.cp_metrics(cr.prior_posterior(ctx))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_exact_matches_scalar_oracle(self, data):
+        tables = data.draw(st.lists(exact_tables(), min_size=1, max_size=5))
+        weights = data.draw(st.lists(
+            st.integers(0, 4), min_size=len(tables), max_size=len(tables)
+        ).filter(sum))
+        utterances = default_utterances()
+        try:
+            ctx = ScenarioContext(
+                states=tuple(State(JointTable(cells)) for cells in tables),
+                weights=tuple(F(w, sum(weights)) for w in weights),
+                utterances=utterances,
+                alpha=data.draw(st.integers(1, 3)),
+                theta=F(9, 10),
+            )
+        except cr.ContextError:  # some state can assert nothing
+            assume(False)
+        u = data.draw(st.sampled_from(utterances))
+        listeners = {
+            "prior": lambda: cr.prior_posterior(ctx),
+            "literal": lambda: cr.literal_listener(ctx, u),
+            "pragmatic": lambda: cr.pragmatic_listener(ctx, u),
+        }
+        for listener in listeners.values():
+            try:
+                post = listener()
+            except (cr.ZeroSupportError, cr.ContextError):  # speaker undefined
+                continue
+            try:
+                expected = cp_metrics_oracle(post)
+            except ZeroProbabilityEventError:
+                with pytest.raises(ZeroProbabilityEventError):
+                    cr.cp_metrics(post)
+                continue
+            m = cr.cp_metrics(post)
+            got = (m.not_c_given_not_a, m.a_given_c,
+                   m.excluded_mass_not_a, m.excluded_mass_c)
+            assert got == expected
+            assert [type(v) for v in got] == [type(v) for v in expected]
+            assert all(isinstance(v, (int, F)) for v in got)
 
     def test_float_and_exact_paths_agree(self, skiing):
         exact_ctx = skiing.to_context()

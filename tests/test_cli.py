@@ -96,21 +96,6 @@ class TestRunDefaultContext:
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["seed"] == 11
 
-    def test_threads_do_not_change_output(self, runner, tmp_path):
-        files = {}
-        for threads, sub in (("1", "a"), ("4", "b")):
-            out = tmp_path / sub
-            result = runner.invoke(
-                main,
-                ["run-default-context", "--seed", "5", "--n-states", "200",
-                 "--threads", threads, "--out", str(out)],
-            )
-            assert result.exit_code == 0, result.output
-            files[sub] = {
-                p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.csv"))
-            }
-        assert files["a"] == files["b"]
-
 
 class TestSweep:
     def test_small_sweep(self, runner, tmp_path):

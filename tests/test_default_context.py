@@ -86,22 +86,6 @@ class TestDeterminism:
         hyper = PriorHyperparams(n_states=50)
         assert cr.sample_default_states(1, hyper) != cr.sample_default_states(2, hyper)
 
-    def test_thread_count_never_changes_states(self):
-        hyper = PriorHyperparams(n_states=257)
-        serial = cr.sample_default_states(5, hyper, threads=1)
-        threaded = cr.sample_default_states(5, hyper, threads=4)
-        assert serial == threaded
-
-    def test_thread_count_never_changes_analyses(self):
-        hyper = PriorHyperparams(n_states=400)
-
-        def run(threads):
-            ctx = cr.build_default_context(9, hyper, threads=threads)
-            checks = cr.default_context_checks(ctx, "qualitative")
-            return [(c.name, c.passed, c.observed) for c in checks]
-
-        assert run(1) == run(3)
-
 
 class TestBuildDefaultContext:
     def test_defaults(self, default_ctx):

@@ -164,14 +164,13 @@ class TestBundles:
         assert first == second
 
     def test_byte_reproducibility_sampled(self, tmp_path):
-        def run_once(where: Path, threads: int) -> dict[str, bytes]:
+        def run_once(where: Path) -> dict[str, bytes]:
             run(RunConfig(command="run-default-context", seed=13, n_states=300,
-                          threads=threads, output_dir=where,
-                          formats=("csv", "json", "plotdata")))
+                          output_dir=where, formats=("csv", "json", "plotdata")))
             return {p.name: p.read_bytes() for p in sorted(where.rglob("*")) if p.is_file()}
 
-        first = run_once(tmp_path / "a", 1)
-        second = run_once(tmp_path / "b", 3)
+        first = run_once(tmp_path / "a")
+        second = run_once(tmp_path / "b")
         assert first == second
 
     def test_csv_and_json_value_equivalence(self, tmp_path):

@@ -11,7 +11,6 @@ from condrsa import (
     JointTable,
     ScenarioContext,
     State,
-    assertability_matrix,
     assertable,
     default_utterances,
     joint_from_marginals,
@@ -140,8 +139,7 @@ class TestDefaultUtterances:
 
 class TestAssertabilityMatrix:
     def test_toy_matrix_matches_published_table(self, toy_ctx):
-        matrix = assertability_matrix(toy_ctx)
-        assert matrix.values.astype(int).tolist() == [
+        assert toy_ctx.assertability.astype(int).tolist() == [
             [1, 1, 1, 0],
             [1, 1, 0, 0],
             [1, 0, 0, 0],
@@ -155,7 +153,7 @@ class TestAssertabilityMatrix:
             alpha=1,
             theta=THETA,
         )
-        assert assertability_matrix(ctx).values.tolist() == [[True]]
+        assert ctx.assertability.tolist() == [[True]]
 
     def test_unsatisfiable_state_rejected_at_construction(self):
         with pytest.raises(ContextError, match="no assertable utterance"):
