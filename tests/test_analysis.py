@@ -234,12 +234,12 @@ class TestCPMetrics:
         except cr.ContextError:  # some state can assert nothing
             assume(False)
         u = data.draw(st.sampled_from(utterances))
-        listeners = {
-            "prior": lambda: cr.prior_posterior(ctx),
-            "literal": lambda: cr.literal_listener(ctx, u),
-            "pragmatic": lambda: cr.pragmatic_listener(ctx, u),
-        }
-        for listener in listeners.values():
+        listeners = (
+            lambda: cr.prior_posterior(ctx),
+            lambda: cr.literal_listener(ctx, u),
+            lambda: cr.pragmatic_listener(ctx, u),
+        )
+        for listener in listeners:
             try:
                 post = listener()
             except (cr.ZeroSupportError, cr.ContextError):  # speaker undefined
