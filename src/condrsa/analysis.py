@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -87,15 +86,18 @@ def certainty_cell_array(ctx: ScenarioContext) -> np.ndarray:
 
 
 def relation_array(ctx: ScenarioContext) -> np.ndarray:
-    """Causal structure of every state, as indices into RELATION_ORDER."""
-    index = {r: i for i, r in enumerate(RELATION_ORDER)}
-    return np.array([index[s.relation] for s in ctx.states])
+    """Causal structure of every state, as int8 indices into RELATION_ORDER."""
+    return ctx.relations
+
+
+#: the output name of each causal structure, indexed by relation code
+_RELATION_NAMES = np.array([r.value for r in RELATION_ORDER])
 
 
 def _group_labels(ctx: ScenarioContext, group_by: str) -> np.ndarray:
     relations = relation_array(ctx)
     if group_by == "relation":
-        return np.array([RELATION_ORDER[i].value for i in relations])
+        return _RELATION_NAMES[relations]
     if group_by == "independence":
         return np.where(relations == 0, "independent", "dependent")
     if group_by == "none":
@@ -182,15 +184,9 @@ def cp_metrics(post: Posterior) -> CPMetrics:
     """`CPMetrics` of a posterior, in its context's arithmetic: Fractions
     (or ints) on exact contexts, Python floats otherwise."""
     ctx = post.context
-    if ctx.exact:
-        # Fraction cells, so that no ratio of two ints becomes a float
-        tables = np.array(
-            [[Fraction(c) for c in s.table.cells] for s in ctx.states], dtype=object
-        )
-        weights = np.array(post.weights, dtype=object)
-        scalar = _unchanged
-    else:
-        tables, weights, scalar = ctx.tables, post.as_array(), float
+    tables = ctx.cells
+    weights = np.array(post.weights, dtype=tables.dtype)
+    scalar = _unchanged if ctx.exact else float
     p_a = tables[:, 0] + tables[:, 1]
     p_c = tables[:, 0] + tables[:, 2]
 

@@ -2,24 +2,44 @@
 
 A context bundles weighted world states, the utterance alternatives, the
 speaker rationality ``alpha`` and the assertability threshold ``theta``.
-Contexts are immutable; derived arrays (float tables, weights, the
-assertability matrix) are computed once at construction and cached, and
-each context carries a private memo for the engine's results.
-
-A context is *exact* when every number in it is an int or Fraction; the
-engine then computes with exact rational arithmetic.  Any float anywhere
+Contexts are immutable.  Construction decides the arithmetic once: a
+context is *exact* when every number in it is an int or Fraction, and the
+engine then computes with exact rational arithmetic; any float anywhere
 switches the whole context to the float backend.
+
+Construction also builds every per-state array once, read-only, and the
+engine, the analyses and the runner read them instead of the states:
+
+- ``cells``: the (n_states, 4) joint tables in the context's arithmetic,
+  an ``object`` array of Fractions (int cells cast) on exact contexts and
+  float64 otherwise;
+- ``prior``: the (n_states,) prior weights, in the dtype of ``cells``;
+- ``relations``: each state's causal structure, as int8 indices into
+  `RELATION_ORDER`;
+- ``tables``: float64 cells (the same array as ``cells`` on float contexts);
+- ``assertability``: the (n_states, n_utterances) bool matrix, decided on
+  ``cells``.
+
+Each context also carries a private memo for the engine's results.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .core import ContextError, Scalar, State, is_rational, sums_to_one
+from .core import (
+    RELATION_ORDER,
+    ContextError,
+    Scalar,
+    State,
+    is_rational,
+    sums_to_one,
+)
 from .utterances import Utterance
 
 
@@ -34,10 +54,12 @@ class ScenarioContext:
     #: whether every number is an int or Fraction, decided at construction
     exact: bool = field(init=False, repr=False, compare=False)
 
-    # caches, filled in __post_init__
-    _tables: np.ndarray = field(init=False, repr=False, compare=False)
-    _weight_arr: np.ndarray = field(init=False, repr=False, compare=False)
-    _assertability: np.ndarray = field(init=False, repr=False, compare=False)
+    # per-state arrays (see the module docstring), filled in __post_init__
+    cells: np.ndarray = field(init=False, repr=False, compare=False)
+    prior: np.ndarray = field(init=False, repr=False, compare=False)
+    relations: np.ndarray = field(init=False, repr=False, compare=False)
+    tables: np.ndarray = field(init=False, repr=False, compare=False)
+    assertability: np.ndarray = field(init=False, repr=False, compare=False)
     #: the engine's per-context results (read-only arrays), filled lazily
     _memo: dict = field(init=False, repr=False, compare=False)
 
@@ -73,20 +95,29 @@ class ScenarioContext:
         if not sums_to_one(total, exact):
             raise ContextError(f"prior weights must sum to 1, got {total}")
 
-        tables = np.array([s.table.as_floats() for s in states], dtype=float)
-        weight_arr = np.array([float(w) for w in weights], dtype=float)
-        object.__setattr__(self, "_tables", tables)
-        object.__setattr__(self, "_weight_arr", weight_arr)
-
         from . import semantics  # deferred: semantics has no context dependency
 
         if exact:
-            matrix = semantics.bool_matrix_exact(states, utterances, self.theta)
+            cells = np.array(
+                [[Fraction(c) for c in s.table.cells] for s in states], dtype=object
+            )
+            prior = np.array([Fraction(w) for w in weights], dtype=object)
+            tables = cells.astype(float)
+            matrix = semantics.bool_matrix_exact(cells, utterances, self.theta)
         else:
+            tables = np.array([s.table.as_floats() for s in states], dtype=float)
+            cells = tables
+            prior = np.array([float(w) for w in weights], dtype=float)
             matrix = semantics.bool_matrix_float(tables, utterances, float(self.theta))
+        codes = {r: i for i, r in enumerate(RELATION_ORDER)}
+        relations = np.array([codes[s.relation] for s in states], dtype=np.int8)
         semantics.check_all_rows_assertable(matrix, [s.label for s in states])
-        matrix.setflags(write=False)
-        object.__setattr__(self, "_assertability", matrix)
+        for name, array in (
+            ("cells", cells), ("prior", prior), ("relations", relations),
+            ("tables", tables), ("assertability", matrix),
+        ):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     # -- construction helpers ------------------------------------------------
 
@@ -130,24 +161,6 @@ class ScenarioContext:
     @property
     def n_states(self) -> int:
         return len(self.states)
-
-    @property
-    def tables(self) -> np.ndarray:
-        """Float view of all joint tables, shape (n_states, 4), read-only."""
-        view = self._tables.view()
-        view.setflags(write=False)
-        return view
-
-    @property
-    def weight_array(self) -> np.ndarray:
-        view = self._weight_arr.view()
-        view.setflags(write=False)
-        return view
-
-    @property
-    def assertability(self) -> np.ndarray:
-        """Bool matrix (n_states, n_utterances), computed at construction."""
-        return self._assertability
 
     def index_of_state(self, state: State | str) -> int:
         if isinstance(state, str):

@@ -96,6 +96,10 @@ class World(IntEnum):
         return self in (World.BOTH, World.ONLY_C)
 
 
+#: the name of each world in scenario files and output tables, in World order
+WORLD_NAMES = ("both", "antecedent_only", "consequent_only", "neither")
+
+
 @dataclass(frozen=True)
 class Event:
     """A Boolean event over {A, C}: a set of worlds.
@@ -246,6 +250,8 @@ def query(table: JointTable, event: Event, given: Event | None = None) -> Scalar
             f"cannot condition on zero-probability event {given}"
         )
     p_joint = sum(table.cells[w] for w in sorted((event & given).worlds))
+    if isinstance(p_joint, int) and isinstance(p_given, int):
+        return Fraction(p_joint, p_given)  # int / int would be a float
     return p_joint / p_given
 
 

@@ -19,11 +19,13 @@ one table, so marginalizing listener mass over causal relations attached
 to the same table leaves the speaker unchanged; speakers here depend only
 on which utterances are assertable and on the masses.
 
-One matrix engine serves both numeric backends, over two dtypes.  An exact
-context (all ints and Fractions, integer alpha) runs it on ``object`` arrays
-of Fractions, where the soft-max is literally ``(1 / mass(u)) ** alpha``,
-computed once per utterance and row-normalised; a float context runs it on
-float64 arrays, with the soft-max in log space.
+One matrix engine serves both numeric backends.  It reads the context's
+per-state arrays (``ctx.prior``, ``ctx.assertability``, ``ctx.relations``)
+in the context's own dtype: an exact context (all ints and Fractions,
+integer alpha) runs it on ``object`` arrays of Fractions, where the soft-max
+is literally ``(1 / mass(u)) ** alpha``, computed once per utterance and
+row-normalised; a float context runs it on float64 arrays, with the
+soft-max in log space.
 
 Each context memoises the utterance masses and, per speaker rule, the
 speaker matrix and the surprise vector, as read-only arrays.  The
@@ -43,6 +45,7 @@ import numpy as np
 
 from .context import ScenarioContext
 from .core import (
+    RELATION_ORDER,
     CausalStructure,
     ContextError,
     Scalar,
@@ -91,9 +94,6 @@ class Posterior:
             return self.weights[state]
         return self.weights[self.context.index_of_state(state)]
 
-    def as_array(self) -> np.ndarray:
-        return np.array([float(w) for w in self.weights])
-
 
 def prior_posterior(ctx: ScenarioContext) -> Posterior:
     """The prior, wrapped as a posterior for uniform downstream handling."""
@@ -117,13 +117,6 @@ def _integer_alpha(alpha: Scalar) -> int:
     )
 
 
-def _weight_vector(ctx: ScenarioContext) -> np.ndarray:
-    """The prior in the context's dtype: Fractions (``object``) or float64."""
-    if ctx.exact:
-        return np.array([Fraction(w) for w in ctx.weights], dtype=object)
-    return ctx.weight_array
-
-
 def _memoised(
     ctx: ScenarioContext, key: object, compute: Callable[[], np.ndarray]
 ) -> np.ndarray:
@@ -136,7 +129,7 @@ def _memoised(
 
 
 def _compute_masses(ctx: ScenarioContext) -> np.ndarray:
-    return _weight_vector(ctx) @ ctx.assertability
+    return ctx.prior @ ctx.assertability
 
 
 def _compute_speaker(ctx: ScenarioContext, rule: SpeakerRule) -> np.ndarray:
@@ -193,7 +186,7 @@ def literal_listener_matrix(ctx: ScenarioContext) -> np.ndarray:
 
     Columns for utterances assertable nowhere are identically zero.
     """
-    production = _weight_vector(ctx)[:, None] * ctx.assertability
+    production = ctx.prior[:, None] * ctx.assertability
     return _bayes(production, utterance_masses(ctx))
 
 
@@ -211,7 +204,7 @@ def pragmatic_listener_matrix(
 ) -> np.ndarray:
     """P_PL(state | utterance) columns; zero columns where no speaker ever
     produces the utterance."""
-    production = _weight_vector(ctx)[:, None] * speaker_matrix(ctx, rule)
+    production = ctx.prior[:, None] * speaker_matrix(ctx, rule)
     return _bayes(production, surprise_vector(ctx, rule))
 
 
@@ -222,7 +215,7 @@ def surprise_vector(
     Read-only, memoised per context and rule."""
     rule = _resolve_rule(ctx, rule)
     return _memoised(
-        ctx, ("surprise", rule), lambda: _weight_vector(ctx) @ speaker_matrix(ctx, rule)
+        ctx, ("surprise", rule), lambda: ctx.prior @ speaker_matrix(ctx, rule)
     )
 
 
@@ -239,7 +232,7 @@ def literal_listener(ctx: ScenarioContext, utterance: Utterance | str) -> Poster
         raise ZeroSupportError(
             f"utterance {ctx.utterances[j]} is assertable in no state"
         )
-    column = _weight_vector(ctx) * ctx.assertability[:, j] / mass
+    column = ctx.prior * ctx.assertability[:, j] / mass
     return Posterior(ctx, tuple(column.tolist()))
 
 
@@ -271,7 +264,7 @@ def pragmatic_listener(
     total = surprise_vector(ctx, rule)[j]
     if total == 0:
         raise ZeroSupportError(f"no speaker ever produces {ctx.utterances[j]}")
-    column = _weight_vector(ctx) * speaker_matrix(ctx, rule)[:, j] / total
+    column = ctx.prior * speaker_matrix(ctx, rule)[:, j] / total
     return Posterior(ctx, tuple(column.tolist()))
 
 
@@ -294,8 +287,12 @@ def expectation(post: Posterior, f: Callable[[State], Scalar]) -> Scalar:
 
 def relation_posterior(post: Posterior) -> dict[CausalStructure, Scalar]:
     """Posterior mass per causal structure (all five variants listed)."""
-    zero = Fraction(0) if post.context.exact else 0.0
-    out: dict[CausalStructure, Scalar] = {r: zero for r in CausalStructure}
-    for w, s in zip(post.weights, post.context.states):
-        out[s.relation] = out[s.relation] + w
-    return out
+    ctx = post.context
+    weights = np.array(post.weights, dtype=ctx.prior.dtype)
+    zero = Fraction(0) if ctx.exact else 0.0
+    # the last running sum adds a structure's weights one at a time in state
+    # order, so float masses equal those of a state-by-state loop
+    return {
+        relation: sum(np.cumsum(weights[ctx.relations == code])[-1:].tolist(), zero)
+        for code, relation in enumerate(RELATION_ORDER)
+    }

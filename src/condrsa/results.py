@@ -273,18 +273,19 @@ _FIGURE_SCENARIO = {
 _FIGURE_STAGE_EXCLUDES = {"fig11c": ("pragmatic_observed",)}
 
 
+def _provides(bundle: ResultBundle, figure_id: str) -> bool:
+    """Whether ``bundle`` comes from the figure's command (and scenario, for
+    a scenario-bound figure) and holds its source table."""
+    spec = FIGURES[figure_id]
+    return (
+        spec.command == bundle.metadata.get("command")
+        and spec.table in bundle.tables
+        and _FIGURE_SCENARIO.get(figure_id) in (None, bundle.metadata.get("scenario"))
+    )
+
+
 def applicable_figures(bundle: ResultBundle) -> tuple[str, ...]:
-    out = []
-    scenario = bundle.metadata.get("scenario")
-    command = bundle.metadata.get("command")
-    for figure_id, spec in FIGURES.items():
-        if spec.command != command or spec.table not in bundle.tables:
-            continue
-        wanted = _FIGURE_SCENARIO.get(figure_id)
-        if wanted is not None and wanted != scenario:
-            continue
-        out.append(figure_id)
-    return tuple(out)
+    return tuple(figure_id for figure_id in FIGURES if _provides(bundle, figure_id))
 
 
 def emit_plot_data(
@@ -295,19 +296,13 @@ def emit_plot_data(
         known = ", ".join(sorted(FIGURES))
         raise FigureError(f"unknown figure {figure_id!r} (known: {known})")
     spec = FIGURES[figure_id]
-    table = bundle.tables.get(spec.table)
-    wanted_scenario = _FIGURE_SCENARIO.get(figure_id)
-    if (
-        table is None
-        or spec.command != bundle.metadata.get("command")
-        or (wanted_scenario is not None
-            and bundle.metadata.get("scenario") != wanted_scenario)
-    ):
+    if not _provides(bundle, figure_id):
         raise FigureError(
             f"this bundle cannot provide {figure_id}; "
             f"produce it with `condrsa {spec.produced_by}`"
         )
 
+    table = bundle.tables[spec.table]
     header, rows = table.rendered(bundle.numeric_mode, bundle.fingerprint)
     if spec.row_filter is not None:
         column, allowed = spec.row_filter

@@ -21,13 +21,13 @@ from .core import (
     A,
     C,
     RELATION_ORDER,
+    WORLD_NAMES,
     CausalStructure,
     ModelError,
     Scalar,
-    World,
     ZeroSupportError,
 )
-from .default_context import PriorHyperparams, sample_default_states
+from .default_context import PriorHyperparams, build_default_context
 from .engine import Argmax, Softmax
 from .results import (
     FLOAT,
@@ -48,19 +48,11 @@ from .scenarios import (
     joint_event_belief,
     observation_update,
 )
-from .semantics import default_utterances
 from .tolerances import TOLERANCES
 from .utterances import Conditional, UtteranceType
 
 COMMANDS = ("run-scenario", "run-default-context", "sweep")
 FORMATS = ("csv", "json", "plotdata")
-
-_WORLD_NAMES = {
-    World.BOTH: "both",
-    World.ONLY_A: "antecedent_only",
-    World.ONLY_C: "consequent_only",
-    World.NEITHER: "neither",
-}
 
 
 def parse_parameter(text: str | None, float_mode: bool) -> Scalar | None:
@@ -343,14 +335,15 @@ def default_context_bundle(
         )
     )
 
-    relations = analysis.relation_array(ctx)
-    tables = ctx.tables
+    relation_names = [r.value for r in RELATION_ORDER]
     bundle.add(ResultTable(
         "world_probabilities", ("state", "relation", "world", "probability"),
         tuple(
-            (i, RELATION_ORDER[relations[i]].value, _WORLD_NAMES[w], float(tables[i, w]))
-            for i in range(ctx.n_states)
-            for w in World
+            (i, relation_names[code], world, p)
+            for i, (code, cells) in enumerate(
+                zip(ctx.relations.tolist(), ctx.tables.tolist())
+            )
+            for world, p in zip(WORLD_NAMES, cells)
         ),
         value_columns=("probability",),
     ))
@@ -431,29 +424,13 @@ def default_context_bundle(
     return bundle
 
 
-def _default_context(config: RunConfig, states=None) -> ScenarioContext:
-    if states is None:
-        states = sample_default_states(
-            config.seed, PriorHyperparams(n_states=config.n_states)
-        )
-    n = len(states)
-    alpha = TOLERANCES.default_alpha if config.alpha is None else float(config.alpha)
-    theta = TOLERANCES.default_theta if config.theta is None else float(config.theta)
-    return ScenarioContext(
-        states=states,
-        weights=tuple([1.0 / n] * n),
-        utterances=default_utterances(),
-        alpha=alpha,
-        theta=theta,
-    )
-
-
 def sweep_bundles(config: RunConfig) -> tuple[ResultBundle, dict[tuple[float, float], ResultBundle]]:
     alphas, thetas = config.grid if config.grid is not None else (
         TOLERANCES.grid_alphas, TOLERANCES.grid_thetas,
     )
-    states = sample_default_states(
-        config.seed, PriorHyperparams(n_states=config.n_states)
+    ctx = build_default_context(
+        config.seed, PriorHyperparams(n_states=config.n_states),
+        alpha=alphas[0], theta=thetas[0],
     )
     master = make_bundle(_config_dict(config, numeric=FLOAT, grid={
         "alpha": list(alphas), "theta": list(thetas)}))
@@ -470,7 +447,8 @@ def sweep_bundles(config: RunConfig) -> tuple[ResultBundle, dict[tuple[float, fl
                 seed=config.seed,
                 formats=config.formats,
             )
-            ctx = _default_context(sub_config, states)
+            if (alpha, theta) != (ctx.alpha, ctx.theta):  # one build per combination
+                ctx = ctx.with_params(alpha=alpha, theta=theta)
             sub = default_context_bundle(ctx, sub_config, check_level="qualitative")
             combos[(alpha, theta)] = sub
             checks = sub.tables["checks"]
@@ -503,7 +481,12 @@ def run(config: RunConfig) -> ResultBundle:
         bundle = scenario_bundle(config)
         subs: dict[tuple[float, float], ResultBundle] = {}
     elif config.command == "run-default-context":
-        ctx = _default_context(config)
+        ctx = build_default_context(
+            config.seed,
+            PriorHyperparams(n_states=config.n_states),
+            alpha=TOLERANCES.default_alpha if config.alpha is None else config.alpha,
+            theta=TOLERANCES.default_theta if config.theta is None else config.theta,
+        )
         bundle = default_context_bundle(ctx, config)
         subs = {}
     else:

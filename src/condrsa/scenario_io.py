@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Any
 
 from .core import (
+    WORLD_NAMES,
     CausalStructure,
     JointTable,
     ModelError,
@@ -68,9 +69,6 @@ def _as_number(value: Any, path: str) -> Scalar:
     raise _fail(path, f"expected a number, got {type(value).__name__}")
 
 
-_WORLD_KEYS = ("both", "antecedent_only", "consequent_only", "neither")
-
-
 def _parse_state(
     data: Any, path: str, index: int
 ) -> tuple[State, Scalar]:
@@ -101,7 +99,7 @@ def _parse_state(
         if source == "table":
             cells = tuple(
                 _as_number(_require(spec, key, f"{path}.table"), f"{path}.table.{key}")
-                for key in _WORLD_KEYS
+                for key in WORLD_NAMES
             )
             table = JointTable(cells)
         elif source == "marginals":
@@ -283,7 +281,7 @@ def scenario_to_dict(definition: ScenarioDefinition) -> dict:
                 "weight": _number_to_json(w),
                 "table": {
                     key: _number_to_json(cell)
-                    for key, cell in zip(_WORLD_KEYS, s.table.cells)
+                    for key, cell in zip(WORLD_NAMES, s.table.cells)
                 },
             }
             for s, w in zip(definition.states, definition.weights)

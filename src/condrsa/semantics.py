@@ -19,7 +19,7 @@ sampled states.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -146,11 +146,10 @@ def bool_matrix_float(
 
 
 def bool_matrix_exact(
-    states: Iterable[State], utterances: Sequence[Utterance], theta: Scalar
+    cells: np.ndarray, utterances: Sequence[Utterance], theta: Scalar
 ) -> np.ndarray:
-    """Assertability computed on the states' own cells, so exact tables are
-    decided in exact arithmetic."""
-    cells = np.array([s.table.cells for s in states], dtype=object)
+    """Assertability decided in exact arithmetic, on an (n, 4) ``object``
+    array of Fraction cells such as a context's `cells`."""
     return _assertability_columns(cells, utterances, theta)
 
 

@@ -58,6 +58,14 @@ class TestQuery:
         t = joint_from_marginals(F(3, 10), F(7, 10))
         assert query(t, A, given=A) == 1
 
+    def test_int_cells_condition_exactly(self):
+        p = query(JointTable((1, 0, 0, 0)), A, given=C)
+        assert p == 1 and type(p) is F
+        p = query(JointTable((0, 1, 0, 0)), C, given=A)
+        assert p == 0 and type(p) is F
+        p = query(JointTable((1.0, 0.0, 0.0, 0.0)), A, given=C)
+        assert p == 1 and type(p) is float
+
     def test_zero_probability_conditioning_is_an_error(self):
         t = joint_from_marginals(1, F(1, 2))
         with pytest.raises(ZeroProbabilityEventError):

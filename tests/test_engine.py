@@ -404,6 +404,51 @@ class TestPosterior:
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
+def relation_posterior_oracle(post):
+    """The state-by-state loop `relation_posterior` replaces."""
+    zero = F(0) if post.context.exact else 0.0
+    out = {r: zero for r in CausalStructure}
+    for w, s in zip(post.weights, post.context.states):
+        out[s.relation] = out[s.relation] + w
+    return out
+
+
+def listener_posteriors(ctx, utterance):
+    yield cr.prior_posterior(ctx)
+    for listener in (cr.literal_listener, cr.pragmatic_listener):
+        try:
+            yield listener(ctx, utterance)
+        except (ZeroSupportError, ContextError):  # listener undefined
+            pass
+
+
+class TestRelationPosterior:
+    @pytest.fixture(scope="class")
+    def sampled_2000(self):
+        return cr.build_default_context(seed=3, hyper=cr.PriorHyperparams(n_states=2000))
+
+    def test_sampled_matches_state_loop_bit_for_bit(self, sampled_2000):
+        posts = list(listener_posteriors(sampled_2000, "A -> C"))
+        assert len(posts) == 3
+        for post in posts:
+            got = cr.relation_posterior(post)
+            expected = relation_posterior_oracle(post)
+            assert list(got) == list(expected)
+            assert [v.hex() for v in got.values()] == [v.hex() for v in expected.values()]
+            assert all(type(v) is float for v in got.values())
+
+    @settings(max_examples=40, deadline=None)
+    @given(ctx=exact_context_strategy(), j=st.integers(0, 19))
+    def test_exact_matches_state_loop_in_value_and_type(self, ctx, j):
+        posts = [*listener_posteriors(ctx, ctx.utterances[j]),
+                 cr.Posterior(ctx, (1,) + (0,) * (ctx.n_states - 1))]
+        for post in posts:
+            got = cr.relation_posterior(post)
+            expected = relation_posterior_oracle(post)
+            assert list(got.items()) == list(expected.items())
+            assert [type(v) for v in got.values()] == [type(v) for v in expected.values()]
+
+
 def test_negative_softmax_alpha_rejected():
     with pytest.raises(ValueError):
         Softmax(-1)

@@ -193,6 +193,34 @@ class TestBundles:
             assert lines[1].split(",")[-1] == "config"
             assert all(line.split(",")[-1] == fp for line in lines[2:])
 
+    def test_integer_cells_with_observation_render_exactly(self, tmp_path):
+        # JSON integer cells: every conditional of the first state is int / int
+        scenario = {
+            "name": "int_cells",
+            "variables": {"antecedent": "A", "consequent": "C"},
+            "alpha": 1,
+            "theta": "9/10",
+            "utterances": ["A", "C", "likely A", "likely ~A", "A -> C"],
+            "states": [
+                {"label": "sure", "relation": "AC_pos", "weight": "1/2",
+                 "table": {"both": 1, "antecedent_only": 0,
+                           "consequent_only": 0, "neither": 0}},
+                {"label": "open", "weight": "1/2",
+                 "marginals": {"antecedent": "1/5", "consequent": "1/2"}},
+            ],
+            "observation": {"mediator": "C", "prob_given_true": "3/4",
+                            "prob_given_false": 0, "observed": True},
+        }
+        path = tmp_path / "int_cells.json"
+        path.write_text(json.dumps(scenario))
+        bundle = run(RunConfig(command="run-scenario", scenario=str(path),
+                               numeric="rational", output_dir=tmp_path / "out"))
+        rows = {row[:2]: row[2] for row in bundle.tables["belief_summary"].rows}
+        observed = rows[("antecedent", "pragmatic_observed")]
+        assert observed == 1 and type(observed) is F
+        summary = (tmp_path / "out" / "belief_summary.csv").read_text()
+        assert "\nantecedent,pragmatic_observed,1," in summary
+
     def test_table_four_fractions_render_exactly(self, tmp_path):
         run(RunConfig(command="run-scenario", scenario="toy",
                       output_dir=tmp_path, formats=("csv",)))

@@ -1,0 +1,69 @@
+"""Pin the sha256 of every file the runner writes for a fixed set of runs.
+
+The digests live in ``output_digests.json`` next to this file.  A change
+that is meant to leave every output byte-identical must keep them; a
+change that alters outputs on purpose regenerates them with
+
+    PYTHONPATH=src python tests/test_output_digests.py > tests/output_digests.json
+
+and says in its description which files changed and why.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from condrsa.runner import RunConfig, run
+from condrsa.scenarios import BUILTIN_NAMES
+
+DIGESTS = Path(__file__).with_name("output_digests.json")
+
+#: run name -> configuration (without its output directory)
+RUNS = {
+    **{
+        f"{name}-rational": RunConfig(
+            command="run-scenario", scenario=name, numeric="rational",
+            formats=("csv", "json", "plotdata"),
+        )
+        for name in BUILTIN_NAMES
+    },
+    **{
+        f"{name}-float": RunConfig(
+            command="run-scenario", scenario=name, numeric="float",
+        )
+        for name in BUILTIN_NAMES
+    },
+    "default-context-seed1-500": RunConfig(
+        command="run-default-context", seed=1, n_states=500,
+    ),
+}
+
+
+def output_digests(name: str, out: Path) -> dict[str, str]:
+    """Run ``RUNS[name]`` into ``out``; sha256 of each written file by path."""
+    run(dataclasses.replace(RUNS[name], output_dir=out))
+    return {
+        p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.rglob("*"))
+        if p.is_file()
+    }
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_output_bytes_are_pinned(name, tmp_path):
+    expected = json.loads(DIGESTS.read_text())[name]
+    assert output_digests(name, tmp_path) == expected
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {name: output_digests(name, Path(tmp) / name) for name in sorted(RUNS)}
+    json.dump(digests, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")

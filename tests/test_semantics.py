@@ -1,7 +1,8 @@
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import condrsa as cr
@@ -16,6 +17,8 @@ from condrsa import (
     joint_from_marginals,
     parse_utterance,
 )
+from condrsa.analysis import relation_array
+from condrsa.core import RELATION_ORDER
 from condrsa.semantics import bool_matrix_exact
 
 THETA = F(9, 10)
@@ -23,6 +26,11 @@ THETA = F(9, 10)
 
 def state(cells, relation=CausalStructure.INDEPENDENT, label=None):
     return State(JointTable(cells), relation, label)
+
+
+def cell_array(states):
+    """The states' own cells as an (n, 4) ``object`` array."""
+    return np.array([s.table.cells for s in states], dtype=object)
 
 
 TOY_S1 = state((F(81, 100), F(9, 100), F(9, 100), F(1, 100)), label="s1")
@@ -166,7 +174,9 @@ class TestAssertabilityMatrix:
             )
 
     def test_float_and_exact_paths_agree(self, small_ctx):
-        exact = bool_matrix_exact(small_ctx.states, small_ctx.utterances, small_ctx.theta)
+        exact = bool_matrix_exact(
+            cell_array(small_ctx.states), small_ctx.utterances, small_ctx.theta
+        )
         assert (exact == small_ctx.assertability).all()
 
     @settings(max_examples=150, deadline=None)
@@ -180,7 +190,7 @@ class TestAssertabilityMatrix:
         states = [state(cells) for cells in tables]
         utterances = default_utterances()
         oracle = [[assertable(u, s, theta) for u in utterances] for s in states]
-        assert bool_matrix_exact(states, utterances, theta).tolist() == oracle
+        assert bool_matrix_exact(cell_array(states), utterances, theta).tolist() == oracle
 
 
 class TestContext:
@@ -241,3 +251,79 @@ class TestContext:
                 alpha=1,
                 theta=THETA,
             )
+
+
+@st.composite
+def int_cell_tables(draw):
+    """Exact tables whose zero cells and whose cell of 1 are sometimes written
+    as the ints 0 and 1, as a scenario file may write them."""
+    parts = draw(st.lists(st.integers(0, 4), min_size=4, max_size=4).filter(sum))
+    total = sum(parts)
+    if draw(st.booleans()):
+        return tuple(p // total if p in (0, total) else F(p, total) for p in parts)
+    return tuple(F(p, total) for p in parts)
+
+
+class TestContextArrays:
+    @staticmethod
+    def assert_exact_arrays(ctx):
+        assert ctx.cells.dtype == object and ctx.cells.shape == (ctx.n_states, 4)
+        assert ctx.cells.tolist() == [list(s.table.cells) for s in ctx.states]
+        assert all(type(c) is F for row in ctx.cells.tolist() for c in row)
+        assert ctx.prior.dtype == object and ctx.prior.shape == (ctx.n_states,)
+        assert ctx.prior.tolist() == list(ctx.weights)
+        assert all(type(w) is F for w in ctx.prior.tolist())
+        assert ctx.tables.tolist() == [list(s.table.as_floats()) for s in ctx.states]
+
+    @pytest.mark.parametrize("name", cr.BUILTIN_NAMES)
+    def test_exact_builtins_hold_fractions(self, name):
+        self.assert_exact_arrays(cr.builtin(name).to_context())
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_exact_int_cells_become_fractions(self, data):
+        tables = data.draw(st.lists(int_cell_tables(), min_size=1, max_size=5))
+        weights = data.draw(st.lists(
+            st.integers(0, 3), min_size=len(tables), max_size=len(tables)
+        ).filter(sum))
+        try:
+            ctx = ScenarioContext(
+                states=tuple(state(cells) for cells in tables),
+                # int weights where they are 0 or 1, like the int cells
+                weights=tuple(w // sum(weights) if w in (0, sum(weights))
+                              else F(w, sum(weights)) for w in weights),
+                utterances=default_utterances(),
+                alpha=1,
+                theta=THETA,
+            )
+        except ContextError:  # some state can assert nothing
+            assume(False)
+        self.assert_exact_arrays(ctx)
+
+    def test_float_context_reads_tables_and_weights(self, small_ctx):
+        assert small_ctx.cells is small_ctx.tables
+        assert small_ctx.cells.dtype == np.float64
+        assert small_ctx.prior.dtype == np.float64
+        assert small_ctx.prior.tolist() == list(small_ctx.weights)
+
+    def test_relation_codes(self, small_ctx, skiing):
+        for ctx in (small_ctx, skiing.to_context()):
+            assert ctx.relations.dtype == np.int8
+            assert ctx.relations.tolist() == [
+                RELATION_ORDER.index(s.relation) for s in ctx.states
+            ]
+            assert relation_array(ctx) is ctx.relations
+
+    @pytest.mark.parametrize("name", ["cells", "prior", "relations"])
+    def test_arrays_are_read_only_and_rebuilt_by_with_params(
+        self, toy_ctx, small_ctx, name
+    ):
+        for ctx in (toy_ctx, small_ctx):
+            array = getattr(ctx, name)
+            with pytest.raises(ValueError):
+                array[0] = array[0]
+            changed = ctx.with_params(theta=ctx.theta)
+            rebuilt = getattr(changed, name)
+            assert rebuilt is not array
+            assert rebuilt.tolist() == array.tolist()
+            assert not rebuilt.flags.writeable
