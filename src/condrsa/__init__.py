@@ -58,7 +58,6 @@ from .default_context import (
     build_default_context,
     sample_default_states,
     sample_relation,
-    sample_state,
 )
 from .engine import (
     Argmax,
@@ -82,8 +81,6 @@ from .engine import (
 from .scenarios import (
     BUILTIN_NAMES,
     SKIING_UNCERTAIN_TRIP_VARIANT,
-    SUNDOWNERS_MEDIATED_CHAIN,
-    MediatedChain,
     ObservationLink,
     ScenarioDefinition,
     antecedent_belief,

@@ -1,26 +1,20 @@
 """Scenario contexts: the unit the pragmatic recursion runs on.
 
-A context bundles weighted world states, the utterance alternatives, the
-speaker rationality ``alpha`` and the assertability threshold ``theta``.
-Contexts are immutable.  Construction decides the arithmetic once: a
-context is *exact* when every number in it is an int or Fraction, and the
-engine then computes with exact rational arithmetic; any float anywhere
-switches the whole context to the float backend.
-
-Construction also builds every per-state array once, read-only, and the
-engine, the analyses and the runner read them instead of the states:
-
-- ``cells``: the (n_states, 4) joint tables in the context's arithmetic,
-  an ``object`` array of Fractions (int cells cast) on exact contexts and
-  float64 otherwise;
-- ``prior``: the (n_states,) prior weights, in the dtype of ``cells``;
-- ``relations``: each state's causal structure, as int8 indices into
-  `RELATION_ORDER`;
-- ``tables``: float64 cells (the same array as ``cells`` on float contexts);
-- ``assertability``: the (n_states, n_utterances) bool matrix, decided on
-  ``cells``.
-
-Each context also carries a private memo for the engine's results.
+A context is its per-state arrays, ``cells`` ((n_states, 4) joint tables in
+`World` order), ``prior``, ``relations`` (int8 indices into
+`RELATION_ORDER`) and ``labels`` (None where a state has none), plus the
+utterance alternatives, the rationality ``alpha`` and the threshold
+``theta``.  It is immutable, and ``__post_init__`` is its one construction
+body: the context is *exact* when ``cells`` and ``prior`` are ``object``
+arrays of ints and Fractions and ``alpha`` and ``theta`` are rational (it
+then holds Fractions, ints cast); otherwise both arrays are cast to
+float64.  It validates once, vectorised, keeps read-only copies, and adds
+the float64 ``tables`` (``cells`` itself on float contexts) and the bool
+``assertability`` matrix decided on ``cells``.  The engine, the analyses
+and the runner read only these arrays.  Hand-built scenarios lower their
+`State` objects with `from_states`; sampled contexts never hold one, and
+the ``states`` and ``weights`` views are rebuilt from the arrays on first
+use.  Each context also carries a private memo for the engine's results.
 """
 
 from __future__ import annotations
@@ -28,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +30,7 @@ import numpy as np
 from .core import (
     RELATION_ORDER,
     ContextError,
+    JointTable,
     Scalar,
     State,
     is_rational,
@@ -43,38 +39,39 @@ from .core import (
 from .utterances import Utterance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioContext:
-    states: tuple[State, ...]
-    weights: tuple[Scalar, ...]
+    cells: np.ndarray
+    prior: np.ndarray
+    relations: np.ndarray
     utterances: tuple[Utterance, ...]
     alpha: Scalar
     theta: Scalar
+    labels: tuple[str | None, ...] | None = None
 
     #: whether every number is an int or Fraction, decided at construction
-    exact: bool = field(init=False, repr=False, compare=False)
-
-    # per-state arrays (see the module docstring), filled in __post_init__
-    cells: np.ndarray = field(init=False, repr=False, compare=False)
-    prior: np.ndarray = field(init=False, repr=False, compare=False)
-    relations: np.ndarray = field(init=False, repr=False, compare=False)
-    tables: np.ndarray = field(init=False, repr=False, compare=False)
-    assertability: np.ndarray = field(init=False, repr=False, compare=False)
+    exact: bool = field(init=False, repr=False)
+    tables: np.ndarray = field(init=False, repr=False)
+    assertability: np.ndarray = field(init=False, repr=False)
     #: the engine's per-context results (read-only arrays), filled lazily
-    _memo: dict = field(init=False, repr=False, compare=False)
+    _memo: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        states = tuple(self.states)
-        weights = tuple(self.weights)
+        cells, prior = np.asarray(self.cells), np.asarray(self.prior)
+        relations = np.array(self.relations, dtype=np.int8)
         utterances = tuple(self.utterances)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "utterances", utterances)
+        n = len(cells)
+        labels = (None,) * n if self.labels is None else tuple(self.labels)
 
-        if not states:
+        if n == 0:
             raise ContextError("a context needs at least one state")
-        if len(weights) != len(states):
-            raise ContextError("one prior weight per state required")
+        if (cells.shape, prior.shape, relations.shape, len(labels)) != ((n, 4), (n,), (n,), n):
+            raise ContextError(
+                "one row of four cells, one prior weight, one relation and "
+                "one label per state required"
+            )
+        if not np.isin(relations, range(len(RELATION_ORDER))).all():
+            raise ContextError("relation codes must index RELATION_ORDER")
         if not utterances:
             raise ContextError("a context needs at least one utterance")
         if len(set(utterances)) != len(utterances):
@@ -83,43 +80,67 @@ class ScenarioContext:
             raise ContextError(f"theta must lie in (0.5, 1], got {self.theta!r}")
         if self.alpha < 0:
             raise ContextError(f"alpha must be nonnegative, got {self.alpha!r}")
-        for w in weights:
-            if w < 0:
-                raise ContextError(f"prior weights must be nonnegative, got {w!r}")
-        exact = all(is_rational(x) for x in (self.alpha, self.theta, *weights)) and all(
-            s.table.exact for s in states
+
+        exact = cells.dtype == prior.dtype == object and all(
+            map(is_rational, (self.alpha, self.theta, *cells.flat, *prior))
         )
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "_memo", {})
-        total = sum(weights)
+        if exact:
+            cells, prior = (np.frompyfunc(Fraction, 1, 1)(a) for a in (cells, prior))
+            tables = cells.astype(float)
+        else:
+            cells = tables = np.array(cells, dtype=float)
+            prior = np.array(prior, dtype=float)
+        in_range = ((cells >= 0) & (cells <= 1)).all()
+        if not (in_range and np.all(sums_to_one(cells.sum(axis=1), exact))):
+            raise ContextError("the cells of each state must lie in [0, 1] and sum to 1")
+        if (prior < 0).any():
+            raise ContextError(f"prior weights must be nonnegative, got {prior.min()}")
+        total = prior.sum()
         if not sums_to_one(total, exact):
             raise ContextError(f"prior weights must sum to 1, got {total}")
 
         from . import semantics  # deferred: semantics has no context dependency
 
-        if exact:
-            cells = np.array(
-                [[Fraction(c) for c in s.table.cells] for s in states], dtype=object
+        decide = semantics.bool_matrix_exact if exact else semantics.bool_matrix_float
+        matrix = decide(cells, utterances, self.theta if exact else float(self.theta))
+        unsupported = np.flatnonzero(~matrix.any(axis=1))
+        if unsupported.size:
+            i = int(unsupported[0])
+            label = labels[i] if labels[i] is not None else f"state #{i}"
+            raise ContextError(
+                f"{label} has no assertable utterance; every state must support "
+                f"at least one utterance ({unsupported.size} offending state(s))"
             )
-            prior = np.array([Fraction(w) for w in weights], dtype=object)
-            tables = cells.astype(float)
-            matrix = semantics.bool_matrix_exact(cells, utterances, self.theta)
-        else:
-            tables = np.array([s.table.as_floats() for s in states], dtype=float)
-            cells = tables
-            prior = np.array([float(w) for w in weights], dtype=float)
-            matrix = semantics.bool_matrix_float(tables, utterances, float(self.theta))
-        codes = {r: i for i, r in enumerate(RELATION_ORDER)}
-        relations = np.array([codes[s.relation] for s in states], dtype=np.int8)
-        semantics.check_all_rows_assertable(matrix, [s.label for s in states])
-        for name, array in (
-            ("cells", cells), ("prior", prior), ("relations", relations),
-            ("tables", tables), ("assertability", matrix),
-        ):
+
+        for array in (cells, prior, relations, tables, matrix):
             array.setflags(write=False)
-            object.__setattr__(self, name, array)
+        for name, value in dict(
+            cells=cells, prior=prior, relations=relations, utterances=utterances,
+            labels=labels, exact=exact, tables=tables, assertability=matrix, _memo={},
+        ).items():
+            object.__setattr__(self, name, value)
 
     # -- construction helpers ------------------------------------------------
+
+    @classmethod
+    def from_states(
+        cls,
+        states: Sequence[State],
+        weights: Sequence[Scalar],
+        utterances: Sequence[Utterance],
+        alpha: Scalar,
+        theta: Scalar,
+    ) -> "ScenarioContext":
+        """Lower `State` objects and their prior weights to a context."""
+        return cls(
+            cells=np.array([s.table.cells for s in states], dtype=object),
+            prior=np.array(weights, dtype=object),
+            relations=[RELATION_ORDER.index(s.relation) for s in states],
+            labels=[s.label for s in states],
+            utterances=utterances,
+            alpha=alpha,
+            theta=theta,
+        )
 
     @classmethod
     def from_unnormalized(
@@ -130,44 +151,52 @@ class ScenarioContext:
         alpha: Scalar,
         theta: Scalar,
     ) -> "ScenarioContext":
-        """Build a context from nonnegative weights of any positive total.
-
-        Listener outputs depend on weights only up to a positive factor, so
-        normalizing here is behaviour-preserving.
-        """
+        """`from_states` for nonnegative weights of any positive total: listener
+        outputs depend on weights only up to a positive factor."""
         total = sum(weights)
         if total <= 0:
             raise ContextError("prior weights must have positive total")
-        return cls(
-            states=tuple(states),
-            weights=tuple(w / total for w in weights),
-            utterances=tuple(utterances),
-            alpha=alpha,
-            theta=theta,
+        return cls.from_states(
+            states, [w / total for w in weights], utterances, alpha, theta
         )
 
     def with_params(
         self, alpha: Scalar | None = None, theta: Scalar | None = None
     ) -> "ScenarioContext":
-        """The same states and utterances under different model parameters."""
+        """The same states and utterances under different model parameters;
+        a float ``alpha`` or ``theta`` gives a float context."""
         return dataclasses.replace(
             self,
             alpha=self.alpha if alpha is None else alpha,
             theta=self.theta if theta is None else theta,
         )
 
+    # -- views rebuilt from the arrays on first use ----------------------------
+
+    @cached_property
+    def states(self) -> tuple[State, ...]:
+        return tuple(
+            State(JointTable(tuple(row)), RELATION_ORDER[code], label)
+            for row, code, label in zip(
+                self.cells.tolist(), self.relations.tolist(), self.labels
+            )
+        )
+
+    @cached_property
+    def weights(self) -> tuple[Scalar, ...]:
+        return tuple(self.prior.tolist())
+
     # -- simple queries --------------------------------------------------------
 
     @property
     def n_states(self) -> int:
-        return len(self.states)
+        return len(self.cells)
 
     def index_of_state(self, state: State | str) -> int:
         if isinstance(state, str):
-            for i, s in enumerate(self.states):
-                if s.label == state:
-                    return i
-            raise KeyError(f"no state labelled {state!r}")
+            if state not in self.labels:
+                raise KeyError(f"no state labelled {state!r}")
+            return self.labels.index(state)
         return self.states.index(state)
 
     def index_of_utterance(self, utterance: Utterance | str) -> int:

@@ -19,6 +19,8 @@ from enum import Enum, IntEnum
 from fractions import Fraction
 from typing import Union
 
+import numpy as np
+
 Scalar = Union[int, float, Fraction]
 
 #: how far a float total may deviate from 1 and still count as summing to 1
@@ -63,8 +65,9 @@ def sums_to_one(total: Scalar, exact: bool) -> bool:
     return total == 1 if exact else abs(total - 1) <= SUM_TOL
 
 
-def check_probability(x: Scalar, name: str) -> None:
-    if not 0 <= x <= 1:
+def check_probability(x: Scalar | np.ndarray, name: str) -> None:
+    inside = ((0 <= x) & (x <= 1)).all() if isinstance(x, np.ndarray) else 0 <= x <= 1
+    if not inside:
         raise ProbabilityError(f"{name} must lie in [0, 1], got {x!r}")
 
 
@@ -231,9 +234,6 @@ class JointTable:
     def as_floats(self) -> tuple[float, float, float, float]:
         return tuple(float(c) for c in self.cells)  # type: ignore[return-value]
 
-    def query(self, event: Event, given: Event | None = None) -> Scalar:
-        return query(self, event, given)
-
 
 def query(table: JointTable, event: Event, given: Event | None = None) -> Scalar:
     """Marginal or conditional probability of ``event`` under ``table``.
@@ -255,11 +255,17 @@ def query(table: JointTable, event: Event, given: Event | None = None) -> Scalar
     return p_joint / p_given
 
 
-def joint_from_marginals(pa: Scalar, pc: Scalar) -> JointTable:
-    """Product table of two independent marginals P(a) and P(c)."""
+def product_cells(pa: Scalar, pc: Scalar) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+    """Cells of the product table of two independent marginals P(a) and
+    P(c), in `World` order; scalars, or arrays giving one table per entry."""
     check_probability(pa, "pa")
     check_probability(pc, "pc")
-    return JointTable((pa * pc, pa * (1 - pc), (1 - pa) * pc, (1 - pa) * (1 - pc)))
+    return (pa * pc, pa * (1 - pc), (1 - pa) * pc, (1 - pa) * (1 - pc))
+
+
+def joint_from_marginals(pa: Scalar, pc: Scalar) -> JointTable:
+    """Product table of two independent marginals P(a) and P(c)."""
+    return JointTable(product_cells(pa, pc))
 
 
 def noisy_or_effect_probability(tau: Scalar, beta: Scalar) -> Scalar:
@@ -270,10 +276,12 @@ def noisy_or_effect_probability(tau: Scalar, beta: Scalar) -> Scalar:
     return tau + beta - tau * beta
 
 
-def joint_from_noisy_or(
+def noisy_or_cells(
     relation: CausalStructure, upsilon_p: Scalar, tau: Scalar, beta: Scalar
-) -> JointTable:
-    """Joint table entailed by a leaky noisy-or link for a dependent relation.
+) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+    """Cells, in `World` order, of the joint table entailed by a leaky
+    noisy-or link for a dependent relation; scalars, or arrays giving one
+    table per entry.
 
     ``upsilon_p`` is the prior probability that the cause condition holds
     (the cause variable is true for positive variants, false for negative
@@ -299,10 +307,15 @@ def joint_from_noisy_or(
     ff = (1 - p_cause_true) * (1 - p_eff_f)
 
     if relation.cause is Var.A:
-        cells = (tt, tf, ft, ff)
-    else:  # cause is C: swap the roles of the two variables
-        cells = (tt, ft, tf, ff)
-    return JointTable(cells)
+        return (tt, tf, ft, ff)
+    return (tt, ft, tf, ff)  # cause is C: swap the roles of the two variables
+
+
+def joint_from_noisy_or(
+    relation: CausalStructure, upsilon_p: Scalar, tau: Scalar, beta: Scalar
+) -> JointTable:
+    """Joint table entailed by a leaky noisy-or link (see `noisy_or_cells`)."""
+    return JointTable(noisy_or_cells(relation, upsilon_p, tau, beta))
 
 
 @dataclass(frozen=True)

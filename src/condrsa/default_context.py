@@ -11,7 +11,9 @@ background noise towards 0.
 
 Sampling is reproducible: the seed is split into one independent stream
 per state index, so state ``i`` depends only on the seed and ``i``, and
-the same seed always yields the same context.
+the same seed always yields the same context.  The sample is a structured
+array of relation codes and cells, and the default context is built from
+those arrays directly: no `State` object is made on this path.
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ from .core import (
     RELATION_ORDER,
     CausalStructure,
     Scalar,
-    State,
-    joint_from_marginals,
-    joint_from_noisy_or,
+    noisy_or_cells,
+    product_cells,
 )
 from .semantics import default_utterances
 from .tolerances import TOLERANCES
@@ -83,25 +84,6 @@ def sample_relation(rng: np.random.Generator) -> CausalStructure:
     return RELATION_ORDER[-1]
 
 
-def sample_state(
-    rng: np.random.Generator, hyper: PriorHyperparams = DEFAULT_HYPERPARAMS
-) -> State:
-    """One state from the prior.
-
-    Draw order (part of the determinism contract): relation; then either
-    the two independent marginals, or (tau, beta, upsilon_p).
-    """
-    relation = sample_relation(rng)
-    if relation is CausalStructure.INDEPENDENT:
-        pa = rng.random()
-        pc = rng.random()
-        return State(joint_from_marginals(pa, pc), relation)
-    tau = rng.beta(*hyper.tau_shape)
-    beta = rng.beta(*hyper.beta_shape)
-    upsilon_p = rng.random()
-    return State(joint_from_noisy_or(relation, upsilon_p, tau, beta), relation)
-
-
 def _seed_sequence(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
@@ -110,17 +92,44 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     raise TypeError(f"seed must be an int or SeedSequence, got {type(seed).__name__}")
 
 
+#: one sampled state: its relation code into `RELATION_ORDER` and its four
+#: cells in `World` order
+SAMPLE_DTYPE = np.dtype([("relation", np.int8), ("cells", np.float64, (4,))])
+
+
 def sample_default_states(
     seed, hyper: PriorHyperparams = DEFAULT_HYPERPARAMS
-) -> tuple[State, ...]:
-    """``hyper.n_states`` prior samples, split one RNG stream per state index.
+) -> np.ndarray:
+    """``hyper.n_states`` prior samples, split one RNG stream per state index,
+    as a structured array of `SAMPLE_DTYPE` records.
 
-    The result depends only on ``seed`` and ``hyper``.
+    Draw order per state (part of the determinism contract): the relation;
+    then either the two independent marginals, or (tau, beta, upsilon_p).
+    The cells then come from the `core` table formulas, applied once per
+    relation.  The result depends only on ``seed`` and ``hyper``.
     """
-    return tuple(
-        sample_state(np.random.default_rng(child), hyper)
-        for child in _seed_sequence(seed).spawn(hyper.n_states)
-    )
+    n = hyper.n_states
+    sample = np.zeros(n, dtype=SAMPLE_DTYPE)
+    codes = sample["relation"]
+    draws = np.zeros((n, 3))  # (pa, pc, 0) or (tau, beta, upsilon_p)
+    for i, child in enumerate(_seed_sequence(seed).spawn(n)):
+        rng = np.random.default_rng(child)
+        relation = sample_relation(rng)
+        codes[i] = RELATION_ORDER.index(relation)
+        if relation is CausalStructure.INDEPENDENT:
+            draws[i, :2] = rng.random(), rng.random()
+        else:
+            draws[i] = (rng.beta(*hyper.tau_shape), rng.beta(*hyper.beta_shape),
+                        rng.random())
+    for code, relation in enumerate(RELATION_ORDER):
+        rows = codes == code
+        first, second, third = draws[rows].T
+        if relation is CausalStructure.INDEPENDENT:
+            cells = product_cells(first, second)
+        else:
+            cells = noisy_or_cells(relation, third, first, second)
+        sample["cells"][rows] = np.stack(cells, axis=1)
+    return sample
 
 
 def build_default_context(
@@ -132,11 +141,12 @@ def build_default_context(
 ) -> ScenarioContext:
     """A context of equally weighted prior samples with the balanced
     utterance set (or a custom one)."""
-    states = sample_default_states(seed, hyper)
-    n = len(states)
+    sample = sample_default_states(seed, hyper)
+    n = len(sample)
     return ScenarioContext(
-        states=states,
-        weights=tuple([1.0 / n] * n),
+        cells=sample["cells"],
+        prior=np.full(n, 1.0 / n),
+        relations=sample["relation"],
         utterances=utterances if utterances is not None else default_utterances(),
         alpha=float(alpha),
         theta=float(theta),

@@ -19,13 +19,14 @@ one table, so marginalizing listener mass over causal relations attached
 to the same table leaves the speaker unchanged; speakers here depend only
 on which utterances are assertable and on the masses.
 
-One matrix engine serves both numeric backends.  It reads the context's
-per-state arrays (``ctx.prior``, ``ctx.assertability``, ``ctx.relations``)
-in the context's own dtype: an exact context (all ints and Fractions,
-integer alpha) runs it on ``object`` arrays of Fractions, where the soft-max
-is literally ``(1 / mass(u)) ** alpha``, computed once per utterance and
-row-normalised; a float context runs it on float64 arrays, with the
-soft-max in log space.
+One matrix engine serves both numeric backends.  It reads only the
+context's arrays (``ctx.cells``, ``ctx.prior``, ``ctx.assertability``,
+``ctx.relations``), in the context's own dtype: an exact context (all ints
+and Fractions, integer alpha) runs it on ``object`` arrays of Fractions,
+where the soft-max is literally ``(1 / mass(u)) ** alpha``, computed once
+per utterance and row-normalised; a float context runs it on float64
+arrays, with the soft-max in log space.  A zero-prior state whose
+assertable utterances have no mass gets a zero speaker row.
 
 Each context memoises the utterance masses and, per speaker rule, the
 speaker matrix and the surprise vector, as read-only arrays.  The
@@ -97,7 +98,7 @@ class Posterior:
 
 def prior_posterior(ctx: ScenarioContext) -> Posterior:
     """The prior, wrapped as a posterior for uniform downstream handling."""
-    return Posterior(ctx, tuple(ctx.weights))
+    return Posterior(ctx, tuple(ctx.prior.tolist()))
 
 
 def _resolve_rule(ctx: ScenarioContext, rule: SpeakerRule | None) -> SpeakerRule:
@@ -134,16 +135,15 @@ def _compute_masses(ctx: ScenarioContext) -> np.ndarray:
 
 def _compute_speaker(ctx: ScenarioContext, rule: SpeakerRule) -> np.ndarray:
     mass = utterance_masses(ctx)
+    # a state's assertable utterances all have mass when its own prior is
+    # positive; the rows of zero-prior states without one stay zero, and
+    # they add nothing to the pragmatic listener or the surprise vector
     valid = ctx.assertability & (mass > 0)
-    if not valid.any(axis=1).all():
-        bad = int(np.flatnonzero(~valid.any(axis=1))[0])
-        label = ctx.states[bad].label or f"state #{bad}"
-        raise ContextError(f"{label} has no assertable utterance with prior mass")
 
     zero, one = (Fraction(0), Fraction(1)) if ctx.exact else (0.0, 1.0)
     if isinstance(rule, Argmax):
         mass_rows = np.where(valid, mass, np.inf)
-        best = mass_rows == mass_rows.min(axis=1, keepdims=True)
+        best = valid & (mass_rows == mass_rows.min(axis=1, keepdims=True))
         scores = np.where(best, one, zero)
     elif ctx.exact:
         # the per-state prior factor of the literal listener cancels
@@ -159,14 +159,13 @@ def _compute_speaker(ctx: ScenarioContext, rule: SpeakerRule) -> np.ndarray:
         utility = np.zeros_like(mass)
         np.log(mass, where=mass > 0, out=utility)
         logits = np.where(valid, -alpha * utility[None, :], -np.inf)
-        logits -= logits.max(axis=1, keepdims=True)
+        logits -= np.nan_to_num(logits.max(axis=1, keepdims=True), neginf=0.0)
         scores = np.exp(logits, where=np.isfinite(logits), out=np.zeros_like(logits))
-    return scores / scores.sum(axis=1, keepdims=True)
+    return _bayes(scores, scores.sum(axis=1, keepdims=True))
 
 
 def _bayes(production: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """Normalise each column by its total; a zero total leaves a zero column
-    (its production is zero, as every term is nonnegative)."""
+    """Divide by ``totals``, per column or per row; a zero total leaves zeros."""
     return production / np.where(totals > 0, totals, 1)
 
 
@@ -280,9 +279,12 @@ def utterance_surprise(
     return surprise_vector(ctx, rule).tolist()[j]
 
 
-def expectation(post: Posterior, f: Callable[[State], Scalar]) -> Scalar:
-    """Posterior expectation of a per-state quantity."""
-    return sum(w * f(s) for w, s in zip(post.weights, post.context.states))
+def expectation(post: Posterior, values: np.ndarray) -> Scalar:
+    """Posterior expectation of a per-state quantity, given as one value per
+    state (such as a column of ``ctx.cells``)."""
+    weights = np.array(post.weights, dtype=post.context.prior.dtype)
+    # a running sum adds in state order, so floats match a state-by-state loop
+    return np.cumsum(weights * values)[-1:].tolist()[0]
 
 
 def relation_posterior(post: Posterior) -> dict[CausalStructure, Scalar]:

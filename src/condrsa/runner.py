@@ -194,11 +194,7 @@ def scenario_bundle(config: RunConfig) -> ResultBundle:
             "integers in the file; no float overrides)"
         )
     if mode == FLOAT and ctx.exact:
-        base = defn.to_context(as_float=True)
-        ctx = base.with_params(
-            alpha=None if config.alpha is None else float(config.alpha),
-            theta=None if config.theta is None else float(config.theta),
-        )
+        ctx = ctx.with_params(alpha=float(ctx.alpha), theta=float(ctx.theta))
 
     names = defn.variable_names
     bundle = make_bundle(
@@ -211,7 +207,7 @@ def scenario_bundle(config: RunConfig) -> ResultBundle:
         )
     )
 
-    labels = [s.label or f"state{i}" for i, s in enumerate(ctx.states)]
+    labels = [label or f"state{i}" for i, label in enumerate(ctx.labels)]
     utt_names = [u.format(names) for u in ctx.utterances]
 
     bundle.add(ResultTable(

@@ -20,6 +20,7 @@ from typing import Any
 from .core import (
     WORLD_NAMES,
     CausalStructure,
+    ContextError,
     JointTable,
     ModelError,
     ProbabilityError,
@@ -28,7 +29,6 @@ from .core import (
     Var,
     joint_from_marginals,
     joint_from_noisy_or,
-    sums_to_one,
 )
 from .scenarios import ObservationLink, ScenarioDefinition
 from .utterances import Utterance, parse_utterance
@@ -201,11 +201,6 @@ def parse_scenario_dict(data: Any, source: str = "<scenario>") -> ScenarioDefini
         duplicate = next(l for l in labels if labels.count(l) > 1)
         raise _fail("states", f"duplicate state label {duplicate!r}")
 
-    total = sum(weights)
-    exact = all(isinstance(w, (int, Fraction)) for w in weights)
-    if not sums_to_one(total, exact):
-        raise _fail("states", f"prior weights must sum to 1, got {total}")
-
     observation = None
     if "observation" in data:
         observation = _parse_observation(data["observation"], "observation", by_name)
@@ -229,10 +224,8 @@ def parse_scenario_dict(data: Any, source: str = "<scenario>") -> ScenarioDefini
         consequent_gloss=_as_str(glosses.get("consequent", ""), "glosses.consequent"),
     )
 
-    # lower once so context invariants (e.g. a state without any assertable
-    # utterance) surface at parse time with the offending label
-    from .core import ContextError
-
+    # lower once so context invariants (prior weights summing to 1, a state
+    # without any assertable utterance) surface at parse time, with the label
     try:
         definition.to_context()
     except ContextError as exc:

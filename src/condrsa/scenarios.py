@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+import numpy as np
+
 from . import engine
 from .context import ScenarioContext
 from .core import (
@@ -28,8 +30,8 @@ from .core import (
     Scalar,
     State,
     Var,
+    ZeroProbabilityEventError,
     event_for,
-    query,
 )
 from .engine import Posterior
 from .utterances import Utterance, parse_utterance
@@ -51,23 +53,6 @@ class ObservationLink:
     p_obs_given_false: Scalar
     observed: bool = True
     label: str = ""
-
-
-@dataclass(frozen=True)
-class MediatedChain:
-    """A three-node chain ``antecedent -> mediator -> consequent``.
-
-    Display-only: it illustrates how a listener can rationalize a
-    surprising conditional by positing a bridging variable; it is not run
-    through the pragmatic engine.
-    """
-
-    p_antecedent: Scalar
-    p_mediator_given_antecedent: Scalar
-    p_mediator_given_not_antecedent: Scalar
-    p_consequent_given_mediator: Scalar
-    p_consequent_given_not_mediator: Scalar
-    mediator_label: str = ""
 
 
 @dataclass(frozen=True)
@@ -95,25 +80,9 @@ class ScenarioDefinition:
         """Parse an utterance written with this scenario's variable names."""
         return parse_utterance(text, self.variable_names)
 
-    def to_context(self, as_float: bool = False) -> ScenarioContext:
-        if not as_float:
-            return ScenarioContext(
-                states=self.states,
-                weights=self.weights,
-                utterances=self.utterances,
-                alpha=self.alpha,
-                theta=self.theta,
-            )
-        states = tuple(
-            State(JointTable(tuple(float(c) for c in s.table.cells)), s.relation, s.label)
-            for s in self.states
-        )
-        return ScenarioContext(
-            states=states,
-            weights=tuple(float(w) for w in self.weights),
-            utterances=self.utterances,
-            alpha=float(self.alpha),
-            theta=float(self.theta),
+    def to_context(self) -> ScenarioContext:
+        return ScenarioContext.from_states(
+            self.states, self.weights, self.utterances, self.alpha, self.theta
         )
 
 
@@ -296,17 +265,6 @@ SKIING_UNCERTAIN_TRIP_VARIANT = replace(
     _skiing(independent_marginal=F(91, 100)), name="skiing_uncertain_trip"
 )
 
-#: illustrative rationalization of the surprising sundowners conditional:
-#: rain forces an indoor wedding, which blocks the drinks
-SUNDOWNERS_MEDIATED_CHAIN = MediatedChain(
-    p_antecedent=F(1, 2),
-    p_mediator_given_antecedent=1,
-    p_mediator_given_not_antecedent=0,
-    p_consequent_given_mediator=0,
-    p_consequent_given_not_mediator=1,
-    mediator_label="a wedding party occupies the inside area",
-)
-
 
 # --------------------------------------------------------------------------
 # belief read-outs and the observation update
@@ -320,12 +278,17 @@ def antecedent_belief(post: Posterior, which: str = "posterior") -> Scalar:
         post = engine.prior_posterior(post.context)
     elif which != "posterior":
         raise ValueError(f"which must be 'prior' or 'posterior', got {which!r}")
-    return engine.expectation(post, lambda s: query(s.table, A))
+    return joint_event_belief(post, A)
 
 
 def joint_event_belief(post: Posterior, event: Event) -> Scalar:
     """Expected probability of an arbitrary event over the two variables."""
-    return engine.expectation(post, lambda s: query(s.table, event))
+    return engine.expectation(post, _event_column(post.context, event))
+
+
+def _event_column(ctx: ScenarioContext, event: Event) -> np.ndarray:
+    """P(event) in every state, its cells added in `query`'s order."""
+    return sum((ctx.cells[:, w] for w in sorted(event.worlds)), np.zeros_like(ctx.prior))
 
 
 def observation_update(post: Posterior, link: ObservationLink) -> Scalar:
@@ -349,22 +312,29 @@ def observation_update(post: Posterior, link: ObservationLink) -> Scalar:
         )
 
     mediator = event_for(link.mediator)
+    # per state: P(m), P(~m), P(a, m) and P(a, ~m), with `query`'s sums
+    columns = zip(*(
+        _event_column(post.context, event).tolist()
+        for event in (mediator, ~mediator, A & mediator, A & ~mediator)
+    ))
     total = 0
-    for weight, state in zip(post.weights, post.context.states):
+    for weight, label, (p_med, p_not_med, a_med, a_not_med) in zip(
+        post.weights, post.context.labels, columns
+    ):
         if weight == 0:
             continue
-        p_med = query(state.table, mediator)
         evidence = p_true * p_med + p_false * (1 - p_med)
         if evidence == 0:
-            label = state.label or "a supported state"
             raise ImpossibleObservationError(
-                f"the observation is impossible in {label}"
+                f"the observation is impossible in {label or 'a supported state'}"
             )
         med_given_obs = p_true * p_med / evidence
         updated = 0
         if med_given_obs > 0:
-            updated = updated + query(state.table, A, given=mediator) * med_given_obs
+            updated = updated + a_med / p_med * med_given_obs
         if med_given_obs < 1:
-            updated = updated + query(state.table, A, given=~mediator) * (1 - med_given_obs)
+            if p_not_med == 0:  # a float row may sum to just under 1
+                raise ZeroProbabilityEventError(f"cannot condition on {~mediator}")
+            updated = updated + a_not_med / p_not_med * (1 - med_given_obs)
         total = total + weight * updated
     return total

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ContextError, Scalar, State, Var, query
+from .core import Scalar, State, Var, query
 from .utterances import (
     Conditional,
     Conjunction,
@@ -151,14 +151,3 @@ def bool_matrix_exact(
     """Assertability decided in exact arithmetic, on an (n, 4) ``object``
     array of Fraction cells such as a context's `cells`."""
     return _assertability_columns(cells, utterances, theta)
-
-
-def check_all_rows_assertable(values: np.ndarray, labels: Sequence[str | None]) -> None:
-    bad = np.flatnonzero(~values.any(axis=1))
-    if bad.size:
-        i = int(bad[0])
-        label = labels[i] if labels[i] is not None else f"state #{i}"
-        raise ContextError(
-            f"{label} has no assertable utterance; every state must support "
-            f"at least one utterance ({bad.size} offending state(s))"
-        )

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import condrsa as cr
@@ -28,7 +29,8 @@ def sundowners():
 
 @pytest.fixture(scope="session")
 def default_states():
-    """The canonical state sample shared by all statistical tests."""
+    """The canonical state sample shared by all statistical tests: a
+    structured array of relation codes and cells."""
     return cr.sample_default_states(TOLERANCES.default_seed)
 
 
@@ -36,8 +38,9 @@ def default_states():
 def default_ctx(default_states):
     n = len(default_states)
     return cr.ScenarioContext(
-        states=default_states,
-        weights=tuple([1.0 / n] * n),
+        cells=default_states["cells"],
+        prior=np.full(n, 1.0 / n),
+        relations=default_states["relation"],
         utterances=cr.default_utterances(),
         alpha=TOLERANCES.default_alpha,
         theta=TOLERANCES.default_theta,

@@ -227,13 +227,14 @@ def test_criterion_9_missing_link(default_ctx):
 
 def test_criterion_10_robustness_grid(default_states):
     n = len(default_states)
-    weights = tuple([1.0 / n] * n)
+    prior = np.full(n, 1.0 / n)
     clauses = []
     for theta in TOL.grid_thetas:
         for alpha in TOL.grid_alphas:
             ctx = ScenarioContext(
-                states=default_states,
-                weights=weights,
+                cells=default_states["cells"],
+                prior=prior,
+                relations=default_states["relation"],
                 utterances=default_utterances(),
                 alpha=float(alpha),
                 theta=float(theta),
@@ -270,7 +271,7 @@ def _random_exact_context(rnd: random.Random, max_states: int = 5) -> ScenarioCo
         raw = [rnd.randint(1, 5) for _ in range(n)]
         total = sum(raw)
         try:
-            return ScenarioContext(
+            return ScenarioContext.from_states(
                 states=tuple(states),
                 weights=tuple(F(w, total) for w in raw),
                 utterances=default_utterances(),
@@ -399,7 +400,9 @@ def test_criterion_11_property_suite(default_states):
     clauses.append(("pragmatic listener matches the enumeration oracle", ok))
 
     hyper = cr.PriorHyperparams(n_states=300)
-    same_states = cr.sample_default_states(5, hyper) == cr.sample_default_states(5, hyper)
+    same_states = np.array_equal(
+        cr.sample_default_states(5, hyper), cr.sample_default_states(5, hyper)
+    )
     ctx1 = cr.build_default_context(5, hyper)
     ctx2 = cr.build_default_context(5, hyper)
     checks1 = [(c.name, c.passed, c.observed) for c in cr.default_context_checks(ctx1, "qualitative")]

@@ -106,7 +106,7 @@ class TestBestUtteranceFrequencies:
 
     def test_empty_cells_absent(self):
         # a single certain-both state: no uncertain or mixed rows at all
-        ctx = ScenarioContext(
+        ctx = ScenarioContext.from_states(
             states=(istate(F(99, 100), F(99, 100), "sure"),),
             weights=(1,),
             utterances=default_utterances(),
@@ -119,7 +119,7 @@ class TestBestUtteranceFrequencies:
     def test_fractional_ties(self):
         # P(a)=P(c)=0.95 independent: the two literals tie (equal mass), the
         # conjunction has mass 0.9025 < theta... make conjunction assertable
-        ctx = ScenarioContext(
+        ctx = ScenarioContext.from_states(
             states=(istate(F(99, 100), F(99, 100), "sure"),),
             weights=(1,),
             utterances=(parse_utterance("A"), parse_utterance("C")),
@@ -192,7 +192,7 @@ class TestCPMetrics:
         assert metrics.excluded_mass_not_a == 0
 
     def test_excluded_mass_reported(self):
-        ctx = ScenarioContext(
+        ctx = ScenarioContext.from_states(
             states=(istate(1, F(95, 100), "all_a"), istate(F(1, 2), F(95, 100), "half")),
             weights=(F(1, 4), F(3, 4)),
             utterances=default_utterances(),
@@ -205,7 +205,7 @@ class TestCPMetrics:
         assert metrics.not_c_given_not_a == F(5, 100)
 
     def test_whole_support_excluded_raises(self):
-        ctx = ScenarioContext(
+        ctx = ScenarioContext.from_states(
             states=(istate(1, F(95, 100)),),  # P(~a) = 0
             weights=(1,),
             utterances=default_utterances(),
@@ -224,7 +224,7 @@ class TestCPMetrics:
         ).filter(sum))
         utterances = default_utterances()
         try:
-            ctx = ScenarioContext(
+            ctx = ScenarioContext.from_states(
                 states=tuple(State(JointTable(cells)) for cells in tables),
                 weights=tuple(F(w, sum(weights)) for w in weights),
                 utterances=utterances,
@@ -259,7 +259,9 @@ class TestCPMetrics:
 
     def test_float_and_exact_paths_agree(self, skiing):
         exact_ctx = skiing.to_context()
-        float_ctx = skiing.to_context(as_float=True)
+        float_ctx = exact_ctx.with_params(
+            alpha=float(skiing.alpha), theta=float(skiing.theta)
+        )
         u = skiing.parse("E -> S")
         exact = cr.cp_metrics(cr.pragmatic_listener(exact_ctx, u))
         approx = cr.cp_metrics(cr.pragmatic_listener(float_ctx, u))

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import condrsa as cr
-from condrsa import CausalStructure, PriorHyperparams, query
+from condrsa import CausalStructure, JointTable, PriorHyperparams, State, query
+from condrsa.core import RELATION_ORDER
 from condrsa.default_context import RELATION_PRIOR
+from condrsa.runner import RunConfig, run
 from condrsa.tolerances import TOLERANCES
 
 
@@ -39,17 +41,16 @@ class TestRelationPrior:
 
 class TestSampleState:
     def test_independent_branch_is_product_table(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            state = cr.sample_state(rng)
+        ctx = cr.build_default_context(0, PriorHyperparams(n_states=200))
+        for state in ctx.states:
             if state.relation is CausalStructure.INDEPENDENT:
                 pa = query(state.table, cr.A)
                 pc = query(state.table, cr.C)
                 assert query(state.table, cr.A & cr.C) == pytest.approx(pa * pc)
 
-    def test_dependent_branch_matches_direction(self, default_states):
+    def test_dependent_branch_matches_direction(self, default_ctx):
         checked = 0
-        for state in default_states:
+        for state in default_ctx.states:
             r = state.relation
             if not r.is_dependent:
                 continue
@@ -65,14 +66,60 @@ class TestSampleState:
             checked += 1
         assert checked > 3000
 
-    def test_causal_power_mean_exceeds_threshold(self, default_states):
+    def test_causal_power_mean_exceeds_threshold(self, default_ctx):
         values = [
             query(s.table, cr.C, given=cr.A)
-            for s in default_states
+            for s in default_ctx.states
             if s.relation is CausalStructure.AC_POS
         ]
         assert len(values) > 800
         assert np.mean(values) > 0.9
+
+
+def state_loop_sample(seed, n_states):
+    """The per-index `State` loop that `sample_default_states` replaces."""
+    hyper = cr.DEFAULT_HYPERPARAMS
+    states = []
+    for child in np.random.SeedSequence(seed).spawn(n_states):
+        rng = np.random.default_rng(child)
+        relation = cr.sample_relation(rng)
+        if relation is CausalStructure.INDEPENDENT:
+            pa = rng.random()
+            pc = rng.random()
+            table = cr.joint_from_marginals(pa, pc)
+        else:
+            tau = rng.beta(*hyper.tau_shape)
+            beta = rng.beta(*hyper.beta_shape)
+            upsilon_p = rng.random()
+            table = cr.joint_from_noisy_or(relation, upsilon_p, tau, beta)
+        states.append(State(table, relation))
+    return states
+
+
+class TestSampleArrays:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_state_loop_bit_for_bit(self, seed):
+        sample = cr.sample_default_states(seed, PriorHyperparams(n_states=2000))
+        states = state_loop_sample(seed, 2000)
+        assert len(sample) == 2000
+        assert sample["relation"].tolist() == [
+            RELATION_ORDER.index(s.relation) for s in states
+        ]
+        assert set(sample["relation"].tolist()) == set(range(len(RELATION_ORDER)))
+        expected = np.array([s.table.cells for s in states], dtype=np.float64)
+        assert sample["cells"].tobytes() == expected.tobytes()
+
+    def test_sampled_runs_build_no_state(self, monkeypatch, tmp_path):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a State or JointTable was built")
+
+        monkeypatch.setattr(JointTable, "__post_init__", forbidden)
+        monkeypatch.setattr(State, "__init__", forbidden)
+        run(RunConfig("run-default-context", seed=1, n_states=500,
+                      output_dir=tmp_path / "default"))
+        run(RunConfig("sweep", seed=1, n_states=2000, output_dir=tmp_path / "sweep"))
+        with pytest.raises(AssertionError, match="was built"):
+            cr.builtin("toy")
 
 
 class TestDeterminism:
@@ -80,11 +127,13 @@ class TestDeterminism:
         hyper = PriorHyperparams(n_states=300)
         a = cr.sample_default_states(11, hyper)
         b = cr.sample_default_states(11, hyper)
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
         hyper = PriorHyperparams(n_states=50)
-        assert cr.sample_default_states(1, hyper) != cr.sample_default_states(2, hyper)
+        assert not np.array_equal(
+            cr.sample_default_states(1, hyper), cr.sample_default_states(2, hyper)
+        )
 
 
 class TestBuildDefaultContext:
@@ -117,11 +166,11 @@ class TestBuildDefaultContext:
 
 
 class TestSampledTableProfile:
-    def test_world_probability_means_match_prior_shape(self, default_states):
+    def test_world_probability_means_match_prior_shape(self, default_ctx):
         """Dependent samples pile mass on the cause-consistent worlds;
         independent samples spread evenly."""
         by_relation = {}
-        for s in default_states:
+        for s in default_ctx.states:
             by_relation.setdefault(s.relation, []).append(s.table.as_floats())
 
         ac_pos = np.array(by_relation[CausalStructure.AC_POS]).mean(axis=0)
@@ -135,6 +184,6 @@ class TestSampledTableProfile:
         independent = np.array(by_relation[CausalStructure.INDEPENDENT]).mean(axis=0)
         assert np.allclose(independent, 0.25, atol=0.02)
 
-    def test_sampled_tables_sum_tightly(self, default_states):
-        sums = np.array([sum(s.table.cells) for s in default_states])
+    def test_sampled_tables_sum_tightly(self, default_ctx):
+        sums = np.array([sum(s.table.cells) for s in default_ctx.states])
         assert np.abs(sums - 1).max() < 1e-12

@@ -91,7 +91,7 @@ class TestSkiingGoldens:
     def test_expectation_of_antecedent(self, skiing):
         ctx = skiing.to_context()
         post = cr.pragmatic_listener(ctx, skiing.parse("E -> S"))
-        value = cr.expectation(post, lambda s: query(s.table, cr.A))
+        value = cr.expectation(post, ctx.cells[:, 0] + ctx.cells[:, 1])
         assert value == F(1, 5)
 
     def test_relation_posterior(self, skiing):
@@ -197,7 +197,7 @@ def exact_context_strategy(max_states=5):
         alpha = draw(st.integers(0, 3))
         theta = draw(st.fractions(min_value="3/5", max_value=1, max_denominator=10))
         try:
-            return ScenarioContext(
+            return ScenarioContext.from_states(
                 states=tuple(states),
                 weights=tuple(F(w, wt) for w in weights),
                 utterances=default_utterances(),
@@ -299,7 +299,7 @@ class TestEngineProperties:
     @settings(max_examples=30, deadline=None)
     @given(ctx=exact_context_strategy(max_states=4))
     def test_float_backend_agrees_with_exact(self, ctx):
-        float_ctx = ScenarioContext(
+        float_ctx = ScenarioContext.from_states(
             states=tuple(
                 State(JointTable(tuple(float(c) for c in s.table.cells)), s.relation, s.label)
                 for s in ctx.states
@@ -325,10 +325,92 @@ class TestEngineProperties:
             assert np.allclose(exact_post, float_post, atol=1e-12)
 
 
+def zero_weight_state_strategy():
+    cells = st.lists(st.integers(0, 8), min_size=4, max_size=4).filter(sum)
+    return st.builds(
+        lambda c, relation: State(
+            JointTable(tuple(F(x, sum(c)) for x in c)), relation, None
+        ),
+        cells,
+        st.sampled_from(list(CausalStructure)),
+    )
+
+
+class TestZeroWeightStates:
+    @staticmethod
+    def pair_context(weights, theta=F(9, 10)):
+        """A state that can assert only what no other state can, next to
+        a state that asserts "likely ~A"."""
+        return ScenarioContext.from_states(
+            states=(
+                State(JointTable((1, 0, 0, 0)), label="z"),
+                State(JointTable((F(1, 10), F(1, 10), F(1, 10), F(7, 10))), label="p"),
+            ),
+            weights=weights,
+            utterances=default_utterances(),
+            alpha=1,
+            theta=theta,
+        )
+
+    def test_zero_weight_state_leaves_the_pragmatic_listener_defined(self):
+        exact = self.pair_context((0, 1))
+        as_float = exact.with_params(alpha=1.0, theta=0.9)
+        for ctx in (exact, as_float):
+            for rule in (Softmax(1), Argmax()):
+                with np.errstate(all="raise"):
+                    speaker = cr.speaker_matrix(ctx, rule)
+                    post = cr.pragmatic_listener(ctx, "likely ~A", rule)
+                assert post.weights == (0, 1)
+                assert speaker[0].tolist() == [0] * len(ctx.utterances)
+                assert sum(speaker[1].tolist()) == 1
+                assert cr.surprise_vector(ctx, rule).tolist() == speaker[1].tolist()
+
+    def test_positive_weight_state_without_an_utterance_still_raises(self):
+        flat = State(JointTable((F(1, 4),) * 4), label="flat")
+        sure = State(JointTable((1, 0, 0, 0)), label="sure")
+        with pytest.raises(ContextError, match="flat has no assertable utterance"):
+            ScenarioContext.from_states(
+                states=(sure, flat), weights=(0, 1),
+                utterances=(parse_utterance("C"),), alpha=1, theta=F(9, 10),
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ctx=exact_context_strategy(max_states=4),
+        extra=st.lists(zero_weight_state_strategy(), min_size=1, max_size=3),
+        data=st.data(),
+    )
+    def test_adding_zero_weight_states_only_adds_zeros(self, ctx, extra, data):
+        states, weights = list(ctx.states), list(ctx.weights)
+        inserted = []
+        for state in extra:
+            at = data.draw(st.integers(0, len(states)))
+            states.insert(at, state)
+            weights.insert(at, 0)
+            inserted = [i + (i >= at) for i in inserted] + [at]
+        try:
+            wider = ScenarioContext.from_states(
+                states, weights, ctx.utterances, ctx.alpha, ctx.theta
+            )
+        except ContextError:  # an added state can assert nothing
+            assume(False)
+        kept = [i for i in range(len(states)) if i not in inserted]
+        for u in ctx.utterances:
+            try:
+                expected = cr.pragmatic_listener(ctx, u).weights
+            except ZeroSupportError:
+                with pytest.raises(ZeroSupportError):
+                    cr.pragmatic_listener(wider, u)
+                continue
+            got = cr.pragmatic_listener(wider, u).weights
+            assert [got[i] for i in kept] == list(expected)
+            assert [got[i] for i in inserted] == [0] * len(inserted)
+
+
 class TestTableGrouping:
     def test_duplicate_tables_share_speaker_and_split_listener_mass(self):
         table = JointTable((F(3, 5), F(1, 10), F(1, 5), F(1, 10)))
-        ctx = ScenarioContext(
+        ctx = ScenarioContext.from_states(
             states=(
                 State(table, CausalStructure.AC_POS, "cause"),
                 State(table, CausalStructure.CA_POS, "diagnosis"),
@@ -396,7 +478,7 @@ class TestPosterior:
     def test_point_mass_expectation(self, skiing):
         ctx = skiing.to_context()
         post = cr.Posterior(ctx, (1, 0))
-        assert cr.expectation(post, lambda s: query(s.table, cr.A)) == F(1, 5)
+        assert cr.expectation(post, ctx.cells[:, 0] + ctx.cells[:, 1]) == F(1, 5)
         assert cr.relation_posterior(post)[CausalStructure.AC_POS] == 1
 
     def test_surprise_vector_sums_to_one(self, small_ctx):
@@ -458,7 +540,7 @@ def test_negative_softmax_alpha_rejected():
 def test_float_backend_reproduces_builtin_values(name):
     defn = cr.builtin(name)
     exact_ctx = defn.to_context()
-    float_ctx = defn.to_context(as_float=True)
+    float_ctx = exact_ctx.with_params(alpha=float(defn.alpha), theta=float(defn.theta))
     assert (exact_ctx.assertability == float_ctx.assertability).all()
     exact_speaker = np.array([
         [float(p) for p in cr.speaker(exact_ctx, i).values()]

@@ -43,6 +43,7 @@ RUNS = {
     "default-context-seed1-500": RunConfig(
         command="run-default-context", seed=1, n_states=500,
     ),
+    "sweep-seed1-2000": RunConfig(command="sweep", seed=1, n_states=2000),
 }
 
 

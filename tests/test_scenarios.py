@@ -58,12 +58,6 @@ class TestBuiltins:
         ind = variant.states[1]
         assert [float(c) for c in ind.table.cells] == [0.182, 0.018, 0.728, 0.072]
 
-    def test_mediated_chain_is_displayed_not_run(self):
-        chain = cr.SUNDOWNERS_MEDIATED_CHAIN
-        assert chain.p_mediator_given_antecedent == 1
-        assert chain.p_consequent_given_mediator == 0
-        assert not hasattr(chain, "to_context")
-
 
 class TestAntecedentBelief:
     def test_skiing_stays_at_prior_before_observation(self, skiing):
@@ -181,6 +175,17 @@ class TestObservationUpdate:
         post = cr.pragmatic_listener(ctx, variant.parse("E -> S"))
         assert observation_update(post, variant.observation) == F(13, 15)
 
+    def test_zero_probability_branch_is_a_named_error(self):
+        # within the float tolerance the row sums to just under 1, so
+        # 1 - P(C) > 0 while P(~C) = 0
+        state = cr.State(cr.JointTable((0.3, 0.0, 0.7 - 1e-12, 0.0)), label="s")
+        ctx = cr.ScenarioContext.from_states(
+            [state], [1.0], [cr.parse_utterance("likely C")], 1.0, 0.9
+        )
+        link = ObservationLink(Var.C, F(1, 2), F(1, 2))
+        with pytest.raises(cr.ZeroProbabilityEventError):
+            observation_update(cr.prior_posterior(ctx), link)
+
     def test_link_level_impossibility(self, skiing):
         post = cr.prior_posterior(skiing.to_context())
         impossible = ObservationLink(Var.C, 0, 0)
@@ -191,7 +196,7 @@ class TestObservationUpdate:
         # the evidence requires the consequent, but the only supported state
         # rules the consequent out entirely
         no_trip = cr.State(cr.joint_from_marginals(F(1, 5), 0), label="grounded")
-        custom = cr.ScenarioContext(
+        custom = cr.ScenarioContext.from_states(
             states=(no_trip,),
             weights=(1,),
             utterances=(cr.parse_utterance("~C"),),

@@ -154,7 +154,7 @@ class TestAssertabilityMatrix:
         ]
 
     def test_single_state_certain(self):
-        ctx = ScenarioContext(
+        ctx = ScenarioContext.from_states(
             states=(state((F(1, 2), 0, F(1, 2), 0)),),  # P(c) = 1
             weights=(1,),
             utterances=(parse_utterance("C"),),
@@ -165,7 +165,7 @@ class TestAssertabilityMatrix:
 
     def test_unsatisfiable_state_rejected_at_construction(self):
         with pytest.raises(ContextError, match="no assertable utterance"):
-            ScenarioContext(
+            ScenarioContext.from_states(
                 states=(state((F(1, 4), F(1, 4), F(1, 4), F(1, 4)), label="flat"),),
                 weights=(1,),
                 utterances=(parse_utterance("C"),),
@@ -194,9 +194,41 @@ class TestAssertabilityMatrix:
 
 
 class TestContext:
+    @pytest.mark.parametrize("name", cr.BUILTIN_NAMES)
+    def test_from_states_views_return_the_input(self, name):
+        defn = cr.builtin(name)
+        ctx = ScenarioContext.from_states(
+            defn.states, defn.weights, defn.utterances, defn.alpha, defn.theta
+        )
+        assert ctx.states == defn.states
+        assert ctx.weights == defn.weights
+        assert ctx.labels == tuple(s.label for s in defn.states)
+
+    def test_array_constructor_decides_arithmetic_and_validates(self):
+        floats = dict(
+            cells=[[0.5, 0.0, 0.5, 0.0]], prior=[1.0], relations=[0],
+            utterances=(parse_utterance("likely C"),), alpha=1.0, theta=0.9,
+        )
+        assert not ScenarioContext(**floats).exact
+        exact = ScenarioContext(**{
+            **floats, "alpha": 1, "theta": THETA,
+            "cells": np.array([[F(1, 2), 0, F(1, 2), 0]], dtype=object),
+            "prior": np.array([1], dtype=object),
+        })
+        assert exact.exact
+        assert exact.cells.tolist() == [[F(1, 2), F(0), F(1, 2), F(0)]]
+        for change, message in (
+            ({"cells": [[1.5, -0.5, 0.0, 0.0]]}, r"lie in \[0, 1\]"),
+            ({"cells": [[0.5, 0.0, 0.4, 0.0]]}, "sum to 1"),
+            ({"prior": [0.5, 0.5]}, "one prior weight"),
+            ({"relations": [len(RELATION_ORDER)]}, "relation codes"),
+        ):
+            with pytest.raises(ContextError, match=message):
+                ScenarioContext(**{**floats, **change})
+
     def test_weights_must_normalize(self):
         with pytest.raises(ContextError, match="sum to 1"):
-            ScenarioContext(
+            ScenarioContext.from_states(
                 states=(TOY_S1, TOY_S2),
                 weights=(F(1, 2), F(1, 4)),
                 utterances=(parse_utterance("likely C"),),
@@ -216,7 +248,7 @@ class TestContext:
 
     def test_theta_range(self):
         with pytest.raises(ContextError):
-            ScenarioContext(
+            ScenarioContext.from_states(
                 states=(TOY_S1,), weights=(1,),
                 utterances=(parse_utterance("C"),), alpha=1, theta=F(1, 2),
             )
@@ -233,7 +265,7 @@ class TestContext:
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ContextError, match="nonnegative"):
-            ScenarioContext(
+            ScenarioContext.from_states(
                 states=(TOY_S1, TOY_S2),
                 weights=(F(3, 2), F(-1, 2)),
                 utterances=(parse_utterance("likely C"),),
@@ -244,7 +276,7 @@ class TestContext:
     def test_duplicate_utterances_rejected(self):
         u = parse_utterance("likely C")
         with pytest.raises(ContextError, match="duplicate"):
-            ScenarioContext(
+            ScenarioContext.from_states(
                 states=(TOY_S1,),
                 weights=(1,),
                 utterances=(u, u),
@@ -287,7 +319,7 @@ class TestContextArrays:
             st.integers(0, 3), min_size=len(tables), max_size=len(tables)
         ).filter(sum))
         try:
-            ctx = ScenarioContext(
+            ctx = ScenarioContext.from_states(
                 states=tuple(state(cells) for cells in tables),
                 # int weights where they are 0 or 1, like the int cells
                 weights=tuple(w // sum(weights) if w in (0, sum(weights))
