@@ -52,9 +52,7 @@ from .core import (
     query,
 )
 from .default_context import (
-    DEFAULT_HYPERPARAMS,
     RELATION_PRIOR,
-    PriorHyperparams,
     build_default_context,
     sample_default_states,
     sample_relation,

@@ -1,9 +1,11 @@
 """Aggregate analyses over a context: who says what when, and what a
 listener concludes.
 
-Everything here is computed from the engine's matrices and is pure; the
-check suite at the bottom evaluates the reference claims against the
-bounds in `condrsa.tolerances` (strict form for the default configuration,
+Everything here is computed from the engine's matrices and is pure.
+`context_analyses` computes, once per context, the record of analyses that
+a default-context bundle lays out; the check suite at the bottom reads that
+record and evaluates the reference claims against the bounds in
+`condrsa.tolerances` (strict form for the default configuration,
 qualitative ordinal/zero-one form for the robustness grid).
 """
 
@@ -31,7 +33,7 @@ from .core import (
     ZeroProbabilityEventError,
     query,
 )
-from .engine import Argmax, Posterior, SpeakerRule
+from .engine import Argmax, Posterior, Softmax, SpeakerRule
 from .tolerances import TOLERANCES
 from .utterances import Conditional, Lit, Utterance, UtteranceType
 
@@ -336,6 +338,38 @@ def cp_comparison(
     }
 
 
+@dataclass(frozen=True)
+class ContextAnalyses:
+    """The analyses of a default context that its bundle lays out and its
+    checks read.  ``frequencies`` is keyed by grouping and ``choice`` by
+    speaker rule name."""
+
+    frequencies: dict[str, dict[tuple[CertaintyCell, str], FrequencyCell]]
+    beliefs: dict[str, dict[CausalStructure, Scalar]]
+    cp: dict[str, CPMetrics]
+    cohorts: DeltaPCohorts
+    choice: dict[str, dict[str, dict[UtteranceType, float]]]
+
+
+def context_analyses(ctx: ScenarioContext) -> ContextAnalyses:
+    """The `ContextAnalyses` of a context, computed once and memoised in it."""
+    if "analyses" not in ctx._memo:
+        ctx._memo["analyses"] = ContextAnalyses(
+            frequencies={
+                group_by: best_utterance_frequencies(ctx, group_by)
+                for group_by in ("independence", "none")
+            },
+            beliefs=relation_beliefs(ctx),
+            cp=cp_comparison(ctx),
+            cohorts=delta_p_cohorts(ctx),
+            choice={
+                name: expected_choice_probabilities(ctx, rule)
+                for name, rule in (("softmax", Softmax(ctx.alpha)), ("argmax", Argmax()))
+            },
+        )
+    return ctx._memo["analyses"]
+
+
 # --------------------------------------------------------------------------
 # check suite
 # --------------------------------------------------------------------------
@@ -357,11 +391,6 @@ def _negative_mass(beliefs: dict[CausalStructure, Scalar]) -> float:
     return float(beliefs[CausalStructure.AC_NEG] + beliefs[CausalStructure.CA_NEG])
 
 
-def _argmax_type_masks(ctx: ScenarioContext) -> np.ndarray:
-    """(n_states, n_types) argmax type mass; used for existence checks."""
-    return _type_mass_matrix(ctx, engine.speaker_matrix(ctx, Argmax()))
-
-
 def default_context_checks(
     ctx: ScenarioContext, level: str = "strict"
 ) -> list[CheckResult]:
@@ -377,11 +406,10 @@ def default_context_checks(
     strict = level == "strict"
     tol = TOLERANCES
     checks: list[CheckResult] = []
+    analyses = context_analyses(ctx)
 
     def add(name: str, passed: bool, observed: str, requirement: str) -> None:
         checks.append(CheckResult(name, bool(passed), observed, requirement))
-
-    types = list(UtteranceType)
 
     def freq(cell: FrequencyCell, kind: UtteranceType) -> float:
         return cell.frequencies[kind]
@@ -391,8 +419,8 @@ def default_context_checks(
         return all(target > f for t, f in cell.frequencies.items() if t is not kind)
 
     # -- best-utterance frequencies (hyperrational speaker) ----------------
-    overall = best_utterance_frequencies(ctx, group_by="none")
-    by_dependence = best_utterance_frequencies(ctx, group_by="independence")
+    overall = analyses.frequencies["none"]
+    by_dependence = analyses.frequencies["independence"]
 
     cell = overall.get((CertaintyCell.CERTAIN_BOTH, "all"))
     if cell is not None:
@@ -432,7 +460,7 @@ def default_context_checks(
                 "strictly modal")
 
     # -- relation beliefs after "A -> C" ------------------------------------
-    beliefs = relation_beliefs(ctx)
+    beliefs = analyses.beliefs
     lit_pos = _positive_mass(beliefs["literal"])
     prag_pos = _positive_mass(beliefs["pragmatic"])
     prag_neg = _negative_mass(beliefs["pragmatic"])
@@ -454,7 +482,7 @@ def default_context_checks(
         f"<= {tol.pragmatic_negative_mass_max}")
 
     # -- biconditional-strength metrics --------------------------------------
-    cp = cp_comparison(ctx)
+    cp = analyses.cp
     gap = tol.cp_gap_min if strict else 0.0
     for metric in ("not_c_given_not_a", "a_given_c"):
         prior_v = float(getattr(cp["prior"], metric))
@@ -466,7 +494,7 @@ def default_context_checks(
             f"pragmatic > literal > prior by more than {gap}")
 
     # -- contingency cohorts --------------------------------------------------
-    cohorts = delta_p_cohorts(ctx)
+    cohorts = analyses.cohorts
     if len(cohorts.best_choice.values) == 0:
         add("delta_p_median_ordering", False, "best-choice cohort is empty",
             "median(best) > median(assertable) > median(prior)")
@@ -484,27 +512,31 @@ def default_context_checks(
         f"{low_fraction:.6f}",
         f"fraction below {tol.delta_p_high} under {tol.best_choice_low_delta_p_max_fraction}")
 
-    values, defined = _delta_p_array(ctx)
-    j = ctx.index_of_utterance(A_IMPLIES_C)
-    best_mask = engine.speaker_matrix(ctx, Argmax())[:, j] > 0
-    large_not_best = defined & ~best_mask & (values >= tol.delta_p_large)
-    add("large_delta_p_not_best_nonempty", bool(large_not_best.any()),
-        f"count={int(large_not_best.sum())}", "nonempty")
-
-    relations = relation_array(ctx)
-    ca_dir = (relations == RELATION_ORDER.index(CausalStructure.CA_POS)) | (
-        relations == RELATION_ORDER.index(CausalStructure.CA_NEG)
+    # an argmax choice is assertable, so the best-choice cohort is the set of
+    # prior-cohort states whose argmax speaker may say "A -> C"
+    prior = cohorts.prior
+    large = ~np.isin(prior.indices, cohorts.best_choice.indices) & (
+        prior.values >= tol.delta_p_large
     )
-    literal_idx = types.index(UtteranceType.LITERAL)
-    literal_argmax = _argmax_type_masks(ctx)[:, literal_idx] == 1.0
-    extreme = defined & ca_dir & literal_argmax & (values < tol.delta_p_extreme_negative)
+    add("large_delta_p_not_best_nonempty", bool(large.any()),
+        f"count={int(large.sum())}", "nonempty")
+
+    argmax = engine.speaker_matrix(ctx, Argmax())
+    literal_argmax = argmax[:, _type_columns(ctx)[UtteranceType.LITERAL]].sum(axis=1) == 1.0
+    ca_dir = np.isin(ctx.relations, [
+        RELATION_ORDER.index(CausalStructure.CA_POS),
+        RELATION_ORDER.index(CausalStructure.CA_NEG),
+    ])
+    extreme = (ca_dir & literal_argmax)[prior.indices] & (
+        prior.values < tol.delta_p_extreme_negative
+    )
     add("extreme_negative_delta_p_exists", bool(extreme.any()),
         f"count={int(extreme.sum())}",
         f"a literal-argmax C-to-A state with value below {tol.delta_p_extreme_negative}")
 
     # -- conditionals about independent variables (missing links) ------------
-    softmax_table = expected_choice_probabilities(ctx)
-    argmax_table = expected_choice_probabilities(ctx, Argmax())
+    softmax_table = analyses.choice["softmax"]
+    argmax_table = analyses.choice["argmax"]
     indep = CausalStructure.INDEPENDENT.value
     cond_soft = softmax_table[indep][UtteranceType.CONDITIONAL]
     cond_arg = argmax_table[indep][UtteranceType.CONDITIONAL]

@@ -14,7 +14,8 @@ the float64 ``tables`` (``cells`` itself on float contexts) and the bool
 and the runner read only these arrays.  Hand-built scenarios lower their
 `State` objects with `from_states`; sampled contexts never hold one, and
 the ``states`` and ``weights`` views are rebuilt from the arrays on first
-use.  Each context also carries a private memo for the engine's results.
+use.  Each context also carries a private memo for the engine's arrays and
+for the record of its analyses (`analysis.context_analyses`).
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ class ScenarioContext:
     exact: bool = field(init=False, repr=False)
     tables: np.ndarray = field(init=False, repr=False)
     assertability: np.ndarray = field(init=False, repr=False)
-    #: the engine's per-context results (read-only arrays), filled lazily
+    #: the engine's per-context arrays (read-only) and the analyses record,
+    #: filled lazily
     _memo: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:

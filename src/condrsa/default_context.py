@@ -18,7 +18,6 @@ those arrays directly: no `State` object is made on this path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -45,34 +44,14 @@ RELATION_PRIOR: dict[CausalStructure, Fraction] = {
     CausalStructure.CA_NEG: Fraction(1, 8),
 }
 
+#: Beta shapes of the causal power ``tau`` and the background power ``beta``
+TAU_SHAPE = (10.0, 1.0)
+BETA_SHAPE = (1.0, 10.0)
+
 _RELATION_CDF = tuple(
     float(sum(RELATION_PRIOR[r] for r in RELATION_ORDER[: i + 1]))
     for i in range(len(RELATION_ORDER))
 )
-
-
-@dataclass(frozen=True)
-class PriorHyperparams:
-    """Hyperparameters of the state prior.
-
-    The cause prior and independent marginals are Uniform(0, 1) and not
-    configurable; the Beta shapes are exposed for exploration but only the
-    defaults are validated against the reference analyses.
-    """
-
-    tau_shape: tuple[float, float] = (10.0, 1.0)
-    beta_shape: tuple[float, float] = (1.0, 10.0)
-    n_states: int = 10_000
-
-    def __post_init__(self) -> None:
-        for name, (a, b) in (("tau_shape", self.tau_shape), ("beta_shape", self.beta_shape)):
-            if a <= 0 or b <= 0:
-                raise ValueError(f"{name} must be strictly positive, got {(a, b)}")
-        if self.n_states < 1:
-            raise ValueError(f"n_states must be positive, got {self.n_states}")
-
-
-DEFAULT_HYPERPARAMS = PriorHyperparams()
 
 
 def sample_relation(rng: np.random.Generator) -> CausalStructure:
@@ -98,29 +77,29 @@ SAMPLE_DTYPE = np.dtype([("relation", np.int8), ("cells", np.float64, (4,))])
 
 
 def sample_default_states(
-    seed, hyper: PriorHyperparams = DEFAULT_HYPERPARAMS
+    seed, n_states: int = TOLERANCES.default_n_states
 ) -> np.ndarray:
-    """``hyper.n_states`` prior samples, split one RNG stream per state index,
-    as a structured array of `SAMPLE_DTYPE` records.
+    """``n_states`` prior samples, split one RNG stream per state index, as a
+    structured array of `SAMPLE_DTYPE` records.
 
     Draw order per state (part of the determinism contract): the relation;
     then either the two independent marginals, or (tau, beta, upsilon_p).
     The cells then come from the `core` table formulas, applied once per
-    relation.  The result depends only on ``seed`` and ``hyper``.
+    relation.  The result depends only on ``seed`` and ``n_states``.
     """
-    n = hyper.n_states
-    sample = np.zeros(n, dtype=SAMPLE_DTYPE)
+    if n_states < 1:
+        raise ValueError(f"n_states must be positive, got {n_states}")
+    sample = np.zeros(n_states, dtype=SAMPLE_DTYPE)
     codes = sample["relation"]
-    draws = np.zeros((n, 3))  # (pa, pc, 0) or (tau, beta, upsilon_p)
-    for i, child in enumerate(_seed_sequence(seed).spawn(n)):
+    draws = np.zeros((n_states, 3))  # (pa, pc, 0) or (tau, beta, upsilon_p)
+    for i, child in enumerate(_seed_sequence(seed).spawn(n_states)):
         rng = np.random.default_rng(child)
         relation = sample_relation(rng)
         codes[i] = RELATION_ORDER.index(relation)
         if relation is CausalStructure.INDEPENDENT:
             draws[i, :2] = rng.random(), rng.random()
         else:
-            draws[i] = (rng.beta(*hyper.tau_shape), rng.beta(*hyper.beta_shape),
-                        rng.random())
+            draws[i] = rng.beta(*TAU_SHAPE), rng.beta(*BETA_SHAPE), rng.random()
     for code, relation in enumerate(RELATION_ORDER):
         rows = codes == code
         first, second, third = draws[rows].T
@@ -134,18 +113,17 @@ def sample_default_states(
 
 def build_default_context(
     seed,
-    hyper: PriorHyperparams = DEFAULT_HYPERPARAMS,
+    n_states: int = TOLERANCES.default_n_states,
     utterances: tuple[Utterance, ...] | None = None,
     alpha: Scalar = TOLERANCES.default_alpha,
     theta: Scalar = TOLERANCES.default_theta,
 ) -> ScenarioContext:
     """A context of equally weighted prior samples with the balanced
     utterance set (or a custom one)."""
-    sample = sample_default_states(seed, hyper)
-    n = len(sample)
+    sample = sample_default_states(seed, n_states)
     return ScenarioContext(
         cells=sample["cells"],
-        prior=np.full(n, 1.0 / n),
+        prior=np.full(n_states, 1.0 / n_states),
         relations=sample["relation"],
         utterances=utterances if utterances is not None else default_utterances(),
         alpha=float(alpha),

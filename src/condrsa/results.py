@@ -5,6 +5,9 @@ writes identical files.  To that end every numeric cell is rendered
 through one formatter (exact fractions like ``5/6`` in rational mode, 12
 significant digits in float mode), JSON carries the same rendered strings
 as the CSVs, and every row carries a fingerprint of the configuration.
+`write_bundle` renders each table once and hands that one rendering to both
+writers.  Figure metadata, including the scenario a figure belongs to and
+the stages it leaves out, lives in one `FigureSpec` per figure.
 """
 
 from __future__ import annotations
@@ -22,6 +25,9 @@ from .core import ModelError, Scalar
 
 RATIONAL = "rational"
 FLOAT = "float"
+
+#: a table rendered for writing: its header and its string rows
+Rendered = tuple[list[str], list[list[str]]]
 
 
 class FigureError(ModelError):
@@ -58,7 +64,7 @@ class ResultTable:
     rows: tuple[tuple, ...]
     value_columns: tuple[str, ...] = ()
 
-    def rendered(self, mode: str, fingerprint: str) -> tuple[list[str], list[list[str]]]:
+    def rendered(self, mode: str, fingerprint: str) -> Rendered:
         """Header and string rows, with decimal companions for fractions and
         the config fingerprint appended to every row."""
         header: list[str] = []
@@ -133,37 +139,34 @@ def _metadata_comment(bundle: "ResultBundle") -> str:
     return f"# config: {json.dumps(bundle.metadata, sort_keys=True)}\n"
 
 
-
-def bundle_json_text(bundle: ResultBundle) -> str:
-    mode = bundle.numeric_mode
-    payload: dict[str, Any] = {"metadata": bundle.metadata, "tables": {}}
-    for name in sorted(bundle.tables):
-        table = bundle.tables[name]
-        header, rows = table.rendered(mode, bundle.fingerprint)
-        payload["tables"][name] = {
-            "columns": header,
-            "rows": rows,
-        }
+def bundle_json_text(bundle: ResultBundle, rendered: dict[str, Rendered]) -> str:
+    """The JSON rendering of a bundle whose tables are already rendered."""
+    tables = {name: {"columns": header, "rows": rows} for name, (header, rows) in rendered.items()}
+    payload = {"metadata": bundle.metadata, "tables": tables}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def write_bundle(
     bundle: ResultBundle, outdir: str | Path, formats: Sequence[str]
 ) -> list[Path]:
-    """Write the requested renderings; returns the created paths."""
+    """Write the requested renderings; returns the created paths.  Each
+    table is rendered once, and JSON and CSV share that rendering."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    mode = bundle.numeric_mode
     written: list[Path] = []
+    if "json" not in formats and "csv" not in formats:
+        return written
+    rendered = {
+        name: bundle.tables[name].rendered(bundle.numeric_mode, bundle.fingerprint)
+        for name in sorted(bundle.tables)
+    }
     if "json" in formats:
         path = outdir / "bundle.json"
-        path.write_text(bundle_json_text(bundle), encoding="utf-8")
+        path.write_text(bundle_json_text(bundle, rendered), encoding="utf-8")
         written.append(path)
     if "csv" in formats:
         preamble = _metadata_comment(bundle)
-        for name in sorted(bundle.tables):
-            table = bundle.tables[name]
-            header, rows = table.rendered(mode, bundle.fingerprint)
+        for name, (header, rows) in rendered.items():
             path = outdir / f"{name}.csv"
             path.write_text(_csv_text(header, rows, preamble), encoding="utf-8")
             written.append(path)
@@ -181,9 +184,15 @@ class FigureSpec:
     table: str
     description: str
     axes: str
-    produced_by: str
-    command: str = "run-default-context"
+    #: the built-in scenario of a run-scenario figure; None for a
+    #: run-default-context figure
+    scenario: str | None = None
     row_filter: tuple[str, tuple[str, ...]] | None = None  # (column, allowed values)
+    exclude_stages: tuple[str, ...] = ()  # for pre-observation views
+
+    @property
+    def command(self) -> str:
+        return "run-default-context" if self.scenario is None else "run-scenario"
 
 
 FIGURES: dict[str, FigureSpec] = {
@@ -193,84 +202,64 @@ FIGURES: dict[str, FigureSpec] = {
             "fig5", "world_probabilities",
             "sampled probability of each world, for histograms by relation",
             "x: probability (binned); panel: relation; series: world",
-            "run-default-context",
         ),
         FigureSpec(
             "fig6", "relation_beliefs",
             "belief in each causal relation before/after the conditional",
             "x: relation; series: interpretation; y: mass",
-            "run-default-context",
         ),
         FigureSpec(
             "fig7", "best_utterance_frequencies",
             "how often each utterance type is the best choice",
             "panel: certainty; x: relation_group; series: utterance_type; y: frequency",
-            "run-default-context",
         ),
         FigureSpec(
             "fig8", "cp_metrics",
             "expected biconditional-reading probabilities by interpretation",
             "x: metric; series: interpretation; y: value",
-            "run-default-context",
             row_filter=("metric", ("not_c_given_not_a", "a_given_c")),
         ),
         FigureSpec(
             "fig9", "delta_p_cohorts",
             "normalized-contingency samples for the three nested cohorts",
             "x: value (binned); panel: cohort; series: relation",
-            "run-default-context",
         ),
         FigureSpec(
             "fig14", "expected_choice",
             "expected speaker mass per utterance type and relation",
             "x: relation; series: utterance_type; y: mass",
-            "run-default-context",
         ),
         FigureSpec(
             "fig10c", "belief_summary",
             "expected antecedent belief across interpretation stages",
             "x: stage; y: value",
-            "run-scenario --scenario skiing",
-            command="run-scenario",
+            scenario="skiing",
             row_filter=("quantity", ("antecedent",)),
         ),
         FigureSpec(
             "fig11c", "belief_summary",
             "expected antecedent belief before the observation",
             "x: stage; y: value",
-            "run-scenario --scenario garden_party",
-            command="run-scenario",
+            scenario="garden_party",
             row_filter=("quantity", ("antecedent",)),
+            exclude_stages=("pragmatic_observed",),
         ),
         FigureSpec(
             "fig12b", "belief_summary",
             "expected antecedent belief including the observation",
             "x: stage; y: value",
-            "run-scenario --scenario garden_party",
-            command="run-scenario",
+            scenario="garden_party",
             row_filter=("quantity", ("antecedent",)),
         ),
         FigureSpec(
             "fig13d", "belief_summary",
             "relation, antecedent and joint-event beliefs by stage",
             "panel: quantity; x: stage; y: value",
-            "run-scenario --scenario sundowners",
-            command="run-scenario",
+            scenario="sundowners",
             row_filter=("quantity", ("relation_dependent", "antecedent", "joint_antecedent_consequent")),
         ),
     )
 }
-
-#: which scenario each scenario-bound figure belongs to
-_FIGURE_SCENARIO = {
-    "fig10c": "skiing",
-    "fig11c": "garden_party",
-    "fig12b": "garden_party",
-    "fig13d": "sundowners",
-}
-
-#: stages excluded per figure (pre-observation views)
-_FIGURE_STAGE_EXCLUDES = {"fig11c": ("pragmatic_observed",)}
 
 
 def _provides(bundle: ResultBundle, figure_id: str) -> bool:
@@ -280,7 +269,7 @@ def _provides(bundle: ResultBundle, figure_id: str) -> bool:
     return (
         spec.command == bundle.metadata.get("command")
         and spec.table in bundle.tables
-        and _FIGURE_SCENARIO.get(figure_id) in (None, bundle.metadata.get("scenario"))
+        and spec.scenario in (None, bundle.metadata.get("scenario"))
     )
 
 
@@ -297,9 +286,11 @@ def emit_plot_data(
         raise FigureError(f"unknown figure {figure_id!r} (known: {known})")
     spec = FIGURES[figure_id]
     if not _provides(bundle, figure_id):
+        hint = spec.command if spec.scenario is None else (
+            f"{spec.command} --scenario {spec.scenario}"
+        )
         raise FigureError(
-            f"this bundle cannot provide {figure_id}; "
-            f"produce it with `condrsa {spec.produced_by}`"
+            f"this bundle cannot provide {figure_id}; produce it with `condrsa {hint}`"
         )
 
     table = bundle.tables[spec.table]
@@ -308,10 +299,9 @@ def emit_plot_data(
         column, allowed = spec.row_filter
         idx = header.index(column)
         rows = [r for r in rows if r[idx] in allowed]
-    excluded_stages = _FIGURE_STAGE_EXCLUDES.get(figure_id)
-    if excluded_stages and "stage" in header:
+    if spec.exclude_stages and "stage" in header:
         idx = header.index("stage")
-        rows = [r for r in rows if r[idx] not in excluded_stages]
+        rows = [r for r in rows if r[idx] not in spec.exclude_stages]
 
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -7,6 +7,10 @@ and emits the aggregate analyses plus the tolerance-manifest check
 summary; ``sweep`` repeats the latter over the robustness grid, reusing
 one state sample per seed, and emits per-combination bundles plus a
 qualitative check summary.
+
+A bundle only lays values out: scenario tables are rows of the engine's
+matrices (`_cross_rows`), and default-context tables read the context's
+memoised `analysis.context_analyses` record, which its checks read too.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, analysis, engine
 from .context import ScenarioContext
@@ -27,8 +33,7 @@ from .core import (
     Scalar,
     ZeroSupportError,
 )
-from .default_context import PriorHyperparams, build_default_context
-from .engine import Argmax, Softmax
+from .default_context import build_default_context
 from .results import (
     FLOAT,
     RATIONAL,
@@ -170,11 +175,11 @@ def _load_scenario(name_or_path: str) -> ScenarioDefinition:
     )
 
 
-def _scenario_conditional(defn: ScenarioDefinition):
-    for u in defn.utterances:
-        if isinstance(u, Conditional):
-            return u
-    return None
+def _cross_rows(outer: list, inner: list, matrix: np.ndarray) -> tuple[tuple, ...]:
+    """``(outer[a], inner[b], matrix[a, b])`` for every pair, outer-major."""
+    return tuple(
+        (o, i, value) for o, row in zip(outer, matrix.tolist()) for i, value in zip(inner, row)
+    )
 
 
 def scenario_bundle(config: RunConfig) -> ResultBundle:
@@ -209,97 +214,77 @@ def scenario_bundle(config: RunConfig) -> ResultBundle:
 
     labels = [label or f"state{i}" for i, label in enumerate(ctx.labels)]
     utt_names = [u.format(names) for u in ctx.utterances]
+    # a listener column exists only where its normaliser is nonzero
+    surprise = engine.surprise_vector(ctx)
+    supported = engine.utterance_masses(ctx) != 0
+    produced = supported & (surprise != 0)
+    literal = engine.literal_listener_matrix(ctx)
+    pragmatic = engine.pragmatic_listener_matrix(ctx)
+    bundle.metadata["unsupported_utterances"] = [
+        name for name, ok in zip(utt_names, supported) if not ok
+    ]
 
     bundle.add(ResultTable(
-        "assertability",
-        ("state", "utterance", "assertable"),
-        tuple(
-            (labels[i], utt_names[j], bool(ctx.assertability[i, j]))
-            for i in range(ctx.n_states)
-            for j in range(len(ctx.utterances))
-        ),
+        "assertability", ("state", "utterance", "assertable"),
+        _cross_rows(labels, utt_names, ctx.assertability),
     ))
-
-    literal_rows = []
-    pragmatic_rows = []
-    unsupported = []
-    for j, u in enumerate(ctx.utterances):
-        try:
-            post = engine.literal_listener(ctx, u)
-        except ZeroSupportError:
-            unsupported.append(utt_names[j])
-            continue
-        literal_rows += [
-            (utt_names[j], labels[i], w) for i, w in enumerate(post.weights)
-        ]
-        try:
-            post = engine.pragmatic_listener(ctx, u)
-        except ZeroSupportError:
-            continue
-        pragmatic_rows += [
-            (utt_names[j], labels[i], w) for i, w in enumerate(post.weights)
-        ]
-    bundle.metadata["unsupported_utterances"] = unsupported
-    bundle.add(ResultTable(
-        "literal_listener", ("utterance", "state", "probability"),
-        tuple(literal_rows), value_columns=("probability",),
-    ))
-    bundle.add(ResultTable(
-        "pragmatic_listener", ("utterance", "state", "probability"),
-        tuple(pragmatic_rows), value_columns=("probability",),
-    ))
-
-    speaker_rows = []
-    for i in range(ctx.n_states):
-        row = engine.speaker(ctx, i)
-        speaker_rows += [
-            (labels[i], utt_names[j], row[u]) for j, u in enumerate(ctx.utterances)
-        ]
+    for name, matrix, mask in (
+        ("literal_listener", literal, supported),
+        ("pragmatic_listener", pragmatic, produced),
+    ):
+        bundle.add(ResultTable(
+            name, ("utterance", "state", "probability"),
+            _cross_rows([n for n, ok in zip(utt_names, mask) if ok], labels, matrix.T[mask]),
+            value_columns=("probability",),
+        ))
     bundle.add(ResultTable(
         "speaker", ("state", "utterance", "probability"),
-        tuple(speaker_rows), value_columns=("probability",),
+        _cross_rows(labels, utt_names, engine.speaker_matrix(ctx)),
+        value_columns=("probability",),
     ))
-
     bundle.add(ResultTable(
         "surprise", ("utterance", "value"),
-        tuple(
-            (utt_names[j], engine.utterance_surprise(ctx, u))
-            for j, u in enumerate(ctx.utterances)
-        ),
-        value_columns=("value",),
+        tuple(zip(utt_names, surprise.tolist())), value_columns=("value",),
     ))
 
-    conditional = _scenario_conditional(defn)
-    if conditional is not None and conditional.format(names) in unsupported:
-        conditional = None  # no belief analyses for an unproducible conditional
-    if conditional is not None:
-        beliefs = analysis.relation_beliefs(ctx, conditional)
+    # belief analyses for the scenario's conditional, unless no state supports it
+    j = next((j for j, u in enumerate(ctx.utterances) if isinstance(u, Conditional)), None)
+    if j is not None and supported[j]:
+        if not produced[j]:
+            raise ZeroSupportError(f"no speaker ever produces {ctx.utterances[j]}")
+        prior = engine.prior_posterior(ctx)
+        literal_post = engine.Posterior(ctx, tuple(literal[:, j].tolist()))
+        pragmatic_post = engine.Posterior(ctx, tuple(pragmatic[:, j].tolist()))
+        beliefs = {
+            stage: engine.relation_posterior(post)
+            for stage, post in (
+                ("prior", prior), ("literal", literal_post), ("pragmatic", pragmatic_post),
+            )
+        }
         bundle.add(ResultTable(
             "relation_beliefs", ("interpretation", "relation", "mass"),
             tuple(
                 (stage, rel.value, masses[rel])
-                for stage in ("prior", "literal", "pragmatic")
-                for rel, masses in ((r, beliefs[stage]) for r in RELATION_ORDER)
+                for stage, masses in beliefs.items()
+                for rel in RELATION_ORDER
             ),
             value_columns=("mass",),
         ))
 
-        prior = engine.prior_posterior(ctx)
-        literal = engine.literal_listener(ctx, conditional)
-        pragmatic = engine.pragmatic_listener(ctx, conditional)
         summary: list[tuple] = [
             ("antecedent", "prior", antecedent_belief(prior)),
-            ("antecedent", "literal", antecedent_belief(literal)),
-            ("antecedent", "pragmatic", antecedent_belief(pragmatic)),
+            ("antecedent", "literal", antecedent_belief(literal_post)),
+            ("antecedent", "pragmatic", antecedent_belief(pragmatic_post)),
         ]
         if defn.observation is not None:
             summary.append(
                 ("antecedent", "pragmatic_observed",
-                 observation_update(pragmatic, defn.observation))
+                 observation_update(pragmatic_post, defn.observation))
             )
         summary += [
             ("joint_antecedent_consequent", "prior", joint_event_belief(prior, A & C)),
-            ("joint_antecedent_consequent", "pragmatic", joint_event_belief(pragmatic, A & C)),
+            ("joint_antecedent_consequent", "pragmatic",
+             joint_event_belief(pragmatic_post, A & C)),
         ]
         for stage, masses in beliefs.items():
             dependent = sum(
@@ -344,20 +329,19 @@ def default_context_bundle(
         value_columns=("probability",),
     ))
 
-    beliefs = analysis.relation_beliefs(ctx)
+    analyses = analysis.context_analyses(ctx)
     bundle.add(ResultTable(
         "relation_beliefs", ("interpretation", "relation", "mass"),
         tuple(
-            (stage, rel.value, float(beliefs[stage][rel]))
-            for stage in ("prior", "literal", "pragmatic")
+            (stage, rel.value, float(masses[rel]))
+            for stage, masses in analyses.beliefs.items()
             for rel in RELATION_ORDER
         ),
         value_columns=("mass",),
     ))
 
     freq_rows = []
-    for group_by in ("independence", "none"):
-        cells = analysis.best_utterance_frequencies(ctx, group_by=group_by)
+    for cells in analyses.frequencies.values():
         for (cell, group), freq in sorted(
             cells.items(), key=lambda kv: (kv[0][0].value, kv[0][1])
         ):
@@ -372,19 +356,18 @@ def default_context_bundle(
         tuple(freq_rows), value_columns=("frequency",),
     ))
 
-    cp = analysis.cp_comparison(ctx)
     bundle.add(ResultTable(
         "cp_metrics", ("interpretation", "metric", "value"),
         tuple(
-            (stage, metric, float(getattr(cp[stage], metric)))
-            for stage in ("prior", "literal", "pragmatic")
+            (stage, metric, float(getattr(cp, metric)))
+            for stage, cp in analyses.cp.items()
             for metric in ("not_c_given_not_a", "a_given_c",
                            "excluded_mass_not_a", "excluded_mass_c")
         ),
         value_columns=("value",),
     ))
 
-    cohorts = analysis.delta_p_cohorts(ctx)
+    cohorts = analyses.cohorts
     cohort_rows = []
     for cohort in (cohorts.prior, cohorts.assertable, cohorts.best_choice):
         cohort_rows += [
@@ -397,8 +380,7 @@ def default_context_bundle(
     ))
 
     choice_rows = []
-    for rule_name, rule in (("softmax", Softmax(ctx.alpha)), ("argmax", Argmax())):
-        table = analysis.expected_choice_probabilities(ctx, rule)
+    for rule_name, table in analyses.choice.items():
         for rel in RELATION_ORDER:
             if rel.value not in table:
                 continue
@@ -425,8 +407,7 @@ def sweep_bundles(config: RunConfig) -> tuple[ResultBundle, dict[tuple[float, fl
         TOLERANCES.grid_alphas, TOLERANCES.grid_thetas,
     )
     ctx = build_default_context(
-        config.seed, PriorHyperparams(n_states=config.n_states),
-        alpha=alphas[0], theta=thetas[0],
+        config.seed, config.n_states, alpha=alphas[0], theta=thetas[0]
     )
     master = make_bundle(_config_dict(config, numeric=FLOAT, grid={
         "alpha": list(alphas), "theta": list(thetas)}))
@@ -479,7 +460,7 @@ def run(config: RunConfig) -> ResultBundle:
     elif config.command == "run-default-context":
         ctx = build_default_context(
             config.seed,
-            PriorHyperparams(n_states=config.n_states),
+            config.n_states,
             alpha=TOLERANCES.default_alpha if config.alpha is None else config.alpha,
             theta=TOLERANCES.default_theta if config.theta is None else config.theta,
         )

@@ -224,8 +224,9 @@ def parse_scenario_dict(data: Any, source: str = "<scenario>") -> ScenarioDefini
         consequent_gloss=_as_str(glosses.get("consequent", ""), "glosses.consequent"),
     )
 
-    # lower once so context invariants (prior weights summing to 1, a state
-    # without any assertable utterance) surface at parse time, with the label
+    # lower now so context invariants (prior weights summing to 1, a state
+    # without any assertable utterance) surface at parse time, with the
+    # label; the definition keeps the context for the run
     try:
         definition.to_context()
     except ContextError as exc:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -81,6 +82,13 @@ class ScenarioDefinition:
         return parse_utterance(text, self.variable_names)
 
     def to_context(self) -> ScenarioContext:
+        """The context this scenario lowers to: built on the first call and
+        kept, so validating a parsed file and running it share one build
+        (`dataclasses.replace` gives a definition that builds afresh)."""
+        return self._context
+
+    @cached_property
+    def _context(self) -> ScenarioContext:
         return ScenarioContext.from_states(
             self.states, self.weights, self.utterances, self.alpha, self.theta
         )

@@ -50,7 +50,7 @@ def default_ctx(default_states):
 @pytest.fixture(scope="session")
 def small_ctx():
     """A cheap sampled context for structural (non-statistical) tests."""
-    return cr.build_default_context(seed=7, hyper=cr.PriorHyperparams(n_states=400))
+    return cr.build_default_context(seed=7, n_states=400)
 
 
 def frac(text: str) -> Fraction:

@@ -195,7 +195,9 @@ def test_criterion_8_delta_p_cohorts(default_ctx):
         cr.analysis.RELATION_ORDER.index(CausalStructure.CA_POS),
         cr.analysis.RELATION_ORDER.index(CausalStructure.CA_NEG),
     ])
-    argmax_types = cr.analysis._argmax_type_masks(default_ctx)
+    argmax_types = cr.analysis._type_mass_matrix(
+        default_ctx, cr.speaker_matrix(default_ctx, Argmax())
+    )
     literal_argmax = argmax_types[:, list(UtteranceType).index(UtteranceType.LITERAL)] == 1.0
     extreme = defined & ca & literal_argmax & (values < TOL.delta_p_extreme_negative)
 
@@ -399,12 +401,11 @@ def test_criterion_11_property_suite(default_states):
             ok &= cr.pragmatic_listener(ctx, u).weights == expected
     clauses.append(("pragmatic listener matches the enumeration oracle", ok))
 
-    hyper = cr.PriorHyperparams(n_states=300)
     same_states = np.array_equal(
-        cr.sample_default_states(5, hyper), cr.sample_default_states(5, hyper)
+        cr.sample_default_states(5, 300), cr.sample_default_states(5, 300)
     )
-    ctx1 = cr.build_default_context(5, hyper)
-    ctx2 = cr.build_default_context(5, hyper)
+    ctx1 = cr.build_default_context(5, 300)
+    ctx2 = cr.build_default_context(5, 300)
     checks1 = [(c.name, c.passed, c.observed) for c in cr.default_context_checks(ctx1, "qualitative")]
     checks2 = [(c.name, c.passed, c.observed) for c in cr.default_context_checks(ctx2, "qualitative")]
     clauses.append(("a seed always gives the same results",

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import condrsa as cr
-from condrsa import CausalStructure, JointTable, PriorHyperparams, State, query
+from condrsa import CausalStructure, JointTable, State, query
 from condrsa.core import RELATION_ORDER
-from condrsa.default_context import RELATION_PRIOR
+from condrsa.default_context import BETA_SHAPE, RELATION_PRIOR, TAU_SHAPE
 from condrsa.runner import RunConfig, run
 from condrsa.tolerances import TOLERANCES
 
@@ -41,7 +41,7 @@ class TestRelationPrior:
 
 class TestSampleState:
     def test_independent_branch_is_product_table(self):
-        ctx = cr.build_default_context(0, PriorHyperparams(n_states=200))
+        ctx = cr.build_default_context(0, 200)
         for state in ctx.states:
             if state.relation is CausalStructure.INDEPENDENT:
                 pa = query(state.table, cr.A)
@@ -78,7 +78,6 @@ class TestSampleState:
 
 def state_loop_sample(seed, n_states):
     """The per-index `State` loop that `sample_default_states` replaces."""
-    hyper = cr.DEFAULT_HYPERPARAMS
     states = []
     for child in np.random.SeedSequence(seed).spawn(n_states):
         rng = np.random.default_rng(child)
@@ -88,8 +87,8 @@ def state_loop_sample(seed, n_states):
             pc = rng.random()
             table = cr.joint_from_marginals(pa, pc)
         else:
-            tau = rng.beta(*hyper.tau_shape)
-            beta = rng.beta(*hyper.beta_shape)
+            tau = rng.beta(*TAU_SHAPE)
+            beta = rng.beta(*BETA_SHAPE)
             upsilon_p = rng.random()
             table = cr.joint_from_noisy_or(relation, upsilon_p, tau, beta)
         states.append(State(table, relation))
@@ -99,7 +98,7 @@ def state_loop_sample(seed, n_states):
 class TestSampleArrays:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_state_loop_bit_for_bit(self, seed):
-        sample = cr.sample_default_states(seed, PriorHyperparams(n_states=2000))
+        sample = cr.sample_default_states(seed, 2000)
         states = state_loop_sample(seed, 2000)
         assert len(sample) == 2000
         assert sample["relation"].tolist() == [
@@ -124,15 +123,13 @@ class TestSampleArrays:
 
 class TestDeterminism:
     def test_same_seed_same_states(self):
-        hyper = PriorHyperparams(n_states=300)
-        a = cr.sample_default_states(11, hyper)
-        b = cr.sample_default_states(11, hyper)
+        a = cr.sample_default_states(11, 300)
+        b = cr.sample_default_states(11, 300)
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        hyper = PriorHyperparams(n_states=50)
         assert not np.array_equal(
-            cr.sample_default_states(1, hyper), cr.sample_default_states(2, hyper)
+            cr.sample_default_states(1, 50), cr.sample_default_states(2, 50)
         )
 
 
@@ -145,20 +142,20 @@ class TestBuildDefaultContext:
         assert default_ctx.weights[0] == 1.0 / default_ctx.n_states
 
     def test_single_state_context_runs(self):
-        ctx = cr.build_default_context(3, PriorHyperparams(n_states=1))
+        ctx = cr.build_default_context(3, 1)
         assert ctx.n_states == 1
         cr.speaker_matrix(ctx)
 
     def test_custom_utterances(self):
         utts = cr.default_utterances(include_reverse_conditionals=False)
-        ctx = cr.build_default_context(3, PriorHyperparams(n_states=50), utterances=utts)
+        ctx = cr.build_default_context(3, 50, utterances=utts)
         assert len(ctx.utterances) == 16
 
-    def test_hyperparams_validated(self):
+    def test_n_states_validated(self):
         with pytest.raises(ValueError):
-            PriorHyperparams(tau_shape=(0.0, 1.0))
+            cr.sample_default_states(1, 0)
         with pytest.raises(ValueError):
-            PriorHyperparams(n_states=0)
+            cr.build_default_context(1, 0)
 
     def test_seed_type_checked(self):
         with pytest.raises(TypeError):

@@ -507,7 +507,7 @@ def listener_posteriors(ctx, utterance):
 class TestRelationPosterior:
     @pytest.fixture(scope="class")
     def sampled_2000(self):
-        return cr.build_default_context(seed=3, hyper=cr.PriorHyperparams(n_states=2000))
+        return cr.build_default_context(seed=3, n_states=2000)
 
     def test_sampled_matches_state_loop_bit_for_bit(self, sampled_2000):
         posts = list(listener_posteriors(sampled_2000, "A -> C"))

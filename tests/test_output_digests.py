@@ -25,6 +25,10 @@ from condrsa.scenarios import BUILTIN_NAMES
 
 DIGESTS = Path(__file__).with_name("output_digests.json")
 
+#: a file scenario with string rationals, an observation and one utterance
+#: that no state supports
+FIXTURE = Path(__file__).with_name("orchard_scenario.json")
+
 #: run name -> configuration (without its output directory)
 RUNS = {
     **{
@@ -42,6 +46,14 @@ RUNS = {
     },
     "default-context-seed1-500": RunConfig(
         command="run-default-context", seed=1, n_states=500,
+    ),
+    "default-context-seed1-500-plotdata": RunConfig(
+        command="run-default-context", seed=1, n_states=500,
+        formats=("csv", "json", "plotdata"),
+    ),
+    "orchard-file-rational": RunConfig(
+        command="run-scenario", scenario=str(FIXTURE), numeric="rational",
+        formats=("csv", "json", "plotdata"),
     ),
     "sweep-seed1-2000": RunConfig(command="sweep", seed=1, n_states=2000),
 }

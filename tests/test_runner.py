@@ -1,0 +1,206 @@
+"""The runner computes, lays out and renders each result once.
+
+Scenario tables are rows of the engine's matrices and must equal, in value
+and in type, the rows that the per-utterance and per-state operations give;
+a default-context bundle runs each analysis once; `write_bundle` renders
+each table once; and a file scenario is lowered to one context.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import condrsa as cr
+from condrsa import analysis, results
+from condrsa.context import ScenarioContext
+from condrsa.core import ZeroSupportError
+from condrsa.runner import RunConfig, default_context_bundle, run, scenario_bundle
+from condrsa.scenario_io import parse_scenario_file
+
+FIXTURE = Path(__file__).with_name("orchard_scenario.json")
+
+#: a float scenario where "likely B" is assertable in both states but, at
+#: alpha 2000, every speaker's probability for it underflows to zero
+UNPRODUCED = {
+    "name": "unproduced",
+    "variables": {"antecedent": "W", "consequent": "B"},
+    "alpha": 2000.0,
+    "theta": 0.9,
+    "utterances": ["B", "W", "likely B"],
+    "states": [
+        {"label": "s1", "weight": 0.5, "table": {
+            "both": 0.48, "antecedent_only": 0.02, "consequent_only": 0.45, "neither": 0.05}},
+        {"label": "s2", "weight": 0.5, "table": {
+            "both": 0.874, "antecedent_only": 0.076, "consequent_only": 0.0, "neither": 0.05}},
+    ],
+}
+
+
+def _loop_tables(defn: cr.ScenarioDefinition, ctx: ScenarioContext):
+    """The five scenario tables and the unsupported utterances, built one
+    utterance and one state at a time through the engine's operations."""
+    labels = [label or f"state{i}" for i, label in enumerate(ctx.labels)]
+    names = [u.format(defn.variable_names) for u in ctx.utterances]
+    literal, pragmatic, unsupported = [], [], []
+    for name, u in zip(names, ctx.utterances):
+        try:
+            post = cr.literal_listener(ctx, u)
+        except ZeroSupportError:
+            unsupported.append(name)
+            continue
+        literal += [(name, label, w) for label, w in zip(labels, post.weights)]
+        try:
+            post = cr.pragmatic_listener(ctx, u)
+        except ZeroSupportError:
+            continue
+        pragmatic += [(name, label, w) for label, w in zip(labels, post.weights)]
+    speaker = []
+    for i, label in enumerate(labels):
+        row = cr.speaker(ctx, i)
+        speaker += [(label, name, row[u]) for name, u in zip(names, ctx.utterances)]
+    tables = {
+        "assertability": [
+            (label, name, bool(ctx.assertability[i, j]))
+            for i, label in enumerate(labels)
+            for j, name in enumerate(names)
+        ],
+        "literal_listener": literal,
+        "pragmatic_listener": pragmatic,
+        "speaker": speaker,
+        "surprise": [
+            (name, cr.utterance_surprise(ctx, u)) for name, u in zip(names, ctx.utterances)
+        ],
+    }
+    return tables, unsupported
+
+
+def _typed(rows) -> list:
+    return [[(value, type(value)) for value in row] for row in rows]
+
+
+def _unproduced_file(tmp_path: Path, utterances: list[str]) -> Path:
+    path = tmp_path / "unproduced.json"
+    path.write_text(json.dumps({**UNPRODUCED, "utterances": utterances}))
+    return path
+
+
+class TestScenarioTables:
+    @pytest.mark.parametrize("numeric", ["rational", "float"])
+    @pytest.mark.parametrize("scenario", [*cr.BUILTIN_NAMES, str(FIXTURE)])
+    def test_tables_equal_the_per_utterance_rows(self, scenario, numeric):
+        bundle = scenario_bundle(
+            RunConfig(command="run-scenario", scenario=scenario, numeric=numeric)
+        )
+        defn = (
+            parse_scenario_file(scenario) if scenario == str(FIXTURE) else cr.builtin(scenario)
+        )
+        ctx = defn.to_context()
+        if numeric == "float":
+            ctx = ctx.with_params(alpha=float(ctx.alpha), theta=float(ctx.theta))
+        expected, unsupported = _loop_tables(defn, ctx)
+        for name, rows in expected.items():
+            assert _typed(bundle.tables[name].rows) == _typed(rows), name
+        assert bundle.metadata["unsupported_utterances"] == unsupported
+
+    def test_fixture_has_an_unsupported_utterance(self):
+        bundle = scenario_bundle(RunConfig(command="run-scenario", scenario=str(FIXTURE)))
+        assert bundle.metadata["unsupported_utterances"] == ["W & ~B"]
+        assert "belief_summary" in bundle.tables
+
+    def test_an_unproduced_utterance_has_literal_rows_only(self, tmp_path):
+        path = _unproduced_file(tmp_path, ["B", "W", "likely B"])
+        bundle = scenario_bundle(RunConfig(command="run-scenario", scenario=str(path)))
+        defn = parse_scenario_file(path)
+        expected, unsupported = _loop_tables(defn, defn.to_context())
+        assert dict(bundle.tables["surprise"].rows)["likely B"] == 0
+        assert {row[0] for row in bundle.tables["literal_listener"].rows} == {"B", "W", "likely B"}
+        assert {row[0] for row in bundle.tables["pragmatic_listener"].rows} == {"B", "W"}
+        for name, rows in expected.items():
+            assert _typed(bundle.tables[name].rows) == _typed(rows), name
+        assert unsupported == bundle.metadata["unsupported_utterances"] == []
+
+    def test_an_unproduced_conditional_is_a_named_error(self, tmp_path):
+        path = _unproduced_file(tmp_path, ["B", "W", "W -> B"])
+        with pytest.raises(ZeroSupportError, match="no speaker ever produces"):
+            scenario_bundle(RunConfig(command="run-scenario", scenario=str(path)))
+
+
+class TestComputedOnce:
+    def test_default_context_bundle_runs_each_analysis_once(self, monkeypatch):
+        calls: Counter[str] = Counter()
+        for name in (
+            "best_utterance_frequencies", "relation_beliefs", "cp_comparison",
+            "cp_metrics", "delta_p_cohorts", "_delta_p_array",
+            "expected_choice_probabilities",
+        ):
+            def counted(*args, _name=name, _original=getattr(analysis, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(analysis, name, counted)
+        ctx = cr.build_default_context(1, 300)
+        config = RunConfig(command="run-default-context", seed=1, n_states=300)
+        bundle = default_context_bundle(ctx, config)
+        assert calls == {
+            "best_utterance_frequencies": 2,  # once per grouping
+            "expected_choice_probabilities": 2,  # once per speaker rule
+            "relation_beliefs": 1,
+            "cp_comparison": 1,
+            "cp_metrics": 3,  # prior, literal, pragmatic
+            "delta_p_cohorts": 1,
+            "_delta_p_array": 1,
+        }
+        assert len(bundle.tables["checks"].rows) > 0
+        assert analysis.context_analyses(ctx) is analysis.context_analyses(ctx)
+        assert analysis.context_analyses(ctx.with_params(alpha=3.0)) is not (
+            analysis.context_analyses(ctx)
+        )
+
+    def test_write_bundle_renders_each_table_once(self, monkeypatch, tmp_path):
+        bundle = scenario_bundle(RunConfig(command="run-scenario", scenario="garden_party"))
+        rendered: list[str] = []
+        original = results.ResultTable.rendered
+
+        def counted(self, *args):
+            rendered.append(self.name)
+            return original(self, *args)
+
+        monkeypatch.setattr(results.ResultTable, "rendered", counted)
+        both = results.write_bundle(bundle, tmp_path / "both", ("csv", "json"))
+        assert sorted(rendered) == sorted(bundle.tables)
+        assert [p.name for p in both] == ["bundle.json"] + [
+            f"{name}.csv" for name in sorted(bundle.tables)
+        ]
+
+        rendered.clear()
+        assert results.write_bundle(bundle, tmp_path / "none", ()) == []
+        assert rendered == []
+
+        # the shared rendering writes the bytes of a single-format write
+        alone = results.write_bundle(bundle, tmp_path / "json", ("json",))
+        alone += results.write_bundle(bundle, tmp_path / "csv", ("csv",))
+        assert [p.read_bytes() for p in alone] == [p.read_bytes() for p in both]
+
+    def test_exact_file_run_builds_one_context(self, monkeypatch):
+        builds: list[ScenarioContext] = []
+        original = ScenarioContext.__post_init__
+
+        def counted(self):
+            builds.append(self)
+            original(self)
+
+        monkeypatch.setattr(ScenarioContext, "__post_init__", counted)
+        run(RunConfig(command="run-scenario", scenario=str(FIXTURE), numeric="rational"))
+        assert len(builds) == 1
+
+    def test_a_definition_keeps_its_context(self):
+        defn = parse_scenario_file(FIXTURE)
+        assert defn.to_context() is defn.to_context()
+        changed = dataclasses.replace(defn, alpha=3)
+        assert changed.to_context() is not defn.to_context()
+        assert (changed.to_context().alpha, defn.to_context().alpha) == (3, 2)
