@@ -22,6 +22,7 @@ from .context import ScenarioContext
 from .core import (
     A,
     C,
+    RELATION_NAMES,
     RELATION_ORDER,
     CausalStructure,
     Event,
@@ -92,14 +93,10 @@ def relation_array(ctx: ScenarioContext) -> np.ndarray:
     return ctx.relations
 
 
-#: the output name of each causal structure, indexed by relation code
-_RELATION_NAMES = np.array([r.value for r in RELATION_ORDER])
-
-
 def _group_labels(ctx: ScenarioContext, group_by: str) -> np.ndarray:
     relations = relation_array(ctx)
     if group_by == "relation":
-        return _RELATION_NAMES[relations]
+        return np.array(RELATION_NAMES)[relations]
     if group_by == "independence":
         return np.where(relations == 0, "independent", "dependent")
     if group_by == "none":
@@ -231,7 +228,6 @@ class DeltaPCohort:
     name: str
     indices: np.ndarray
     values: np.ndarray
-    relations: tuple[CausalStructure, ...]
 
     def median(self) -> float:
         return float(np.median(self.values))
@@ -271,16 +267,10 @@ def delta_p_cohorts(ctx: ScenarioContext) -> DeltaPCohorts:
     j = ctx.index_of_utterance(A_IMPLIES_C)
     assertable = ctx.assertability[:, j] & defined
     best = (engine.speaker_matrix(ctx, Argmax())[:, j] > 0) & assertable
-    relations = relation_array(ctx)
 
     def cohort(name: str, mask: np.ndarray) -> DeltaPCohort:
         idx = np.flatnonzero(mask)
-        return DeltaPCohort(
-            name=name,
-            indices=idx,
-            values=values[idx],
-            relations=tuple(RELATION_ORDER[i] for i in relations[idx]),
-        )
+        return DeltaPCohort(name=name, indices=idx, values=values[idx])
 
     return DeltaPCohorts(
         prior=cohort("prior", defined),

@@ -203,6 +203,8 @@ RELATION_ORDER: tuple[CausalStructure, ...] = (
     CausalStructure.CA_POS,
     CausalStructure.CA_NEG,
 )
+#: the output name of each causal structure, indexed by relation code
+RELATION_NAMES = [relation.value for relation in RELATION_ORDER]
 
 
 @dataclass(frozen=True)

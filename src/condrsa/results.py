@@ -3,11 +3,11 @@
 Output is byte-reproducible: the same configuration (including the seed)
 writes identical files.  To that end every numeric cell is rendered
 through one formatter (exact fractions like ``5/6`` in rational mode, 12
-significant digits in float mode), JSON carries the same rendered strings
-as the CSVs, and every row carries a fingerprint of the configuration.
-`write_bundle` renders each table once and hands that one rendering to both
-writers.  Figure metadata, including the scenario a figure belongs to and
-the stages it leaves out, lives in one `FigureSpec` per figure.
+significant digits in float mode), and every row carries a fingerprint of
+the configuration.  Tables are held as columns.  `write_bundle` renders
+each table it needs once, column by column, and JSON, CSV and plot data
+share that rendering.  Each figure's scenario and row filters live in one
+`FigureSpec`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ RATIONAL = "rational"
 FLOAT = "float"
 
 #: a table rendered for writing: its header and its string rows
-Rendered = tuple[list[str], list[list[str]]]
+Rendered = tuple[list[str], list[tuple[str, ...]]]
 
 
 class FigureError(ModelError):
@@ -48,6 +48,8 @@ def render_scalar(value: Scalar, mode: str) -> str:
 
 
 def _render_cell(value: Any, mode: str) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, float, Fraction)):
@@ -55,38 +57,40 @@ def _render_cell(value: Any, mode: str) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ResultTable:
-    """A named record set; ``value_columns`` get numeric rendering."""
+    """A named record set held as one list of values per column;
+    ``value_columns`` get numeric rendering.  Given ``rows``, the columns
+    are built from those row tuples instead of ``data``, so that
+    ``dataclasses.replace(table, rows=...)`` swaps a table's rows."""
 
     name: str
     columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    data: tuple[Sequence, ...]
     value_columns: tuple[str, ...] = ()
 
-    def rendered(self, mode: str, fingerprint: str) -> Rendered:
-        """Header and string rows, with decimal companions for fractions and
-        the config fingerprint appended to every row."""
-        header: list[str] = []
-        for col in self.columns:
-            header.append(col)
-            if mode == RATIONAL and col in self.value_columns:
-                header.append(f"{col}_decimal")
-        header.append("config")
+    def __init__(self, name, columns, data=(), value_columns=(), rows=None) -> None:
+        if rows is not None:
+            data = tuple(map(list, zip(*rows))) or tuple([] for _ in columns)
+        self.__dict__.update(name=name, columns=columns, data=data, value_columns=value_columns)
 
-        rendered_rows = []
-        for row in self.rows:
-            out: list[str] = []
-            for col, cell in zip(self.columns, row):
-                if col in self.value_columns:
-                    out.append(_render_cell(cell, mode))
-                    if mode == RATIONAL:
-                        out.append(f"{float(cell):.12g}")
-                else:
-                    out.append(_render_cell(cell, FLOAT))
-            out.append(fingerprint)
-            rendered_rows.append(out)
-        return header, rendered_rows
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        """The table as row tuples, built from the columns on each call."""
+        return tuple(zip(*self.data))
+
+    def rendered(self, mode: str, fingerprint: str) -> Rendered:
+        """Header and string rows, rendered column by column, with decimal
+        companions for fractions and the config fingerprint appended to
+        every row."""
+        strings: dict[str, list[str]] = {}
+        for col, values in zip(self.columns, self.data):
+            numeric = col in self.value_columns
+            strings[col] = [_render_cell(v, mode if numeric else FLOAT) for v in values]
+            if numeric and mode == RATIONAL:
+                strings[f"{col}_decimal"] = [f"{float(v):.12g}" for v in values]
+        fingerprints = [fingerprint] * len(self.data[0])
+        return [*strings, "config"], list(zip(*strings.values(), fingerprints))
 
 
 @dataclass
@@ -147,19 +151,22 @@ def bundle_json_text(bundle: ResultBundle, rendered: dict[str, Rendered]) -> str
 
 
 def write_bundle(
-    bundle: ResultBundle, outdir: str | Path, formats: Sequence[str]
+    bundle: ResultBundle, outdir: str | Path, formats: Sequence[str], figures: Sequence[str] = ()
 ) -> list[Path]:
-    """Write the requested renderings; returns the created paths.  Each
-    table is rendered once, and JSON and CSV share that rendering."""
+    """Write the requested renderings and the plot data of ``figures``;
+    returns the created paths.  Every figure is checked before anything is
+    written.  Each table that a format or figure needs is rendered once,
+    and JSON, CSV and plot data share that rendering."""
+    specs = [_figure_spec(bundle, figure_id) for figure_id in figures]
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    if "json" not in formats and "csv" not in formats:
-        return written
+    tabular = "json" in formats or "csv" in formats
+    names = bundle.tables if tabular else {spec.table for spec in specs}
     rendered = {
         name: bundle.tables[name].rendered(bundle.numeric_mode, bundle.fingerprint)
-        for name in sorted(bundle.tables)
+        for name in sorted(names)
     }
+    written: list[Path] = []
     if "json" in formats:
         path = outdir / "bundle.json"
         path.write_text(bundle_json_text(bundle, rendered), encoding="utf-8")
@@ -170,6 +177,8 @@ def write_bundle(
             path = outdir / f"{name}.csv"
             path.write_text(_csv_text(header, rows, preamble), encoding="utf-8")
             written.append(path)
+    for spec in specs:
+        written.append(_write_plot_data(bundle, spec, rendered[spec.table], outdir / "plotdata"))
     return written
 
 
@@ -187,8 +196,8 @@ class FigureSpec:
     #: the built-in scenario of a run-scenario figure; None for a
     #: run-default-context figure
     scenario: str | None = None
-    row_filter: tuple[str, tuple[str, ...]] | None = None  # (column, allowed values)
-    exclude_stages: tuple[str, ...] = ()  # for pre-observation views
+    #: (column, allowed values) pairs; a plotted row passes every one
+    row_filters: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
     @property
     def command(self) -> str:
@@ -217,7 +226,7 @@ FIGURES: dict[str, FigureSpec] = {
             "fig8", "cp_metrics",
             "expected biconditional-reading probabilities by interpretation",
             "x: metric; series: interpretation; y: value",
-            row_filter=("metric", ("not_c_given_not_a", "a_given_c")),
+            row_filters=(("metric", ("not_c_given_not_a", "a_given_c")),),
         ),
         FigureSpec(
             "fig9", "delta_p_cohorts",
@@ -234,29 +243,33 @@ FIGURES: dict[str, FigureSpec] = {
             "expected antecedent belief across interpretation stages",
             "x: stage; y: value",
             scenario="skiing",
-            row_filter=("quantity", ("antecedent",)),
+            row_filters=(("quantity", ("antecedent",)),),
         ),
         FigureSpec(
             "fig11c", "belief_summary",
             "expected antecedent belief before the observation",
             "x: stage; y: value",
             scenario="garden_party",
-            row_filter=("quantity", ("antecedent",)),
-            exclude_stages=("pragmatic_observed",),
+            row_filters=(
+                ("quantity", ("antecedent",)),
+                ("stage", ("prior", "literal", "pragmatic")),
+            ),
         ),
         FigureSpec(
             "fig12b", "belief_summary",
             "expected antecedent belief including the observation",
             "x: stage; y: value",
             scenario="garden_party",
-            row_filter=("quantity", ("antecedent",)),
+            row_filters=(("quantity", ("antecedent",)),),
         ),
         FigureSpec(
             "fig13d", "belief_summary",
             "relation, antecedent and joint-event beliefs by stage",
             "panel: quantity; x: stage; y: value",
             scenario="sundowners",
-            row_filter=("quantity", ("relation_dependent", "antecedent", "joint_antecedent_consequent")),
+            row_filters=(
+                ("quantity", ("relation_dependent", "antecedent", "joint_antecedent_consequent")),
+            ),
         ),
     )
 }
@@ -277,10 +290,8 @@ def applicable_figures(bundle: ResultBundle) -> tuple[str, ...]:
     return tuple(figure_id for figure_id in FIGURES if _provides(bundle, figure_id))
 
 
-def emit_plot_data(
-    bundle: ResultBundle, figure_id: str, outdir: str | Path
-) -> Path:
-    """Write one self-describing columnar file for a figure."""
+def _figure_spec(bundle: ResultBundle, figure_id: str) -> FigureSpec:
+    """The spec of a figure that ``bundle`` provides; `FigureError` otherwise."""
     if figure_id not in FIGURES:
         known = ", ".join(sorted(FIGURES))
         raise FigureError(f"unknown figure {figure_id!r} (known: {known})")
@@ -292,22 +303,20 @@ def emit_plot_data(
         raise FigureError(
             f"this bundle cannot provide {figure_id}; produce it with `condrsa {hint}`"
         )
+    return spec
 
-    table = bundle.tables[spec.table]
-    header, rows = table.rendered(bundle.numeric_mode, bundle.fingerprint)
-    if spec.row_filter is not None:
-        column, allowed = spec.row_filter
-        idx = header.index(column)
-        rows = [r for r in rows if r[idx] in allowed]
-    if spec.exclude_stages and "stage" in header:
-        idx = header.index("stage")
-        rows = [r for r in rows if r[idx] not in spec.exclude_stages]
 
-    outdir = Path(outdir)
+def _write_plot_data(
+    bundle: ResultBundle, spec: FigureSpec, rendered: Rendered, outdir: Path
+) -> Path:
+    """Write a figure's file from its source table's rendering."""
+    header, rows = rendered
+    keep = [(header.index(column), allowed) for column, allowed in spec.row_filters]
+    rows = [r for r in rows if all(r[i] in allowed for i, allowed in keep)]
     outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"{figure_id}.csv"
+    path = outdir / f"{spec.figure_id}.csv"
     preamble = (
-        f"# figure: {figure_id}\n"
+        f"# figure: {spec.figure_id}\n"
         f"# description: {spec.description}\n"
         f"# axes: {spec.axes}\n"
         f"# source_table: {spec.table}\n"
@@ -315,3 +324,13 @@ def emit_plot_data(
     )
     path.write_text(_csv_text(header, rows, preamble), encoding="utf-8")
     return path
+
+
+def emit_plot_data(
+    bundle: ResultBundle, figure_id: str, outdir: str | Path
+) -> Path:
+    """Write one self-describing columnar file for a figure."""
+    spec = _figure_spec(bundle, figure_id)
+    table = bundle.tables[spec.table]
+    rendered = table.rendered(bundle.numeric_mode, bundle.fingerprint)
+    return _write_plot_data(bundle, spec, rendered, Path(outdir))

@@ -8,15 +8,18 @@ summary; ``sweep`` repeats the latter over the robustness grid, reusing
 one state sample per seed, and emits per-combination bundles plus a
 qualitative check summary.
 
-A bundle only lays values out: scenario tables are rows of the engine's
-matrices (`_cross_rows`), and default-context tables read the context's
-memoised `analysis.context_analyses` record, which its checks read too.
+A bundle only lays values out, one list per column: scenario tables
+flatten the engine's matrices (`_cross_columns`), and default-context
+tables read the context's arrays and its memoised
+`analysis.context_analyses` record, which its checks read too.  One
+`write_bundle` call per bundle writes its files and plot data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +29,7 @@ from .context import ScenarioContext
 from .core import (
     A,
     C,
+    RELATION_NAMES,
     RELATION_ORDER,
     WORLD_NAMES,
     CausalStructure,
@@ -40,7 +44,6 @@ from .results import (
     ResultBundle,
     ResultTable,
     applicable_figures,
-    emit_plot_data,
     make_bundle,
     write_bundle,
 )
@@ -175,11 +178,33 @@ def _load_scenario(name_or_path: str) -> ScenarioDefinition:
     )
 
 
-def _cross_rows(outer: list, inner: list, matrix: np.ndarray) -> tuple[tuple, ...]:
-    """``(outer[a], inner[b], matrix[a, b])`` for every pair, outer-major."""
-    return tuple(
-        (o, i, value) for o, row in zip(outer, matrix.tolist()) for i, value in zip(inner, row)
-    )
+def _repeat(values: list, times: int) -> list:
+    """Each value ``times`` times in a row, every repeat the same object."""
+    return list(chain.from_iterable(zip(*[values] * times)))
+
+
+def _cross_columns(outer: list, inner: list, matrix: np.ndarray) -> tuple[list, ...]:
+    """Columns ``outer[a]``, ``inner[b]`` and ``matrix[a, b]`` for every
+    pair, outer-major."""
+    return _repeat(outer, len(inner)), inner * len(outer), matrix.ravel().tolist()
+
+
+def _labelled_table(
+    name: str, columns: tuple[str, ...], values: dict[tuple, Scalar]
+) -> ResultTable:
+    """One row per entry of ``values``: the fields of its label, then the
+    value itself in the last column, which gets numeric rendering."""
+    fields = [[label[k] for label in values] for k in range(len(columns) - 1)]
+    return ResultTable(name, columns, (*fields, list(values.values())), value_columns=columns[-1:])
+
+
+def _beliefs_table(beliefs: dict[str, dict[CausalStructure, Scalar]]) -> ResultTable:
+    """Relation masses per interpretation stage."""
+    return _labelled_table("relation_beliefs", ("interpretation", "relation", "mass"), {
+        (stage, rel.value): masses[rel]
+        for stage, masses in beliefs.items()
+        for rel in RELATION_ORDER
+    })
 
 
 def scenario_bundle(config: RunConfig) -> ResultBundle:
@@ -226,7 +251,7 @@ def scenario_bundle(config: RunConfig) -> ResultBundle:
 
     bundle.add(ResultTable(
         "assertability", ("state", "utterance", "assertable"),
-        _cross_rows(labels, utt_names, ctx.assertability),
+        _cross_columns(labels, utt_names, ctx.assertability),
     ))
     for name, matrix, mask in (
         ("literal_listener", literal, supported),
@@ -234,17 +259,17 @@ def scenario_bundle(config: RunConfig) -> ResultBundle:
     ):
         bundle.add(ResultTable(
             name, ("utterance", "state", "probability"),
-            _cross_rows([n for n, ok in zip(utt_names, mask) if ok], labels, matrix.T[mask]),
+            _cross_columns([n for n, ok in zip(utt_names, mask) if ok], labels, matrix.T[mask]),
             value_columns=("probability",),
         ))
     bundle.add(ResultTable(
         "speaker", ("state", "utterance", "probability"),
-        _cross_rows(labels, utt_names, engine.speaker_matrix(ctx)),
+        _cross_columns(labels, utt_names, engine.speaker_matrix(ctx)),
         value_columns=("probability",),
     ))
     bundle.add(ResultTable(
         "surprise", ("utterance", "value"),
-        tuple(zip(utt_names, surprise.tolist())), value_columns=("value",),
+        (utt_names, surprise.tolist()), value_columns=("value",),
     ))
 
     # belief analyses for the scenario's conditional, unless no state supports it
@@ -255,46 +280,24 @@ def scenario_bundle(config: RunConfig) -> ResultBundle:
         prior = engine.prior_posterior(ctx)
         literal_post = engine.Posterior(ctx, tuple(literal[:, j].tolist()))
         pragmatic_post = engine.Posterior(ctx, tuple(pragmatic[:, j].tolist()))
-        beliefs = {
-            stage: engine.relation_posterior(post)
-            for stage, post in (
-                ("prior", prior), ("literal", literal_post), ("pragmatic", pragmatic_post),
-            )
-        }
-        bundle.add(ResultTable(
-            "relation_beliefs", ("interpretation", "relation", "mass"),
-            tuple(
-                (stage, rel.value, masses[rel])
-                for stage, masses in beliefs.items()
-                for rel in RELATION_ORDER
-            ),
-            value_columns=("mass",),
-        ))
+        posts = {"prior": prior, "literal": literal_post, "pragmatic": pragmatic_post}
+        beliefs = {stage: engine.relation_posterior(post) for stage, post in posts.items()}
+        bundle.add(_beliefs_table(beliefs))
 
-        summary: list[tuple] = [
-            ("antecedent", "prior", antecedent_belief(prior)),
-            ("antecedent", "literal", antecedent_belief(literal_post)),
-            ("antecedent", "pragmatic", antecedent_belief(pragmatic_post)),
-        ]
+        summary = {("antecedent", stage): antecedent_belief(post) for stage, post in posts.items()}
         if defn.observation is not None:
-            summary.append(
-                ("antecedent", "pragmatic_observed",
-                 observation_update(pragmatic_post, defn.observation))
+            summary["antecedent", "pragmatic_observed"] = observation_update(
+                pragmatic_post, defn.observation
             )
-        summary += [
-            ("joint_antecedent_consequent", "prior", joint_event_belief(prior, A & C)),
-            ("joint_antecedent_consequent", "pragmatic",
-             joint_event_belief(pragmatic_post, A & C)),
-        ]
+        summary["joint_antecedent_consequent", "prior"] = joint_event_belief(prior, A & C)
+        summary["joint_antecedent_consequent", "pragmatic"] = joint_event_belief(
+            pragmatic_post, A & C
+        )
         for stage, masses in beliefs.items():
-            dependent = sum(
+            summary["relation_dependent", stage] = sum(
                 masses[r] for r in RELATION_ORDER if r is not CausalStructure.INDEPENDENT
             )
-            summary.append(("relation_dependent", stage, dependent))
-        bundle.add(ResultTable(
-            "belief_summary", ("quantity", "stage", "value"),
-            tuple(summary), value_columns=("value",),
-        ))
+        bundle.add(_labelled_table("belief_summary", ("quantity", "stage", "value"), summary))
 
     return bundle
 
@@ -316,87 +319,74 @@ def default_context_bundle(
         )
     )
 
-    relation_names = [r.value for r in RELATION_ORDER]
+    n = ctx.n_states
+    relations = [RELATION_NAMES[code] for code in ctx.relations.tolist()]
     bundle.add(ResultTable(
         "world_probabilities", ("state", "relation", "world", "probability"),
-        tuple(
-            (i, relation_names[code], world, p)
-            for i, (code, cells) in enumerate(
-                zip(ctx.relations.tolist(), ctx.tables.tolist())
-            )
-            for world, p in zip(WORLD_NAMES, cells)
+        (
+            _repeat(list(range(n)), len(WORLD_NAMES)),
+            _repeat(relations, len(WORLD_NAMES)),
+            list(WORLD_NAMES) * n,
+            ctx.tables.ravel().tolist(),
         ),
         value_columns=("probability",),
     ))
 
     analyses = analysis.context_analyses(ctx)
-    bundle.add(ResultTable(
-        "relation_beliefs", ("interpretation", "relation", "mass"),
-        tuple(
-            (stage, rel.value, float(masses[rel]))
-            for stage, masses in analyses.beliefs.items()
-            for rel in RELATION_ORDER
-        ),
-        value_columns=("mass",),
-    ))
+    bundle.add(_beliefs_table(analyses.beliefs))
 
-    freq_rows = []
-    for cells in analyses.frequencies.values():
-        for (cell, group), freq in sorted(
-            cells.items(), key=lambda kv: (kv[0][0].value, kv[0][1])
-        ):
-            for kind in UtteranceType:
-                freq_rows.append(
-                    (cell.value, group, kind.value, freq.count,
-                     freq.frequencies[kind])
-                )
-    bundle.add(ResultTable(
+    bundle.add(_labelled_table(
         "best_utterance_frequencies",
         ("certainty", "relation_group", "utterance_type", "count", "frequency"),
-        tuple(freq_rows), value_columns=("frequency",),
+        {
+            (cell.value, group, kind.value, freq.count): freq.frequencies[kind]
+            for by_cell in analyses.frequencies.values()
+            for (cell, group), freq in sorted(
+                by_cell.items(), key=lambda kv: (kv[0][0].value, kv[0][1])
+            )
+            for kind in UtteranceType
+        },
     ))
+    bundle.add(_labelled_table("cp_metrics", ("interpretation", "metric", "value"), {
+        (stage, metric): float(getattr(cp, metric))
+        for stage, cp in analyses.cp.items()
+        for metric in ("not_c_given_not_a", "a_given_c", "excluded_mass_not_a", "excluded_mass_c")
+    }))
 
+    cohorts = (analyses.cohorts.prior, analyses.cohorts.assertable, analyses.cohorts.best_choice)
+    indices = np.concatenate([cohort.indices for cohort in cohorts]).tolist()
     bundle.add(ResultTable(
-        "cp_metrics", ("interpretation", "metric", "value"),
-        tuple(
-            (stage, metric, float(getattr(cp, metric)))
-            for stage, cp in analyses.cp.items()
-            for metric in ("not_c_given_not_a", "a_given_c",
-                           "excluded_mass_not_a", "excluded_mass_c")
+        "delta_p_cohorts", ("cohort", "state", "relation", "value"),
+        (
+            [cohort.name for cohort in cohorts for _ in range(len(cohort.indices))],
+            indices,
+            [relations[i] for i in indices],
+            np.concatenate([cohort.values for cohort in cohorts]).tolist(),
         ),
         value_columns=("value",),
     ))
 
-    cohorts = analyses.cohorts
-    cohort_rows = []
-    for cohort in (cohorts.prior, cohorts.assertable, cohorts.best_choice):
-        cohort_rows += [
-            (cohort.name, int(i), rel.value, float(v))
-            for i, rel, v in zip(cohort.indices, cohort.relations, cohort.values)
-        ]
-    bundle.add(ResultTable(
-        "delta_p_cohorts", ("cohort", "state", "relation", "value"),
-        tuple(cohort_rows), value_columns=("value",),
-    ))
-
-    choice_rows = []
-    for rule_name, table in analyses.choice.items():
-        for rel in RELATION_ORDER:
-            if rel.value not in table:
-                continue
-            for kind in UtteranceType:
-                choice_rows.append(
-                    (rule_name, rel.value, kind.value, table[rel.value][kind])
-                )
-    bundle.add(ResultTable(
+    bundle.add(_labelled_table(
         "expected_choice", ("speaker_rule", "relation", "utterance_type", "mass"),
-        tuple(choice_rows), value_columns=("mass",),
+        {
+            (rule_name, rel.value, kind.value): table[rel.value][kind]
+            for rule_name, table in analyses.choice.items()
+            for rel in RELATION_ORDER
+            if rel.value in table
+            for kind in UtteranceType
+        },
     ))
 
     checks = analysis.default_context_checks(ctx, check_level)
     bundle.add(ResultTable(
         "checks", ("check", "level", "passed", "observed", "requirement"),
-        tuple((c.name, check_level, c.passed, c.observed, c.requirement) for c in checks),
+        (
+            [c.name for c in checks],
+            [check_level] * len(checks),
+            [c.passed for c in checks],
+            [c.observed for c in checks],
+            [c.requirement for c in checks],
+        ),
     ))
     bundle.metadata["checks_passed"] = analysis.all_passed(checks)
     return bundle
@@ -412,8 +402,7 @@ def sweep_bundles(config: RunConfig) -> tuple[ResultBundle, dict[tuple[float, fl
     master = make_bundle(_config_dict(config, numeric=FLOAT, grid={
         "alpha": list(alphas), "theta": list(thetas)}))
     combos: dict[tuple[float, float], ResultBundle] = {}
-    summary_rows = []
-    all_ok = True
+    summary: tuple[list, ...] = ([], [], [], [], [], [])
     for theta in thetas:
         for alpha in alphas:
             sub_config = RunConfig(
@@ -422,24 +411,23 @@ def sweep_bundles(config: RunConfig) -> tuple[ResultBundle, dict[tuple[float, fl
                 theta=theta,
                 n_states=config.n_states,
                 seed=config.seed,
-                formats=config.formats,
             )
             if (alpha, theta) != (ctx.alpha, ctx.theta):  # one build per combination
                 ctx = ctx.with_params(alpha=alpha, theta=theta)
             sub = default_context_bundle(ctx, sub_config, check_level="qualitative")
             combos[(alpha, theta)] = sub
-            checks = sub.tables["checks"]
-            for row in checks.rows:
-                name, level, passed, observed, requirement = row
-                summary_rows.append((alpha, theta, name, passed, observed, requirement))
-                all_ok &= passed
+            name, _, passed, observed, requirement = sub.tables["checks"].data
+            for column, values in zip(summary, (
+                [alpha] * len(name), [theta] * len(name), name, passed, observed, requirement,
+            )):
+                column.extend(values)
     master.add(ResultTable(
         "sweep_checks",
         ("alpha", "theta", "check", "passed", "observed", "requirement"),
-        tuple(summary_rows),
+        summary,
         value_columns=("alpha", "theta"),
     ))
-    master.metadata["checks_passed"] = all_ok
+    master.metadata["checks_passed"] = all(s.metadata["checks_passed"] for s in combos.values())
     return master, combos
 
 
@@ -471,16 +459,12 @@ def run(config: RunConfig) -> ResultBundle:
 
     if config.output_dir is not None:
         out = Path(config.output_dir)
-        disk_formats = tuple(f for f in config.formats if f != "plotdata")
-        write_bundle(bundle, out, disk_formats)
+        figures: tuple[str, ...] = ()
+        if config.figure is not None:
+            figures = (config.figure,)
+        elif "plotdata" in config.formats:  # a sweep bundle provides no figure
+            figures = applicable_figures(bundle)
+        write_bundle(bundle, out, config.formats, figures)
         for (alpha, theta), sub in subs.items():
-            write_bundle(sub, out / _combo_dirname(alpha, theta), disk_formats)
-        wants_plotdata = "plotdata" in config.formats or config.figure is not None
-        if wants_plotdata and config.command != "sweep":
-            figures = (
-                (config.figure,) if config.figure is not None
-                else applicable_figures(bundle)
-            )
-            for figure_id in figures:
-                emit_plot_data(bundle, figure_id, out / "plotdata")
+            write_bundle(sub, out / _combo_dirname(alpha, theta), config.formats)
     return bundle

@@ -49,6 +49,21 @@ class TestRunScenario:
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["theta"] == "19/20"
 
+    @pytest.mark.parametrize("figure, message", [
+        ("fig99", "unknown figure 'fig99' (known: fig10c, fig11c, fig12b, fig13d, "
+                  "fig14, fig5, fig6, fig7, fig8, fig9)"),
+        ("fig7", "this bundle cannot provide fig7; produce it with "
+                 "`condrsa run-default-context`"),
+    ])
+    def test_bad_figure_writes_no_file(self, runner, tmp_path, figure, message):
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["run-scenario", "--scenario", "toy", "--figure", figure, "--out", str(out)]
+        )
+        assert result.exit_code == 1
+        assert json.loads(result.stderr) == {"error": "FigureError", "message": message}
+        assert not out.exists() or not any(out.rglob("*"))
+
     def test_figure_flag(self, runner, tmp_path):
         result = runner.invoke(
             main,

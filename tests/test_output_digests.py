@@ -56,6 +56,15 @@ RUNS = {
         formats=("csv", "json", "plotdata"),
     ),
     "sweep-seed1-2000": RunConfig(command="sweep", seed=1, n_states=2000),
+    # plot data with no JSON or CSV beside it
+    "garden_party-plotdata-only": RunConfig(
+        command="run-scenario", scenario="garden_party", formats=("plotdata",),
+    ),
+    # one requested figure next to a JSON-only write
+    "default-context-seed2-800-fig9": RunConfig(
+        command="run-default-context", seed=2, n_states=800, figure="fig9",
+        formats=("json",),
+    ),
 }
 
 

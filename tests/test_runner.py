@@ -1,9 +1,11 @@
 """The runner computes, lays out and renders each result once.
 
-Scenario tables are rows of the engine's matrices and must equal, in value
-and in type, the rows that the per-utterance and per-state operations give;
-a default-context bundle runs each analysis once; `write_bundle` renders
-each table once; and a file scenario is lowered to one context.
+Scenario tables are the engine's matrices laid out as columns, and their
+rows must equal, in value and in type, the rows that the per-utterance and
+per-state operations give; sampled tables equal the row-by-row layout they
+replace; no run reads a table's row view; a default-context bundle runs
+each analysis once; one write renders each table once, plot data
+included; and a file scenario is lowered to one context.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import pytest
 import condrsa as cr
 from condrsa import analysis, results
 from condrsa.context import ScenarioContext
-from condrsa.core import ZeroSupportError
+from condrsa.core import RELATION_ORDER, WORLD_NAMES, ZeroSupportError
+from condrsa.results import FIGURES, applicable_figures
 from condrsa.runner import RunConfig, default_context_bundle, run, scenario_bundle
 from condrsa.scenario_io import parse_scenario_file
 
@@ -204,3 +207,105 @@ class TestComputedOnce:
         changed = dataclasses.replace(defn, alpha=3)
         assert changed.to_context() is not defn.to_context()
         assert (changed.to_context().alpha, defn.to_context().alpha) == (3, 2)
+
+
+class TestColumnarTables:
+    """Tables are held as columns; `rows` is a view that no run needs."""
+
+    def test_sampled_tables_equal_the_row_generators(self):
+        ctx = cr.build_default_context(1, 500)
+        bundle = default_context_bundle(
+            ctx, RunConfig(command="run-default-context", seed=1, n_states=500)
+        )
+        # the row-by-row layouts that the columns replace
+        relation_names = [r.value for r in RELATION_ORDER]
+        world_rows = tuple(
+            (i, relation_names[code], world, p)
+            for i, (code, cells) in enumerate(zip(ctx.relations.tolist(), ctx.tables.tolist()))
+            for world, p in zip(WORLD_NAMES, cells)
+        )
+        cohorts = analysis.context_analyses(ctx).cohorts
+        relations = analysis.relation_array(ctx)
+        cohort_rows = tuple(
+            (cohort.name, int(i), RELATION_ORDER[relations[i]].value, float(v))
+            for cohort in (cohorts.prior, cohorts.assertable, cohorts.best_choice)
+            for i, v in zip(cohort.indices, cohort.values)
+        )
+        world = bundle.tables["world_probabilities"]
+        assert _typed(world.rows) == _typed(world_rows)
+        assert _typed(bundle.tables["delta_p_cohorts"].rows) == _typed(cohort_rows)
+        # repeated values are one object each, as in the row tuples
+        states, relation, names, _ = world.data
+        assert len({id(v) for v in states}) == ctx.n_states
+        assert len({id(v) for v in relation}) <= len(RELATION_ORDER)
+        assert len({id(v) for v in names}) == len(WORLD_NAMES)
+
+    @pytest.mark.parametrize("config", [
+        RunConfig(command="run-default-context", seed=1, n_states=500,
+                  formats=("csv", "json", "plotdata")),
+        RunConfig(command="sweep", seed=1, n_states=500),
+        RunConfig(command="run-scenario", scenario="garden_party",
+                  formats=("csv", "json", "plotdata")),
+    ], ids=lambda config: config.command)
+    def test_runs_never_read_the_row_view(self, config, monkeypatch, tmp_path):
+        def refuse(table):
+            raise AssertionError(f"{table.name}.rows was read")
+
+        monkeypatch.setattr(results.ResultTable, "rows", property(refuse))
+        run(dataclasses.replace(config, output_dir=tmp_path))
+        assert (tmp_path / "bundle.json").exists()
+
+    def test_a_table_given_rows_stores_their_columns(self):
+        table = results.ResultTable("t", ("a", "b"), ([1, 3], [2, 4]), value_columns=("b",))
+        assert table.rows == ((1, 2), (3, 4))
+        changed = dataclasses.replace(table, rows=[(5, 6)])
+        assert (changed.data, changed.value_columns) == (([5], [6]), ("b",))
+        empty = dataclasses.replace(table, rows=())
+        assert empty.data == ([], [])
+        assert empty.rendered("float", "f") == (["a", "b", "config"], [])
+
+    def test_sweep_writes_no_plot_data(self, tmp_path):
+        run(RunConfig(command="sweep", seed=1, n_states=300, grid=((1.0, 3.0), (0.9,)),
+                      output_dir=tmp_path, formats=("csv", "json", "plotdata")))
+        assert (tmp_path / "alpha-3_theta-0.9" / "bundle.json").exists()
+        assert not [p for p in tmp_path.rglob("plotdata")]
+
+
+def _counted_renders(monkeypatch) -> Counter[str]:
+    rendered: Counter[str] = Counter()
+    original = results.ResultTable.rendered
+
+    def counted(self, *args):
+        rendered[self.name] += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(results.ResultTable, "rendered", counted)
+    return rendered
+
+
+class TestOneRenderingPerWrite:
+    @pytest.mark.parametrize("config", [
+        RunConfig(command="run-scenario", scenario="garden_party"),
+        RunConfig(command="run-default-context", seed=1, n_states=500),
+    ], ids=lambda config: config.command)
+    def test_a_full_write_renders_each_table_once(self, config, monkeypatch, tmp_path):
+        rendered = _counted_renders(monkeypatch)
+        bundle = run(dataclasses.replace(
+            config, output_dir=tmp_path, formats=("csv", "json", "plotdata"),
+        ))
+        assert rendered == Counter(list(bundle.tables))
+        figures = applicable_figures(bundle)
+        assert figures
+        assert sorted(p.stem for p in (tmp_path / "plotdata").iterdir()) == sorted(figures)
+
+    @pytest.mark.parametrize("config", [
+        RunConfig(command="run-scenario", scenario="garden_party"),
+        RunConfig(command="run-default-context", seed=1, n_states=500),
+    ], ids=lambda config: config.command)
+    def test_plot_data_alone_renders_only_source_tables(self, config, monkeypatch, tmp_path):
+        rendered = _counted_renders(monkeypatch)
+        bundle = run(dataclasses.replace(config, output_dir=tmp_path, formats=("plotdata",)))
+        sources = {FIGURES[figure_id].table for figure_id in applicable_figures(bundle)}
+        assert rendered == Counter(sources)
+        assert set(bundle.tables) - sources
+        assert [p.name for p in tmp_path.iterdir()] == ["plotdata"]
