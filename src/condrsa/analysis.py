@@ -71,17 +71,16 @@ def classify_certainty(
 
 
 def marginal_arrays(ctx: ScenarioContext) -> tuple[np.ndarray, np.ndarray]:
-    """Float marginals (P(a), P(c)) across all states."""
-    tables = ctx.tables
-    return tables[:, 0] + tables[:, 1], tables[:, 0] + tables[:, 2]
+    """Marginals (P(a), P(c)) across all states, in the context's arithmetic."""
+    cells = ctx.cells
+    return cells[:, 0] + cells[:, 1], cells[:, 0] + cells[:, 2]
 
 
 def certainty_cell_array(ctx: ScenarioContext) -> np.ndarray:
     """Certainty cell of every state, as indices into list(CertaintyCell)."""
-    theta = float(ctx.theta)
     p_a, p_c = marginal_arrays(ctx)
-    unc_a = (p_a >= 1 - theta) & (p_a <= theta)
-    unc_c = (p_c >= 1 - theta) & (p_c <= theta)
+    unc_a = (p_a >= 1 - ctx.theta) & (p_a <= ctx.theta)
+    unc_c = (p_c >= 1 - ctx.theta) & (p_c <= ctx.theta)
     cells = np.full(ctx.n_states, list(CertaintyCell).index(CertaintyCell.MIXED))
     cells[~unc_a & ~unc_c] = list(CertaintyCell).index(CertaintyCell.CERTAIN_BOTH)
     cells[unc_a & unc_c] = list(CertaintyCell).index(CertaintyCell.UNCERTAIN_BOTH)
@@ -126,10 +125,12 @@ def _type_mass_matrix(ctx: ScenarioContext, choice: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrequencyCell:
-    """How often each utterance type is the speaker's best choice in a cell."""
+    """How often each utterance type is the speaker's best choice in a cell,
+    and in how many of the cell's states it gets positive argmax mass."""
 
     count: int
     frequencies: dict[UtteranceType, float]
+    positive: dict[UtteranceType, int]
 
 
 def best_utterance_frequencies(
@@ -153,9 +154,11 @@ def best_utterance_frequencies(
             if count == 0:
                 continue
             means = type_mass[mask].mean(axis=0)
+            positive = (type_mass[mask] > 0).sum(axis=0).tolist()
             out[(cell, group)] = FrequencyCell(
                 count=count,
                 frequencies={t: float(m) for t, m in zip(UtteranceType, means)},
+                positive=dict(zip(UtteranceType, positive)),
             )
     return out
 
@@ -249,15 +252,15 @@ class DeltaPCohorts:
 
 
 def _delta_p_array(ctx: ScenarioContext) -> tuple[np.ndarray, np.ndarray]:
-    tables = ctx.tables
+    cells = ctx.cells
     p_a, _ = marginal_arrays(ctx)
     defined = (p_a > 0) & (p_a < 1)
-    p_c_a = np.zeros(ctx.n_states)
-    p_c_na = np.zeros(ctx.n_states)
-    p_c_a[defined] = tables[defined, 0] / p_a[defined]
-    p_c_na[defined] = tables[defined, 2] / (1 - p_a[defined])
+    p_c_a = np.zeros(ctx.n_states, dtype=cells.dtype)
+    p_c_na = np.zeros(ctx.n_states, dtype=cells.dtype)
+    p_c_a[defined] = cells[defined, 0] / p_a[defined]
+    p_c_na[defined] = cells[defined, 2] / (1 - p_a[defined])
     defined &= p_c_na < 1
-    values = np.zeros(ctx.n_states)
+    values = np.zeros(ctx.n_states, dtype=cells.dtype)
     values[defined] = (p_c_a[defined] - p_c_na[defined]) / (1 - p_c_na[defined])
     return values, defined
 
@@ -293,10 +296,7 @@ def expected_choice_probabilities(
     groups = _group_labels(ctx, group_by)
     out: dict[str, dict[UtteranceType, float]] = {}
     for group in dict.fromkeys(groups.tolist()):
-        mask = groups == group
-        if not mask.any():
-            continue
-        means = type_mass[mask].mean(axis=0)
+        means = type_mass[groups == group].mean(axis=0)
         out[group] = {t: float(m) for t, m in zip(UtteranceType, means)}
     return out
 
@@ -401,12 +401,15 @@ def default_context_checks(
     def add(name: str, passed: bool, observed: str, requirement: str) -> None:
         checks.append(CheckResult(name, bool(passed), observed, requirement))
 
-    def freq(cell: FrequencyCell, kind: UtteranceType) -> float:
-        return cell.frequencies[kind]
-
     def modal(cell: FrequencyCell, kind: UtteranceType) -> bool:
-        target = freq(cell, kind)
+        target = cell.frequencies[kind]
         return all(target > f for t, f in cell.frequencies.items() if t is not kind)
+
+    def only(cell: FrequencyCell, *kinds: UtteranceType) -> bool:
+        """Whether no state of ``cell`` gives argmax mass to another type: a
+        float sum of mean frequencies can miss 1.0, as rows (0, 1) and (1/3,
+        2/3) average to 0.1666... + 0.8333... = 0.9999999999999999."""
+        return not any(n for t, n in cell.positive.items() if t not in kinds)
 
     # -- best-utterance frequencies (hyperrational speaker) ----------------
     overall = analyses.frequencies["none"]
@@ -414,17 +417,18 @@ def default_context_checks(
 
     cell = overall.get((CertaintyCell.CERTAIN_BOTH, "all"))
     if cell is not None:
-        value = freq(cell, UtteranceType.CONJUNCTION) + freq(cell, UtteranceType.LITERAL)
+        value = (cell.frequencies[UtteranceType.CONJUNCTION]
+                 + cell.frequencies[UtteranceType.LITERAL])
         add(
             "certain_both_conjunction_or_literal",
-            value == 1.0,
+            only(cell, UtteranceType.CONJUNCTION, UtteranceType.LITERAL),
             f"{value:.6f}",
             "== 1.0",
         )
 
     cell = overall.get((CertaintyCell.MIXED, "all"))
     if cell is not None:
-        value = freq(cell, UtteranceType.LITERAL)
+        value = cell.frequencies[UtteranceType.LITERAL]
         if strict:
             add("mixed_literal", value >= tol.mixed_literal_min, f"{value:.6f}",
                 f">= {tol.mixed_literal_min}")
@@ -434,12 +438,13 @@ def default_context_checks(
 
     cell = by_dependence.get((CertaintyCell.UNCERTAIN_BOTH, "independent"))
     if cell is not None:
-        value = freq(cell, UtteranceType.LIKELY)
-        add("uncertain_independent_likely", value == 1.0, f"{value:.6f}", "== 1.0")
+        value = cell.frequencies[UtteranceType.LIKELY]
+        add("uncertain_independent_likely", only(cell, UtteranceType.LIKELY),
+            f"{value:.6f}", "== 1.0")
 
     cell = by_dependence.get((CertaintyCell.UNCERTAIN_BOTH, "dependent"))
     if cell is not None:
-        value = freq(cell, UtteranceType.CONDITIONAL)
+        value = cell.frequencies[UtteranceType.CONDITIONAL]
         if strict:
             add("uncertain_dependent_conditional",
                 value >= tol.uncertain_dep_conditional_min, f"{value:.6f}",
@@ -511,6 +516,8 @@ def default_context_checks(
     add("large_delta_p_not_best_nonempty", bool(large.any()),
         f"count={int(large.sum())}", "nonempty")
 
+    # exact in floats: at most two literals, one per variable, are ever
+    # assertable, so a state's literal argmax mass is 1, 1/2 + 1/2 or below 1
     argmax = engine.speaker_matrix(ctx, Argmax())
     literal_argmax = argmax[:, _type_columns(ctx)[UtteranceType.LITERAL]].sum(axis=1) == 1.0
     ca_dir = np.isin(ctx.relations, [
@@ -544,6 +551,7 @@ def default_context_checks(
             all(cond_soft < other for other in others),
             f"independent={cond_soft:.6f} min(dependent)={min(others):.6f}",
             "smallest conditional mass of all relation groups")
+    # exact in floats: a mean of nonnegative masses is 0 only when all are 0
     add("independent_conditional_mass_argmax", cond_arg == 0.0,
         f"{cond_arg:.8f}", "== 0")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 import click
 
@@ -22,10 +23,16 @@ from .scenarios import BUILTIN_NAMES
 from .tolerances import TOLERANCES
 
 
-def _fail(exc: Exception) -> "NoReturn":  # noqa: F821 - doc only
-    record = {"error": type(exc).__name__, "message": str(exc)}
-    click.echo(json.dumps(record, sort_keys=True), err=True)
-    sys.exit(1)
+def _run(config: Callable[[], RunConfig]) -> None:
+    """Build and run a configuration and print its metadata; if building or
+    running it raises, print a JSON error record and exit 1."""
+    try:
+        bundle = run(config())
+    except (ModelError, ValueError) as exc:
+        record = {"error": type(exc).__name__, "message": str(exc)}
+        click.echo(json.dumps(record, sort_keys=True), err=True)
+        sys.exit(1)
+    click.echo(json.dumps(bundle.metadata, sort_keys=True))
 
 
 def _formats(text: str) -> tuple[str, ...]:
@@ -77,22 +84,16 @@ def main() -> None:
 @figure_option
 def run_scenario(scenario, alpha, theta, numeric, out, formats, figure) -> None:
     """Evaluate one scenario: listeners, speaker, surprise, belief updates."""
-    try:
-        float_mode = numeric == FLOAT
-        config = RunConfig(
-            command="run-scenario",
-            scenario=scenario,
-            alpha=parse_parameter(alpha, float_mode),
-            theta=parse_parameter(theta, float_mode),
-            numeric=numeric,
-            output_dir=out,
-            formats=_formats(formats),
-            figure=figure,
-        )
-        bundle = run(config)
-    except (ModelError, ValueError) as exc:
-        _fail(exc)
-    click.echo(json.dumps(bundle.metadata, sort_keys=True))
+    _run(lambda: RunConfig(
+        command="run-scenario",
+        scenario=scenario,
+        alpha=parse_parameter(alpha),
+        theta=parse_parameter(theta),
+        numeric=numeric,
+        output_dir=out,
+        formats=_formats(formats),
+        figure=figure,
+    ))
 
 
 @main.command("run-default-context")
@@ -109,21 +110,16 @@ def run_scenario(scenario, alpha, theta, numeric, out, formats, figure) -> None:
 @figure_option
 def run_default_context(seed, n_states, alpha, theta, out, formats, figure) -> None:
     """Sample the default prior and run all aggregate analyses and checks."""
-    try:
-        config = RunConfig(
-            command="run-default-context",
-            seed=seed,
-            n_states=n_states,
-            alpha=alpha,
-            theta=theta,
-            output_dir=out,
-            formats=_formats(formats),
-            figure=figure,
-        )
-        bundle = run(config)
-    except (ModelError, ValueError) as exc:
-        _fail(exc)
-    click.echo(json.dumps(bundle.metadata, sort_keys=True))
+    _run(lambda: RunConfig(
+        command="run-default-context",
+        seed=seed,
+        n_states=n_states,
+        alpha=alpha,
+        theta=theta,
+        output_dir=out,
+        formats=_formats(formats),
+        figure=figure,
+    ))
 
 
 @main.command("sweep")
@@ -140,19 +136,14 @@ def run_default_context(seed, n_states, alpha, theta, out, formats, figure) -> N
 @format_option
 def sweep(seed, n_states, grid, out, formats) -> None:
     """Qualitative robustness checks over a rationality/threshold grid."""
-    try:
-        config = RunConfig(
-            command="sweep",
-            seed=seed,
-            n_states=n_states,
-            grid=None if grid is None else parse_grid(grid),
-            output_dir=out,
-            formats=_formats(formats),
-        )
-        bundle = run(config)
-    except (ModelError, ValueError) as exc:
-        _fail(exc)
-    click.echo(json.dumps(bundle.metadata, sort_keys=True))
+    _run(lambda: RunConfig(
+        command="sweep",
+        seed=seed,
+        n_states=n_states,
+        grid=None if grid is None else parse_grid(grid),
+        output_dir=out,
+        formats=_formats(formats),
+    ))
 
 
 if __name__ == "__main__":

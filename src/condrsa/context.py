@@ -6,16 +6,17 @@ A context is its per-state arrays, ``cells`` ((n_states, 4) joint tables in
 utterance alternatives, the rationality ``alpha`` and the threshold
 ``theta``.  It is immutable, and ``__post_init__`` is its one construction
 body: the context is *exact* when ``cells`` and ``prior`` are ``object``
-arrays of ints and Fractions and ``alpha`` and ``theta`` are rational (it
-then holds Fractions, ints cast); otherwise both arrays are cast to
-float64.  It validates once, vectorised, keeps read-only copies, and adds
-the float64 ``tables`` (``cells`` itself on float contexts) and the bool
-``assertability`` matrix decided on ``cells``.  The engine, the analyses
-and the runner read only these arrays.  Hand-built scenarios lower their
-`State` objects with `from_states`; sampled contexts never hold one, and
-the ``states`` and ``weights`` views are rebuilt from the arrays on first
-use.  Each context also carries a private memo for the engine's arrays and
-for the record of its analyses (`analysis.context_analyses`).
+arrays of ints and Fractions, ``theta`` is rational and ``alpha`` an integer
+(it then holds Fractions, ints cast); otherwise the arrays are cast to
+float64 and ``alpha`` and ``theta`` to float.  Nothing downstream converts
+it to the other arithmetic.  It validates once, vectorised, keeps read-only
+copies, and adds the bool ``assertability`` matrix decided on ``cells``.
+The engine, the analyses and the runner read only these arrays.  Hand-built
+scenarios lower their `State` objects with `from_states`; sampled contexts
+never hold one, and the ``states`` and ``weights`` views are rebuilt from
+the arrays on first use.  Each context also carries a private memo for the
+engine's arrays and for the record of its analyses
+(`analysis.context_analyses`).
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ class ScenarioContext:
     theta: Scalar
     labels: tuple[str | None, ...] | None = None
 
-    #: whether every number is an int or Fraction, decided at construction
+    #: whether every number is an int or Fraction and alpha an integer,
+    #: decided at construction
     exact: bool = field(init=False, repr=False)
-    tables: np.ndarray = field(init=False, repr=False)
     assertability: np.ndarray = field(init=False, repr=False)
     #: the engine's per-context arrays (read-only) and the analyses record,
     #: filled lazily
@@ -83,15 +84,16 @@ class ScenarioContext:
         if self.alpha < 0:
             raise ContextError(f"alpha must be nonnegative, got {self.alpha!r}")
 
+        alpha, theta = self.alpha, self.theta
         exact = cells.dtype == prior.dtype == object and all(
-            map(is_rational, (self.alpha, self.theta, *cells.flat, *prior))
-        )
+            map(is_rational, (alpha, theta, *cells.flat, *prior))
+        ) and Fraction(alpha).denominator == 1
         if exact:
             cells, prior = (np.frompyfunc(Fraction, 1, 1)(a) for a in (cells, prior))
-            tables = cells.astype(float)
         else:
-            cells = tables = np.array(cells, dtype=float)
+            cells = np.array(cells, dtype=float)
             prior = np.array(prior, dtype=float)
+            alpha, theta = float(alpha), float(theta)
         in_range = ((cells >= 0) & (cells <= 1)).all()
         if not (in_range and np.all(sums_to_one(cells.sum(axis=1), exact))):
             raise ContextError("the cells of each state must lie in [0, 1] and sum to 1")
@@ -104,7 +106,7 @@ class ScenarioContext:
         from . import semantics  # deferred: semantics has no context dependency
 
         decide = semantics.bool_matrix_exact if exact else semantics.bool_matrix_float
-        matrix = decide(cells, utterances, self.theta if exact else float(self.theta))
+        matrix = decide(cells, utterances, theta)
         unsupported = np.flatnonzero(~matrix.any(axis=1))
         if unsupported.size:
             i = int(unsupported[0])
@@ -114,11 +116,12 @@ class ScenarioContext:
                 f"at least one utterance ({unsupported.size} offending state(s))"
             )
 
-        for array in (cells, prior, relations, tables, matrix):
+        for array in (cells, prior, relations, matrix):
             array.setflags(write=False)
         for name, value in dict(
             cells=cells, prior=prior, relations=relations, utterances=utterances,
-            labels=labels, exact=exact, tables=tables, assertability=matrix, _memo={},
+            alpha=alpha, theta=theta, labels=labels, exact=exact,
+            assertability=matrix, _memo={},
         ).items():
             object.__setattr__(self, name, value)
 
@@ -166,7 +169,8 @@ class ScenarioContext:
         self, alpha: Scalar | None = None, theta: Scalar | None = None
     ) -> "ScenarioContext":
         """The same states and utterances under different model parameters;
-        a float ``alpha`` or ``theta`` gives a float context."""
+        a float ``alpha`` or ``theta``, or a non-integer ``alpha``, gives a
+        float context."""
         return dataclasses.replace(
             self,
             alpha=self.alpha if alpha is None else alpha,

@@ -21,10 +21,10 @@ on which utterances are assertable and on the masses.
 
 One matrix engine serves both numeric backends.  It reads only the
 context's arrays (``ctx.cells``, ``ctx.prior``, ``ctx.assertability``,
-``ctx.relations``), in the context's own dtype: an exact context (all ints
-and Fractions, integer alpha) runs it on ``object`` arrays of Fractions,
-where the soft-max is literally ``(1 / mass(u)) ** alpha``, computed once
-per utterance and row-normalised; a float context runs it on float64
+``ctx.relations``), in the context's own dtype, whatever the rendering: an
+exact context (all ints and Fractions, integer alpha) runs it on ``object``
+arrays of Fractions, with the soft-max ``(1 / mass(u)) ** alpha`` computed
+once per utterance and row-normalised; a float context runs it on float64
 arrays, with the soft-max in log space.  A zero-prior state whose
 assertable utterances have no mass gets a zero speaker row.
 

@@ -1,7 +1,8 @@
 """Orchestration: turn a run configuration into a result bundle on disk.
 
 Three commands exist.  ``run-scenario`` evaluates one built-in or file
-scenario and emits listener, speaker, surprise and belief tables;
+scenario in its context's arithmetic and emits listener, speaker, surprise
+and belief tables (``--numeric`` picks only their rendering);
 ``run-default-context`` samples the default prior under a mandatory seed
 and emits the aggregate analyses plus the tolerance-manifest check
 summary; ``sweep`` repeats the latter over the robustness grid, reusing
@@ -63,12 +64,10 @@ COMMANDS = ("run-scenario", "run-default-context", "sweep")
 FORMATS = ("csv", "json", "plotdata")
 
 
-def parse_parameter(text: str | None, float_mode: bool) -> Scalar | None:
-    """Parse an alpha/theta override: exact rationals unless in float mode."""
+def parse_parameter(text: str | None) -> Scalar | None:
+    """Parse an alpha/theta override as an exact rational: ``0.95`` is 19/20."""
     if text is None:
         return None
-    if float_mode:
-        return float(Fraction(text))
     value = Fraction(text)
     return int(value) if value.denominator == 1 else value
 
@@ -127,17 +126,15 @@ class RunConfig:
                 raise ModelError("sampled contexts only support float numerics")
             if self.n_states < 1:
                 raise ModelError("n_states must be positive")
-        if self.command == "sweep" and self.figure is not None:
+        if self.command == "sweep" and (self.figure is not None or "plotdata" in self.formats):
             raise ModelError(
                 "sweep does not emit plot data; run run-default-context "
-                "with --figure for a single combination"
+                "with --figure or --format plotdata for a single combination"
             )
 
 
 def _echo(value) -> object:
     if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, Path):
         return str(value)
     return value
 
@@ -221,18 +218,17 @@ def scenario_bundle(config: RunConfig) -> ResultBundle:
     if mode == RATIONAL and not ctx.exact:
         raise ModelError(
             "rational output requires exact scenario numbers (strings or "
-            "integers in the file; no float overrides)"
+            "integers in the file) and an integer alpha"
         )
-    if mode == FLOAT and ctx.exact:
-        ctx = ctx.with_params(alpha=float(ctx.alpha), theta=float(ctx.theta))
+    echo = _echo if mode == RATIONAL else float
 
     names = defn.variable_names
     bundle = make_bundle(
         _config_dict(
             config,
             numeric=mode,
-            alpha=_echo(ctx.alpha),
-            theta=_echo(ctx.theta),
+            alpha=echo(ctx.alpha),
+            theta=echo(ctx.theta),
             scenario=defn.name,
         )
     )
@@ -327,7 +323,7 @@ def default_context_bundle(
             _repeat(list(range(n)), len(WORLD_NAMES)),
             _repeat(relations, len(WORLD_NAMES)),
             list(WORLD_NAMES) * n,
-            ctx.tables.ravel().tolist(),
+            ctx.cells.ravel().tolist(),
         ),
         value_columns=("probability",),
     ))
@@ -462,7 +458,7 @@ def run(config: RunConfig) -> ResultBundle:
         figures: tuple[str, ...] = ()
         if config.figure is not None:
             figures = (config.figure,)
-        elif "plotdata" in config.formats:  # a sweep bundle provides no figure
+        elif "plotdata" in config.formats:
             figures = applicable_figures(bundle)
         write_bundle(bundle, out, config.formats, figures)
         for (alpha, theta), sub in subs.items():

@@ -301,3 +301,53 @@ class TestCheckSuite:
     def test_unknown_level_rejected(self, default_ctx):
         with pytest.raises(ValueError):
             cr.default_context_checks(default_ctx, "vibes")
+
+    def test_one_claims_count_states_not_float_sums(self, small_ctx, monkeypatch):
+        """The "== 1.0" checks pass when no state of their cell gives argmax
+        mass to another utterance type, whatever the float means add up to."""
+        # two certain-both states whose argmax rows give the conjunction and
+        # the literals (0, 1) and (1/3, 2/3): each row sums to 1, but the
+        # two means add up to 0.9999999999999999
+        certainty = certainty_cell_array(small_ctx)
+        certain = np.flatnonzero(certainty == list(CertaintyCell).index(CertaintyCell.CERTAIN_BOTH))
+        keep = np.flatnonzero(certainty != certainty[certain[0]])
+        keep = np.sort(np.concatenate([certain[:2], keep]))
+        ctx = ScenarioContext(
+            cells=small_ctx.cells[keep], prior=np.full(len(keep), 1 / len(keep)),
+            relations=small_ctx.relations[keep], utterances=small_ctx.utterances,
+            alpha=small_ctx.alpha, theta=small_ctx.theta,
+        )
+        a, c, a_and_c, a_to_c = (
+            ctx.index_of_utterance(u) for u in ("A", "C", "A & C", "A -> C")
+        )
+        first, second = np.searchsorted(keep, certain[:2])
+        rows = cr.speaker_matrix(ctx, Argmax()).copy()
+        rows[[first, second]] = 0.0
+        rows[first, a] = 1.0
+        rows[second, [a, c, a_and_c]] = 1 / 3
+        original = cr.engine.speaker_matrix
+
+        def patched(context, rule=None):
+            return rows if isinstance(rule, Argmax) else original(context, rule)
+
+        monkeypatch.setattr(cr.engine, "speaker_matrix", patched)
+        frequencies = cr.best_utterance_frequencies(ctx, group_by="none")
+        cell = frequencies[(CertaintyCell.CERTAIN_BOTH, "all")]
+        value = sum(cell.frequencies[t] for t in (cr.UtteranceType.CONJUNCTION, cr.UtteranceType.LITERAL))
+        assert cell.count == 2 and value == 0.9999999999999999
+        checks = {check.name: check for check in cr.default_context_checks(ctx)}
+        assert checks["certain_both_conjunction_or_literal"] == cr.CheckResult(
+            "certain_both_conjunction_or_literal", True, "1.000000", "== 1.0"
+        )
+
+        # a state whose argmax gives mass to another type still fails it
+        rows[second, a_to_c] = 1 / 3
+        rows[second, a_and_c] = 0.0
+        # an uncertain-both independent state with argmax mass off "likely"
+        uncertain = (certainty_cell_array(ctx) == list(CertaintyCell).index(
+            CertaintyCell.UNCERTAIN_BOTH)) & (ctx.relations == 0)
+        rows[np.flatnonzero(uncertain)[0], a_to_c] = 1.0
+        fresh = ctx.with_params()  # a new context computes its analyses again
+        checks = {check.name: check.passed for check in cr.default_context_checks(fresh)}
+        assert not checks["certain_both_conjunction_or_literal"]
+        assert not checks["uncertain_independent_likely"]

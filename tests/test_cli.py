@@ -49,6 +49,14 @@ class TestRunScenario:
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["theta"] == "19/20"
 
+    def test_decimal_override_is_exact_in_every_mode(self, runner):
+        for numeric, theta in (("rational", "19/20"), ("float", 0.95)):
+            result = runner.invoke(main, [
+                "run-scenario", "--scenario", "toy", "--theta", "0.95", "--numeric", numeric,
+            ])
+            assert result.exit_code == 0, result.output
+            assert json.loads(result.output)["theta"] == theta
+
     @pytest.mark.parametrize("figure, message", [
         ("fig99", "unknown figure 'fig99' (known: fig10c, fig11c, fig12b, fig13d, "
                   "fig14, fig5, fig6, fig7, fig8, fig9)"),
@@ -128,6 +136,18 @@ class TestSweep:
         }
         master = json.loads((tmp_path / "bundle.json").read_text())
         assert "sweep_checks" in master["tables"]
+
+    def test_plot_data_rejected(self, runner, tmp_path):
+        result = runner.invoke(
+            main,
+            ["sweep", "--seed", "3", "--n-states", "200", "--out", str(tmp_path),
+             "--format", "csv,json,plotdata"],
+        )
+        assert result.exit_code == 1
+        record = json.loads(result.stderr)
+        assert record["error"] == "ModelError"
+        assert "sweep does not emit plot data" in record["message"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_grid_rejected(self, runner):
         result = runner.invoke(

@@ -12,17 +12,27 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import tempfile
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import condrsa as cr
 from condrsa import analysis, results
 from condrsa.context import ScenarioContext
-from condrsa.core import RELATION_ORDER, WORLD_NAMES, ZeroSupportError
+from condrsa.core import RELATION_ORDER, WORLD_NAMES, ModelError, ZeroSupportError
 from condrsa.results import FIGURES, applicable_figures
-from condrsa.runner import RunConfig, default_context_bundle, run, scenario_bundle
+from condrsa.runner import (
+    RunConfig,
+    default_context_bundle,
+    parse_parameter,
+    run,
+    scenario_bundle,
+)
 from condrsa.scenario_io import parse_scenario_file
 
 FIXTURE = Path(__file__).with_name("orchard_scenario.json")
@@ -42,6 +52,55 @@ UNPRODUCED = {
             "both": 0.874, "antecedent_only": 0.076, "consequent_only": 0.0, "neither": 0.05}},
     ],
 }
+
+
+#: a state exactly on theta: P(A) = 3/10 + 3/5 = 9/10 in s1, which a float
+#: rebuild of the cells puts at 0.8999999999999999
+ON_THRESHOLD = {
+    "name": "on_threshold",
+    "variables": {"antecedent": "A", "consequent": "C"},
+    "alpha": 1,
+    "theta": "9/10",
+    "utterances": ["A", "likely A", "C"],
+    "states": [
+        {"label": "s1", "weight": "1/2", "table": {
+            "both": "3/10", "antecedent_only": "3/5", "consequent_only": "1/10", "neither": "0"}},
+        {"label": "s2", "weight": "1/2", "table": {
+            "both": "1/20", "antecedent_only": "0", "consequent_only": "19/20", "neither": "0"}},
+    ],
+}
+
+WORLD_KEYS = ("both", "antecedent_only", "consequent_only", "neither")
+
+
+@st.composite
+def rational_scenarios(draw) -> dict:
+    """Scenario dicts with string rationals: cell denominators up to 20 and
+    a threshold that hand-built scenarios use."""
+    states = []
+    for i in range(draw(st.integers(1, 4))):
+        parts = draw(st.lists(st.integers(0, 5), min_size=4, max_size=4).filter(sum))
+        states.append({
+            "label": f"s{i}",
+            "weight": str(draw(st.integers(1, 3))),
+            "table": {k: str(Fraction(p, sum(parts))) for k, p in zip(WORLD_KEYS, parts)},
+        })
+    total = sum(int(state["weight"]) for state in states)
+    for state in states:
+        state["weight"] = str(Fraction(int(state["weight"]), total))
+    # the four "likely" utterances, which most states can assert, and a
+    # random subset of the others
+    utterances = [str(u) for u in cr.default_utterances()]
+    likely = [u for u in utterances if u.startswith("likely")]
+    others = st.lists(st.sampled_from([u for u in utterances if u not in likely]), unique=True)
+    return {
+        "name": "random",
+        "variables": {"antecedent": "A", "consequent": "C"},
+        "alpha": draw(st.integers(0, 3)),
+        "theta": draw(st.sampled_from(["3/5", "3/4", "9/10", "1"])),
+        "utterances": likely + draw(others),
+        "states": states,
+    }
 
 
 def _loop_tables(defn: cr.ScenarioDefinition, ctx: ScenarioContext):
@@ -102,10 +161,9 @@ class TestScenarioTables:
         defn = (
             parse_scenario_file(scenario) if scenario == str(FIXTURE) else cr.builtin(scenario)
         )
-        ctx = defn.to_context()
-        if numeric == "float":
-            ctx = ctx.with_params(alpha=float(ctx.alpha), theta=float(ctx.theta))
-        expected, unsupported = _loop_tables(defn, ctx)
+        # the numeric mode picks only the rendering: both modes lay out the
+        # values of the one context the scenario lowers to
+        expected, unsupported = _loop_tables(defn, defn.to_context())
         for name, rows in expected.items():
             assert _typed(bundle.tables[name].rows) == _typed(rows), name
         assert bundle.metadata["unsupported_utterances"] == unsupported
@@ -131,6 +189,55 @@ class TestScenarioTables:
         path = _unproduced_file(tmp_path, ["B", "W", "W -> B"])
         with pytest.raises(ZeroSupportError, match="no speaker ever produces"):
             scenario_bundle(RunConfig(command="run-scenario", scenario=str(path)))
+
+
+class TestOneArithmetic:
+    """A context's numbers decide its arithmetic; ``--numeric`` only picks
+    how its values are rendered."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(scenario=rational_scenarios())
+    @example(scenario=ON_THRESHOLD)
+    def test_float_rendering_of_a_rational_scenario(self, scenario):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scenario.json"
+            path.write_text(json.dumps(scenario))
+            try:
+                parse_scenario_file(path)
+            except ModelError:  # some state can assert nothing
+                assume(False)
+            exact, rendered = (
+                scenario_bundle(RunConfig(command="run-scenario", scenario=str(path), numeric=mode))
+                for mode in ("rational", "float")
+            )
+        assert rendered.metadata["numeric"] == "float"
+        assert exact.tables["assertability"].data == rendered.tables["assertability"].data
+        assert list(exact.tables) == list(rendered.tables)
+        for name, table in rendered.tables.items():
+            _, rows = table.rendered("float", rendered.fingerprint)
+            for column, values, strings in zip(table.columns, exact.tables[name].data, zip(*rows)):
+                if column in table.value_columns:
+                    assert list(strings) == [f"{float(v):.12g}" for v in values], name
+
+    def test_overrides_parse_exactly(self):
+        assert parse_parameter("0.95") == Fraction(19, 20)
+        assert type(parse_parameter("3")) is int
+        assert parse_parameter(None) is None
+
+    def test_non_integer_alpha_runs_in_floats(self):
+        bundle = scenario_bundle(
+            RunConfig(command="run-scenario", scenario="toy", alpha=Fraction(5, 2))
+        )
+        assert (bundle.metadata["numeric"], bundle.metadata["alpha"]) == ("float", 2.5)
+        assert bundle.metadata["theta"] == 0.9
+        assert all(type(p) is float for p in bundle.tables["speaker"].data[2])
+
+    def test_rational_output_needs_an_integer_alpha(self):
+        config = RunConfig(
+            command="run-scenario", scenario="toy", alpha=Fraction(5, 2), numeric="rational"
+        )
+        with pytest.raises(ModelError, match="integer alpha"):
+            scenario_bundle(config)
 
 
 class TestComputedOnce:
@@ -201,6 +308,19 @@ class TestComputedOnce:
         run(RunConfig(command="run-scenario", scenario=str(FIXTURE), numeric="rational"))
         assert len(builds) == 1
 
+    def test_float_mode_run_builds_one_context(self, monkeypatch):
+        builds: list[ScenarioContext] = []
+        original = ScenarioContext.__post_init__
+
+        def counted(self):
+            builds.append(self)
+            original(self)
+
+        monkeypatch.setattr(ScenarioContext, "__post_init__", counted)
+        bundle = run(RunConfig(command="run-scenario", scenario=str(FIXTURE), numeric="float"))
+        assert len(builds) == 1 and builds[0].exact
+        assert bundle.metadata["numeric"] == "float"
+
     def test_a_definition_keeps_its_context(self):
         defn = parse_scenario_file(FIXTURE)
         assert defn.to_context() is defn.to_context()
@@ -221,7 +341,7 @@ class TestColumnarTables:
         relation_names = [r.value for r in RELATION_ORDER]
         world_rows = tuple(
             (i, relation_names[code], world, p)
-            for i, (code, cells) in enumerate(zip(ctx.relations.tolist(), ctx.tables.tolist()))
+            for i, (code, cells) in enumerate(zip(ctx.relations.tolist(), ctx.cells.tolist()))
             for world, p in zip(WORLD_NAMES, cells)
         )
         cohorts = analysis.context_analyses(ctx).cohorts
@@ -264,11 +384,11 @@ class TestColumnarTables:
         assert empty.data == ([], [])
         assert empty.rendered("float", "f") == (["a", "b", "config"], [])
 
-    def test_sweep_writes_no_plot_data(self, tmp_path):
-        run(RunConfig(command="sweep", seed=1, n_states=300, grid=((1.0, 3.0), (0.9,)),
-                      output_dir=tmp_path, formats=("csv", "json", "plotdata")))
-        assert (tmp_path / "alpha-3_theta-0.9" / "bundle.json").exists()
-        assert not [p for p in tmp_path.rglob("plotdata")]
+    def test_sweep_refuses_plot_data(self, tmp_path):
+        with pytest.raises(ModelError, match="sweep does not emit plot data"):
+            run(RunConfig(command="sweep", seed=1, n_states=300, grid=((1.0, 3.0), (0.9,)),
+                          output_dir=tmp_path, formats=("csv", "json", "plotdata")))
+        assert list(tmp_path.iterdir()) == []
 
 
 def _counted_renders(monkeypatch) -> Counter[str]:

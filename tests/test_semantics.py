@@ -257,9 +257,9 @@ class TestContext:
         assert toy_ctx.exact
         assert not small_ctx.exact
 
-    def test_tables_are_read_only(self, toy_ctx):
+    def test_cells_are_read_only(self, toy_ctx):
         with pytest.raises(ValueError):
-            toy_ctx.tables[0, 0] = 0.5
+            toy_ctx.cells[0, 0] = 0.5
         with pytest.raises(ValueError):
             toy_ctx.assertability[0, 0] = False
 
@@ -305,7 +305,8 @@ class TestContextArrays:
         assert ctx.prior.dtype == object and ctx.prior.shape == (ctx.n_states,)
         assert ctx.prior.tolist() == list(ctx.weights)
         assert all(type(w) is F for w in ctx.prior.tolist())
-        assert ctx.tables.tolist() == [list(s.table.as_floats()) for s in ctx.states]
+        assert type(ctx.alpha) is int or ctx.alpha.denominator == 1
+        assert not hasattr(ctx, "tables")
 
     @pytest.mark.parametrize("name", cr.BUILTIN_NAMES)
     def test_exact_builtins_hold_fractions(self, name):
@@ -332,8 +333,9 @@ class TestContextArrays:
             assume(False)
         self.assert_exact_arrays(ctx)
 
-    def test_float_context_reads_tables_and_weights(self, small_ctx):
-        assert small_ctx.cells is small_ctx.tables
+    def test_float_context_reads_cells_and_weights(self, small_ctx):
+        assert not hasattr(small_ctx, "tables")
+        assert small_ctx.cells.tolist() == [list(s.table.as_floats()) for s in small_ctx.states]
         assert small_ctx.cells.dtype == np.float64
         assert small_ctx.prior.dtype == np.float64
         assert small_ctx.prior.tolist() == list(small_ctx.weights)
