@@ -45,6 +45,7 @@ from .core import (
     World,
     ZeroProbabilityEventError,
     ZeroSupportError,
+    event_column,
     event_for,
     joint_from_marginals,
     joint_from_noisy_or,
@@ -64,6 +65,7 @@ from .engine import (
     SpeakerRule,
     argmax_utterances,
     expectation,
+    interpretations,
     literal_listener,
     literal_listener_matrix,
     pragmatic_listener,

@@ -1,7 +1,9 @@
 """Aggregate analyses over a context: who says what when, and what a
 listener concludes.
 
-Everything here is computed from the engine's matrices and is pure.
+Everything here is computed from the engine's matrices and the context's
+cells and is pure; an event probability that adds cells, such as a
+marginal, comes from `core.event_column`.
 `context_analyses` computes, once per context, the record of analyses that
 a default-context bundle lays out; the check suite at the bottom reads that
 record and evaluates the reference claims against the bounds in
@@ -32,6 +34,7 @@ from .core import (
     State,
     Var,
     ZeroProbabilityEventError,
+    event_column,
     query,
 )
 from .engine import Argmax, Posterior, Softmax, SpeakerRule
@@ -72,8 +75,7 @@ def classify_certainty(
 
 def marginal_arrays(ctx: ScenarioContext) -> tuple[np.ndarray, np.ndarray]:
     """Marginals (P(a), P(c)) across all states, in the context's arithmetic."""
-    cells = ctx.cells
-    return cells[:, 0] + cells[:, 1], cells[:, 0] + cells[:, 2]
+    return event_column(ctx.cells, A), event_column(ctx.cells, C)
 
 
 def certainty_cell_array(ctx: ScenarioContext) -> np.ndarray:
@@ -189,8 +191,7 @@ def cp_metrics(post: Posterior) -> CPMetrics:
     tables = ctx.cells
     weights = np.array(post.weights, dtype=tables.dtype)
     scalar = _unchanged if ctx.exact else float
-    p_a = tables[:, 0] + tables[:, 1]
-    p_c = tables[:, 0] + tables[:, 2]
+    p_a, p_c = marginal_arrays(ctx)
 
     def conditional_expectation(num, den):
         ok = den > 0
@@ -307,12 +308,7 @@ def relation_beliefs(
     rule: SpeakerRule | None = None,
 ) -> dict[str, dict[CausalStructure, Scalar]]:
     """Relation marginals prior to the utterance and under both listeners."""
-    prior = engine.relation_posterior(engine.prior_posterior(ctx))
-    literal = engine.relation_posterior(engine.literal_listener(ctx, utterance))
-    pragmatic = engine.relation_posterior(
-        engine.pragmatic_listener(ctx, utterance, rule)
-    )
-    return {"prior": prior, "literal": literal, "pragmatic": pragmatic}
+    return engine.interpretations(ctx, utterance, rule, engine.relation_posterior)
 
 
 def cp_comparison(
@@ -321,11 +317,7 @@ def cp_comparison(
     rule: SpeakerRule | None = None,
 ) -> dict[str, CPMetrics]:
     """CP metrics prior to the utterance and under both listeners."""
-    return {
-        "prior": cp_metrics(engine.prior_posterior(ctx)),
-        "literal": cp_metrics(engine.literal_listener(ctx, utterance)),
-        "pragmatic": cp_metrics(engine.pragmatic_listener(ctx, utterance, rule)),
-    }
+    return engine.interpretations(ctx, utterance, rule, cp_metrics)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ engine's arrays and for the record of its analyses
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -81,8 +82,8 @@ class ScenarioContext:
             raise ContextError("duplicate utterances in the alternative set")
         if not 0.5 < self.theta <= 1:
             raise ContextError(f"theta must lie in (0.5, 1], got {self.theta!r}")
-        if self.alpha < 0:
-            raise ContextError(f"alpha must be nonnegative, got {self.alpha!r}")
+        if not 0 <= self.alpha < math.inf:
+            raise ContextError(f"alpha must be finite and nonnegative, got {self.alpha!r}")
 
         alpha, theta = self.alpha, self.theta
         exact = cells.dtype == prior.dtype == object and all(

@@ -10,6 +10,10 @@ Probabilities may be `fractions.Fraction` (exact arithmetic, used by the
 hand-built scenarios and their golden values) or `float` (used by Monte
 Carlo sampling).  All operations preserve exactness: feeding Fractions in
 gets Fractions out.
+
+Event probabilities are read off cells in one place: `query` for one
+table and `event_column` for an (n, 4) array of them, both adding an
+event's cells in `World` order.
 """
 
 from __future__ import annotations
@@ -255,6 +259,12 @@ def query(table: JointTable, event: Event, given: Event | None = None) -> Scalar
     if isinstance(p_joint, int) and isinstance(p_given, int):
         return Fraction(p_joint, p_given)  # int / int would be a float
     return p_joint / p_given
+
+
+def event_column(cells: np.ndarray, event: Event) -> np.ndarray:
+    """P(``event``) in every row of an (n, 4) array of cells, in its dtype:
+    the vector twin of `query`, adding the cells in the same order."""
+    return sum((cells[:, w] for w in sorted(event.worlds)), np.zeros(len(cells), cells.dtype))
 
 
 def product_cells(pa: Scalar, pc: Scalar) -> tuple[Scalar, Scalar, Scalar, Scalar]:

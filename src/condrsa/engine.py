@@ -38,6 +38,7 @@ they would add a full (states x utterances) array per rule to memory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
@@ -67,8 +68,8 @@ class Softmax:
     alpha: Scalar
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha!r}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and nonnegative, got {self.alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -106,11 +107,8 @@ def _resolve_rule(ctx: ScenarioContext, rule: SpeakerRule | None) -> SpeakerRule
 
 
 def _integer_alpha(alpha: Scalar) -> int:
-    if isinstance(alpha, Fraction) and alpha.denominator == 1:
-        return int(alpha)
-    if isinstance(alpha, int) and not isinstance(alpha, bool):
-        return alpha
-    if isinstance(alpha, float) and alpha.is_integer():
+    """A finite ``alpha`` as an int, by the context's rule for exactness."""
+    if not isinstance(alpha, bool) and Fraction(alpha).denominator == 1:
         return int(alpha)
     raise ContextError(
         f"exact arithmetic needs an integer alpha, got {alpha!r}; "
@@ -265,6 +263,22 @@ def pragmatic_listener(
         raise ZeroSupportError(f"no speaker ever produces {ctx.utterances[j]}")
     column = ctx.prior * speaker_matrix(ctx, rule)[:, j] / total
     return Posterior(ctx, tuple(column.tolist()))
+
+
+def interpretations(
+    ctx: ScenarioContext,
+    utterance: Utterance | str,
+    rule: SpeakerRule | None = None,
+    read: Callable[[Posterior], object] = lambda post: post,
+) -> dict[str, object]:
+    """The prior, literal listener and pragmatic listener of ``utterance``,
+    keyed by stage name, each passed through ``read`` before the next is
+    built: on a large context, one posterior at a time is alive."""
+    return {
+        "prior": read(prior_posterior(ctx)),
+        "literal": read(literal_listener(ctx, utterance)),
+        "pragmatic": read(pragmatic_listener(ctx, utterance, rule)),
+    }
 
 
 def utterance_surprise(

@@ -36,7 +36,6 @@ from .core import (
     CausalStructure,
     ModelError,
     Scalar,
-    ZeroSupportError,
 )
 from .default_context import build_default_context
 from .results import (
@@ -239,8 +238,6 @@ def scenario_bundle(config: RunConfig) -> ResultBundle:
     surprise = engine.surprise_vector(ctx)
     supported = engine.utterance_masses(ctx) != 0
     produced = supported & (surprise != 0)
-    literal = engine.literal_listener_matrix(ctx)
-    pragmatic = engine.pragmatic_listener_matrix(ctx)
     bundle.metadata["unsupported_utterances"] = [
         name for name, ok in zip(utt_names, supported) if not ok
     ]
@@ -250,8 +247,8 @@ def scenario_bundle(config: RunConfig) -> ResultBundle:
         _cross_columns(labels, utt_names, ctx.assertability),
     ))
     for name, matrix, mask in (
-        ("literal_listener", literal, supported),
-        ("pragmatic_listener", pragmatic, produced),
+        ("literal_listener", engine.literal_listener_matrix(ctx), supported),
+        ("pragmatic_listener", engine.pragmatic_listener_matrix(ctx), produced),
     ):
         bundle.add(ResultTable(
             name, ("utterance", "state", "probability"),
@@ -271,24 +268,17 @@ def scenario_bundle(config: RunConfig) -> ResultBundle:
     # belief analyses for the scenario's conditional, unless no state supports it
     j = next((j for j, u in enumerate(ctx.utterances) if isinstance(u, Conditional)), None)
     if j is not None and supported[j]:
-        if not produced[j]:
-            raise ZeroSupportError(f"no speaker ever produces {ctx.utterances[j]}")
-        prior = engine.prior_posterior(ctx)
-        literal_post = engine.Posterior(ctx, tuple(literal[:, j].tolist()))
-        pragmatic_post = engine.Posterior(ctx, tuple(pragmatic[:, j].tolist()))
-        posts = {"prior": prior, "literal": literal_post, "pragmatic": pragmatic_post}
+        posts = engine.interpretations(ctx, ctx.utterances[j])
         beliefs = {stage: engine.relation_posterior(post) for stage, post in posts.items()}
         bundle.add(_beliefs_table(beliefs))
 
         summary = {("antecedent", stage): antecedent_belief(post) for stage, post in posts.items()}
         if defn.observation is not None:
             summary["antecedent", "pragmatic_observed"] = observation_update(
-                pragmatic_post, defn.observation
+                posts["pragmatic"], defn.observation
             )
-        summary["joint_antecedent_consequent", "prior"] = joint_event_belief(prior, A & C)
-        summary["joint_antecedent_consequent", "pragmatic"] = joint_event_belief(
-            pragmatic_post, A & C
-        )
+        for stage in ("prior", "pragmatic"):
+            summary["joint_antecedent_consequent", stage] = joint_event_belief(posts[stage], A & C)
         for stage, masses in beliefs.items():
             summary["relation_dependent", stage] = sum(
                 masses[r] for r in RELATION_ORDER if r is not CausalStructure.INDEPENDENT

@@ -13,6 +13,7 @@ parameter triple together with a dependent ``relation``.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -170,8 +171,8 @@ def parse_scenario_dict(data: Any, source: str = "<scenario>") -> ScenarioDefini
     by_name = {antecedent: Var.A, consequent: Var.C}
 
     alpha = _as_number(_require(data, "alpha", source), "alpha")
-    if alpha < 0:
-        raise _fail("alpha", f"must be nonnegative, got {alpha!r}")
+    if not 0 <= alpha < math.inf:
+        raise _fail("alpha", f"must be finite and nonnegative, got {alpha!r}")
     theta = _as_number(_require(data, "theta", source), "theta")
     if not 0.5 < theta <= 1:
         raise _fail("theta", f"must lie in (0.5, 1], got {theta!r}")

@@ -9,7 +9,8 @@ listener adopts the inferred speaker beliefs and then conditions each
 candidate world model on the observation through that link.
 
 All built-in numbers are exact rationals, so the published fractions
-reproduce bit-for-bit.
+reproduce bit-for-bit.  The belief read-outs take each state's event
+probabilities from `core.event_column`.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-
-import numpy as np
 
 from . import engine
 from .context import ScenarioContext
@@ -32,6 +31,7 @@ from .core import (
     State,
     Var,
     ZeroProbabilityEventError,
+    event_column,
     event_for,
 )
 from .engine import Posterior
@@ -291,12 +291,7 @@ def antecedent_belief(post: Posterior, which: str = "posterior") -> Scalar:
 
 def joint_event_belief(post: Posterior, event: Event) -> Scalar:
     """Expected probability of an arbitrary event over the two variables."""
-    return engine.expectation(post, _event_column(post.context, event))
-
-
-def _event_column(ctx: ScenarioContext, event: Event) -> np.ndarray:
-    """P(event) in every state, its cells added in `query`'s order."""
-    return sum((ctx.cells[:, w] for w in sorted(event.worlds)), np.zeros_like(ctx.prior))
+    return engine.expectation(post, event_column(post.context.cells, event))
 
 
 def observation_update(post: Posterior, link: ObservationLink) -> Scalar:
@@ -322,7 +317,7 @@ def observation_update(post: Posterior, link: ObservationLink) -> Scalar:
     mediator = event_for(link.mediator)
     # per state: P(m), P(~m), P(a, m) and P(a, ~m), with `query`'s sums
     columns = zip(*(
-        _event_column(post.context, event).tolist()
+        event_column(post.context.cells, event).tolist()
         for event in (mediator, ~mediator, A & mediator, A & ~mediator)
     ))
     total = 0

@@ -14,7 +14,8 @@ likely literal  P(literal)           > 1/2
 
 A conditional whose antecedent has probability zero is not assertable
 (rather than an error), so speakers stay well-defined on degenerate
-sampled states.
+sampled states.  The probabilities come from `core.query` for one state
+and from `core.event_column` for a context's (n, 4) cells.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Scalar, State, Var, query
+from .core import A, C, Scalar, State, Var, event_column, query
 from .utterances import (
     Conditional,
     Conjunction,
@@ -85,50 +86,29 @@ def default_utterances(include_reverse_conditionals: bool = True) -> tuple[Utter
     return tuple(utterances)
 
 
-def _lit_prob_columns(tables: np.ndarray) -> dict[tuple[Var, bool], np.ndarray]:
-    """Marginal probability of each literal for every row of ``tables``."""
-    p_a = tables[:, 0] + tables[:, 1]
-    p_c = tables[:, 0] + tables[:, 2]
-    return {
-        (Var.A, True): p_a,
-        (Var.A, False): 1 - p_a,
-        (Var.C, True): p_c,
-        (Var.C, False): 1 - p_c,
-    }
-
-
-_CELL_INDEX = {
-    (True, True): 0,
-    (True, False): 1,
-    (False, True): 2,
-    (False, False): 3,
-}
-
-
-def _joint_prob(tables: np.ndarray, first: Lit, second: Lit) -> np.ndarray:
-    a_lit = first if first.var is Var.A else second
-    c_lit = second if first.var is Var.A else first
-    return tables[:, _CELL_INDEX[(a_lit.positive, c_lit.positive)]]
-
-
 def _assertability_columns(
     tables: np.ndarray, utterances: Sequence[Utterance], theta: Scalar
 ) -> np.ndarray:
     """The `assertable` formulas over the rows of an (n, 4) table of cells,
     float64 or ``object`` (Fractions compare exactly), one column per
     utterance."""
-    lit_probs = _lit_prob_columns(tables)
+    # a negated literal is 1 - p, not the sum of its two cells: the two can
+    # differ in floats, and with them a decision at theta
+    lit_probs = {}
+    for var, event in ((Var.A, A), (Var.C, C)):
+        p = event_column(tables, event)
+        lit_probs[Lit(var)], lit_probs[Lit(var, False)] = p, 1 - p
     columns = []
     for u in utterances:
         if isinstance(u, Literal):
-            columns.append(lit_probs[(u.lit.var, u.lit.positive)] >= theta)
+            columns.append(lit_probs[u.lit] >= theta)
         elif isinstance(u, Likely):
-            columns.append(lit_probs[(u.lit.var, u.lit.positive)] > 0.5)
+            columns.append(lit_probs[u.lit] > 0.5)
         elif isinstance(u, Conjunction):
-            columns.append(_joint_prob(tables, u.first, u.second) >= theta)
+            columns.append(event_column(tables, u.first.event() & u.second.event()) >= theta)
         elif isinstance(u, Conditional):
-            num = _joint_prob(tables, u.antecedent, u.consequent)
-            den = lit_probs[(u.antecedent.var, u.antecedent.positive)]
+            num = event_column(tables, u.antecedent.event() & u.consequent.event())
+            den = lit_probs[u.antecedent]
             ok = den > 0
             col = np.zeros(len(tables), dtype=bool)
             col[ok] = num[ok] / den[ok] >= theta

@@ -119,6 +119,28 @@ class TestRunDefaultContext:
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["seed"] == 11
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_rejected(self, runner, tmp_path, alpha):
+        result = runner.invoke(main, [
+            "run-default-context", "--seed", "1", "--n-states", "300",
+            "--alpha", alpha, "--out", str(tmp_path),
+        ])
+        assert result.exit_code == 1
+        record = json.loads(result.stderr)
+        assert record["error"] == "ContextError"
+        assert "finite and nonnegative" in record["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_states_rejected(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "run-default-context", "--seed", "1", "--n-states", "0", "--out", str(tmp_path),
+        ])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr) == {
+            "error": "ModelError", "message": "n_states must be positive",
+        }
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSweep:
     def test_small_sweep(self, runner, tmp_path):
@@ -147,6 +169,19 @@ class TestSweep:
         record = json.loads(result.stderr)
         assert record["error"] == "ModelError"
         assert "sweep does not emit plot data" in record["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("grid, message", [
+        ("alpha=x", "cannot parse grid values in 'alpha=x'"),
+        ("alpha=", "grid 'alpha=' has an empty axis"),
+    ])
+    def test_bad_grid_values_rejected(self, runner, tmp_path, grid, message):
+        result = runner.invoke(main, [
+            "sweep", "--seed", "3", "--n-states", "200", "--sweep-grid", grid,
+            "--out", str(tmp_path),
+        ])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr) == {"error": "ModelError", "message": message}
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_grid_rejected(self, runner):

@@ -1,19 +1,22 @@
 from fractions import Fraction as F
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condrsa import (
     A,
     C,
     CausalStructure,
+    Event,
     JointTable,
     ProbabilityError,
     State,
     World,
     ZeroProbabilityEventError,
+    event_column,
     joint_from_marginals,
     joint_from_noisy_or,
     noisy_or_effect_probability,
@@ -79,6 +82,51 @@ class TestQuery:
             if p_given == 0:
                 continue
             assert query(t, event & given) == query(t, event, given) * p_given
+
+
+#: all 16 events over the four worlds, the empty one included
+ALL_EVENTS = [Event(frozenset(ws)) for k in range(5) for ws in combinations(World, k)]
+
+#: exact rows: Fractions with int 0 for empty cells, or an int one-hot row
+exact_rows = st.one_of(
+    st.lists(st.integers(0, 8), min_size=4, max_size=4).filter(sum).map(
+        lambda ks: tuple(F(k, sum(ks)) if k else 0 for k in ks)
+    ),
+    st.integers(0, 3).map(lambda w: tuple(int(i == w) for i in range(4))),
+)
+#: float rows: normalised draws, a row whose 1 - P(A) differs from its
+#: P(~A) cell sum, and a row with negative zeros
+float_rows = st.one_of(
+    st.lists(st.floats(0, 1), min_size=4, max_size=4).filter(lambda xs: sum(xs) > 0).map(
+        lambda xs: tuple(x / sum(xs) for x in xs)
+    ),
+    st.just((0.05, 0.05, 0.3, 0.6)),
+    st.just((-0.0, 0.5, 0.5, -0.0)),
+)
+
+
+class TestEventColumn:
+    """`event_column` is `query` over the rows of an (n, 4) cell array."""
+
+    @settings(max_examples=60)
+    @given(st.lists(exact_rows, min_size=1, max_size=6))
+    def test_exact_rows_match_query_in_value_and_type(self, rows):
+        cells = np.array(rows, dtype=object)
+        for event in ALL_EVENTS:
+            expected = [query(JointTable(row), event) for row in rows]
+            got = event_column(cells, event).tolist()
+            assert got == expected
+            assert [type(v) for v in got] == [type(v) for v in expected]
+
+    @settings(max_examples=60)
+    @given(st.lists(float_rows, min_size=1, max_size=6))
+    def test_float_rows_match_query_bit_for_bit(self, rows):
+        cells = np.array(rows, dtype=float)
+        for event in ALL_EVENTS:
+            expected = [float(query(JointTable(row), event)).hex() for row in rows]
+            column = event_column(cells, event)
+            assert column.dtype == np.float64
+            assert [v.hex() for v in column.tolist()] == expected
 
 
 class TestJointFromMarginals:

@@ -536,6 +536,39 @@ def test_negative_softmax_alpha_rejected():
         Softmax(-1)
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_softmax_alpha_rejected(alpha):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        Softmax(alpha)
+
+
+@pytest.mark.parametrize("alpha", [F(3), 3.0])
+def test_integral_softmax_alpha_runs_exactly(toy_ctx, alpha):
+    # a fresh memo: Softmax(alpha) == Softmax(3), so it would share an entry
+    got = cr.speaker_matrix(toy_ctx.with_params(), Softmax(alpha)).tolist()
+    assert got == cr.speaker_matrix(toy_ctx, Softmax(3)).tolist()
+    assert all(type(p) is F for row in got for p in row)
+
+
+def test_bool_softmax_alpha_rejected_in_exact_mode(toy_ctx):
+    with pytest.raises(ContextError, match="integer alpha"):
+        cr.speaker_matrix(toy_ctx.with_params(), Softmax(True))
+
+
+@pytest.mark.parametrize("rule", [None, Argmax(), Softmax(0)])
+@pytest.mark.parametrize("fixture", ["toy_ctx", "small_ctx"])
+def test_interpretations_are_the_three_stages(request, fixture, rule):
+    ctx = request.getfixturevalue(fixture)
+    stages = cr.interpretations(ctx, "A -> C", rule)
+    assert stages == {
+        "prior": cr.prior_posterior(ctx),
+        "literal": cr.literal_listener(ctx, "A -> C"),
+        "pragmatic": cr.pragmatic_listener(ctx, "A -> C", rule),
+    }
+    read = cr.interpretations(ctx, "A -> C", rule, cr.relation_posterior)
+    assert read == {stage: cr.relation_posterior(post) for stage, post in stages.items()}
+
+
 @pytest.mark.parametrize("name", ["toy", "skiing", "garden_party", "sundowners"])
 def test_float_backend_reproduces_builtin_values(name):
     defn = cr.builtin(name)

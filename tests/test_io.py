@@ -99,6 +99,14 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioFormatError, match="theta"):
             parse_scenario_dict(skiing_dict)
 
+    @pytest.mark.parametrize("alpha", [-1, float("nan"), float("inf")])
+    def test_alpha_must_be_finite_and_nonnegative(self, skiing_dict, alpha, tmp_path):
+        # Python's json reads the NaN and Infinity tokens as floats
+        path = tmp_path / "alpha.json"
+        path.write_text(json.dumps({**skiing_dict, "alpha": alpha}))
+        with pytest.raises(ScenarioFormatError, match="^alpha: must be finite and nonnegative"):
+            parse_scenario_file(path)
+
     def test_marginals_with_dependent_relation_rejected(self, skiing_dict):
         skiing_dict["states"][1] = {
             "label": "ind",

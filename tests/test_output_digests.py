@@ -29,6 +29,10 @@ DIGESTS = Path(__file__).with_name("output_digests.json")
 #: that no state supports
 FIXTURE = Path(__file__).with_name("orchard_scenario.json")
 
+#: a file scenario with JSON-float cells, an integer alpha, a string theta
+#: and an observation: a float context, echoing alpha and theta as floats
+FLOAT_FIXTURE = Path(__file__).with_name("orchard_float_scenario.json")
+
 #: run name -> configuration (without its output directory)
 RUNS = {
     **{
@@ -54,6 +58,9 @@ RUNS = {
     "orchard-file-rational": RunConfig(
         command="run-scenario", scenario=str(FIXTURE), numeric="rational",
         formats=("csv", "json", "plotdata"),
+    ),
+    "orchard-file-float": RunConfig(
+        command="run-scenario", scenario=str(FLOAT_FIXTURE),
     ),
     "sweep-seed1-2000": RunConfig(command="sweep", seed=1, n_states=2000),
     # plot data with no JSON or CSV beside it
