@@ -10,7 +10,10 @@ arrays of ints and Fractions, ``theta`` is rational and ``alpha`` an integer
 (it then holds Fractions, ints cast); otherwise the arrays are cast to
 float64 and ``alpha`` and ``theta`` to float.  Nothing downstream converts
 it to the other arithmetic.  It validates once, vectorised, keeps read-only
-copies, and adds the bool ``assertability`` matrix decided on ``cells``.
+copies, and adds the bool ``assertability`` matrix.  Validation and
+assertability are decided before any cast, in exact arithmetic whenever the
+cells, the prior and ``theta`` are rational, so they never depend on
+``alpha``: only the soft-max needs an integer ``alpha`` to stay exact.
 The engine, the analyses and the runner read only these arrays.  Hand-built
 scenarios lower their `State` objects with `from_states`; sampled contexts
 never hold one, and the ``states`` and ``weights`` views are rebuilt from
@@ -85,28 +88,32 @@ class ScenarioContext:
         if not 0 <= self.alpha < math.inf:
             raise ContextError(f"alpha must be finite and nonnegative, got {self.alpha!r}")
 
+        # the semantics is exact when the cells, the prior and theta are
+        # rational, and the soft-max when alpha is also an integer: a
+        # rational table's assertability never depends on alpha
         alpha, theta = self.alpha, self.theta
-        exact = cells.dtype == prior.dtype == object and all(
-            map(is_rational, (alpha, theta, *cells.flat, *prior))
-        ) and Fraction(alpha).denominator == 1
-        if exact:
+        rational = cells.dtype == prior.dtype == object and all(
+            map(is_rational, (theta, *cells.flat, *prior))
+        )
+        exact = rational and is_rational(alpha) and Fraction(alpha).denominator == 1
+        if rational:
             cells, prior = (np.frompyfunc(Fraction, 1, 1)(a) for a in (cells, prior))
         else:
             cells = np.array(cells, dtype=float)
             prior = np.array(prior, dtype=float)
-            alpha, theta = float(alpha), float(theta)
+            theta = float(theta)
         in_range = ((cells >= 0) & (cells <= 1)).all()
-        if not (in_range and np.all(sums_to_one(cells.sum(axis=1), exact))):
+        if not (in_range and np.all(sums_to_one(cells.sum(axis=1), rational))):
             raise ContextError("the cells of each state must lie in [0, 1] and sum to 1")
         if (prior < 0).any():
             raise ContextError(f"prior weights must be nonnegative, got {prior.min()}")
         total = prior.sum()
-        if not sums_to_one(total, exact):
+        if not sums_to_one(total, rational):
             raise ContextError(f"prior weights must sum to 1, got {total}")
 
         from . import semantics  # deferred: semantics has no context dependency
 
-        decide = semantics.bool_matrix_exact if exact else semantics.bool_matrix_float
+        decide = semantics.bool_matrix_exact if rational else semantics.bool_matrix_float
         matrix = decide(cells, utterances, theta)
         unsupported = np.flatnonzero(~matrix.any(axis=1))
         if unsupported.size:
@@ -117,6 +124,9 @@ class ScenarioContext:
                 f"at least one utterance ({unsupported.size} offending state(s))"
             )
 
+        if not exact:
+            cells, prior = (a.astype(float, copy=False) for a in (cells, prior))
+            alpha, theta = float(alpha), float(theta)
         for array in (cells, prior, relations, matrix):
             array.setflags(write=False)
         for name, value in dict(

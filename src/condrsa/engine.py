@@ -68,6 +68,11 @@ class Softmax:
     alpha: Scalar
 
     def __post_init__(self) -> None:
+        # Softmax(True) == Softmax(1), so a bool would share 1's memo entry
+        if isinstance(self.alpha, (bool, np.bool_)):
+            raise ContextError(
+                f"alpha must be a number: a bool is not an integer alpha, got {self.alpha!r}"
+            )
         if not 0 <= self.alpha < math.inf:
             raise ValueError(f"alpha must be finite and nonnegative, got {self.alpha!r}")
 
@@ -108,7 +113,7 @@ def _resolve_rule(ctx: ScenarioContext, rule: SpeakerRule | None) -> SpeakerRule
 
 def _integer_alpha(alpha: Scalar) -> int:
     """A finite ``alpha`` as an int, by the context's rule for exactness."""
-    if not isinstance(alpha, bool) and Fraction(alpha).denominator == 1:
+    if Fraction(alpha).denominator == 1:
         return int(alpha)
     raise ContextError(
         f"exact arithmetic needs an integer alpha, got {alpha!r}; "

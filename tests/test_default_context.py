@@ -7,7 +7,13 @@ import pytest
 import condrsa as cr
 from condrsa import CausalStructure, JointTable, State, query
 from condrsa.core import RELATION_ORDER
-from condrsa.default_context import BETA_SHAPE, RELATION_PRIOR, TAU_SHAPE
+from condrsa.default_context import (
+    BETA_SHAPE,
+    RELATION_PRIOR,
+    TAU_SHAPE,
+    _pcg64_states,
+    _spawned_seed_words,
+)
 from condrsa.runner import RunConfig, run
 from condrsa.tolerances import TOLERANCES
 
@@ -77,9 +83,12 @@ class TestSampleState:
 
 
 def state_loop_sample(seed, n_states):
-    """The per-index `State` loop that `sample_default_states` replaces."""
+    """The per-child `State` loop that `sample_default_states` replaces: one
+    `default_rng` per child of ``SeedSequence(seed).spawn(n_states)``, or
+    per child in ``seed`` when it is a list of them."""
     states = []
-    for child in np.random.SeedSequence(seed).spawn(n_states):
+    children = seed if isinstance(seed, list) else np.random.SeedSequence(seed).spawn(n_states)
+    for child in children:
         rng = np.random.default_rng(child)
         relation = cr.sample_relation(rng)
         if relation is CausalStructure.INDEPENDENT:
@@ -121,6 +130,60 @@ class TestSampleArrays:
             cr.builtin("toy")
 
 
+def spawned_child():
+    """A spawned child that has itself already spawned children."""
+    seq = np.random.SeedSequence(7).spawn(3)[2]
+    seq.spawn(5)
+    return seq
+
+
+#: factories of equal SeedSequences: int entropy below and above 2**32 and
+#: 2**64, a list entropy with a larger pool, and a child with a spawn key
+SEED_SEQUENCES = [
+    *(pytest.param(lambda seed=seed: np.random.SeedSequence(seed), id=f"seed={seed}")
+      for seed in (0, 1, 12345, 2**32 + 7, 2**64 + 3)),
+    pytest.param(lambda: np.random.SeedSequence([1, 2**40, 0], pool_size=8), id="pool-8"),
+    pytest.param(spawned_child, id="spawned-child"),
+]
+
+
+class TestSpawnedStreams:
+    """The arrays-derived streams are exactly ``SeedSequence(seed).spawn(n)``'s
+    children: if numpy ever changes its seed mixing or PCG64's seeding, this
+    fails rather than the sample silently moving."""
+
+    N = 3000
+
+    @pytest.mark.parametrize("make", SEED_SEQUENCES)
+    def test_pcg64_states_match_spawned_children(self, make):
+        seq, twin = make(), make()
+        children = twin.spawn(self.N)
+        states = list(_pcg64_states(_spawned_seed_words(seq, self.N)))
+        picks = np.random.default_rng(len(children)).choice(self.N, 60, replace=False)
+        for i in [0, self.N - 1, *picks.tolist()]:
+            state, inc = states[i]
+            assert np.random.PCG64(children[i]).state["state"] == {"state": state, "inc": inc}
+        assert seq.n_children_spawned == twin.n_children_spawned - self.N
+
+    @pytest.mark.parametrize("make", SEED_SEQUENCES[-2:])
+    def test_a_seed_sequence_is_advanced_as_spawn_advances_it(self, make):
+        seq, twin = make(), make()
+        before = seq.n_children_spawned
+        for _ in range(2):
+            sample = cr.sample_default_states(seq, 200)
+            expected = state_loop_sample(twin.spawn(200), 200)
+            assert sample["cells"].tobytes() == np.array(
+                [s.table.cells for s in expected], dtype=np.float64
+            ).tobytes()
+        assert seq.n_children_spawned == twin.n_children_spawned == before + 400
+
+    def test_numpys_child_count_bounds_the_index(self):
+        seq = np.random.SeedSequence(1, n_children_spawned=2**32 - 10)
+        with pytest.raises(ValueError, match="fewer than 2\\*\\*32"):
+            cr.sample_default_states(seq, 10)
+        assert seq.n_children_spawned == 2**32 - 10
+
+
 class TestDeterminism:
     def test_same_seed_same_states(self):
         a = cr.sample_default_states(11, 300)
@@ -158,8 +221,13 @@ class TestBuildDefaultContext:
             cr.build_default_context(1, 0)
 
     def test_seed_type_checked(self):
-        with pytest.raises(TypeError):
-            cr.sample_default_states("not-a-seed")
+        for seed in ("not-a-seed", True, False, np.True_, 1.0):
+            with pytest.raises(TypeError, match="seed must be an int or SeedSequence"):
+                cr.sample_default_states(seed)
+
+    def test_negative_seed_raises_numpys_error(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            cr.sample_default_states(-1, 5)
 
 
 class TestSampledTableProfile:

@@ -555,6 +555,17 @@ def test_bool_softmax_alpha_rejected_in_exact_mode(toy_ctx):
         cr.speaker_matrix(toy_ctx.with_params(), Softmax(True))
 
 
+@pytest.mark.parametrize("fixture", ["toy_ctx", "small_ctx"])
+def test_bool_softmax_alpha_rejected_after_softmax_one(request, fixture):
+    # Softmax(True) == Softmax(1): a memoised Softmax(1) matrix must not
+    # let the bool through
+    ctx = request.getfixturevalue(fixture).with_params()
+    cr.speaker_matrix(ctx, Softmax(1))
+    for alpha in (True, False, np.True_):
+        with pytest.raises(ContextError, match="integer alpha"):
+            cr.speaker_matrix(ctx, Softmax(alpha))
+
+
 @pytest.mark.parametrize("rule", [None, Argmax(), Softmax(0)])
 @pytest.mark.parametrize("fixture", ["toy_ctx", "small_ctx"])
 def test_interpretations_are_the_three_stages(request, fixture, rule):

@@ -193,6 +193,51 @@ class TestAssertabilityMatrix:
         assert bool_matrix_exact(cell_array(states), utterances, theta).tolist() == oracle
 
 
+def context_at(alpha, tables, weights, theta=THETA):
+    return ScenarioContext(
+        cells=np.array(tables, dtype=object),
+        prior=np.array(weights, dtype=object),
+        relations=[0] * len(tables),
+        utterances=default_utterances(),
+        alpha=alpha,
+        theta=theta,
+    )
+
+
+class TestAssertabilityIgnoresAlpha:
+    """A rational table's assertability is decided exactly, whatever alpha
+    does to the arithmetic of the soft-max."""
+
+    def test_a_float_soft_max_keeps_exact_assertability(self):
+        # 3/10 + 3/5 is 9/10, but 0.3 + 0.6 is 0.8999999999999999
+        tables = [(F(3, 10), F(3, 5), F(1, 10), 0), (F(1, 10), F(1, 10), F(1, 10), F(7, 10))]
+        a = default_utterances().index(parse_utterance("A"))
+        contexts = [context_at(alpha, tables, [F(1, 2)] * 2) for alpha in (3, F(5, 2), 2.5)]
+        assert [ctx.exact for ctx in contexts] == [True, False, False]
+        assert [bool(ctx.assertability[0, a]) for ctx in contexts] == [True] * 3
+        for ctx in contexts[1:]:
+            assert ctx.cells.dtype == np.float64 and ctx.alpha == 2.5 and ctx.theta == 0.9
+            assert (ctx.assertability == contexts[0].assertability).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_assertability_is_the_same_at_every_alpha(self, data):
+        theta = data.draw(st.sampled_from([F(3, 5), F(3, 4), F(9, 10), F(1)]))
+        tables = data.draw(st.lists(boundary_tables(theta), min_size=1, max_size=5))
+        parts = data.draw(st.lists(
+            st.integers(0, 3), min_size=len(tables), max_size=len(tables)
+        ).filter(sum))
+        weights = [F(w, sum(parts)) for w in parts]
+        try:
+            exact = context_at(3, tables, weights, theta)
+        except ContextError:  # some state can assert nothing
+            assume(False)
+        for alpha in (F(5, 2), 2.5):
+            ctx = context_at(alpha, tables, weights, theta)
+            assert not ctx.exact
+            assert ctx.assertability.tolist() == exact.assertability.tolist()
+
+
 class TestContext:
     @pytest.mark.parametrize("name", cr.BUILTIN_NAMES)
     def test_from_states_views_return_the_input(self, name):
