@@ -83,6 +83,9 @@ class ScenarioContext:
             raise ContextError("a context needs at least one utterance")
         if len(set(utterances)) != len(utterances):
             raise ContextError("duplicate utterances in the alternative set")
+        for name, value in (("alpha", self.alpha), ("theta", self.theta)):
+            if isinstance(value, (bool, np.bool_)):  # True would pass as 1
+                raise ContextError(f"{name} must be a number, not a bool, got {value!r}")
         if not 0.5 < self.theta <= 1:
             raise ContextError(f"theta must lie in (0.5, 1], got {self.theta!r}")
         if not 0 <= self.alpha < math.inf:

@@ -5,8 +5,13 @@ writes identical files.  To that end every numeric cell is rendered
 through one formatter (exact fractions like ``5/6`` in rational mode, 12
 significant digits in float mode), and every row carries a fingerprint of
 the configuration.  Tables are held as columns.  `write_bundle` renders
-each table it needs once, column by column, and JSON, CSV and plot data
-share that rendering.  Each figure's scenario and row filters live in one
+each table it needs once, one typed pass per column (a column of one type
+goes through one C-level formatter), and JSON, CSV and plot data share
+that rendering.  The JSON text is emitted column by column: each column's
+strings are escaped by the C-level JSON string encoder and each table's
+rows are joined from one template, giving the bytes of
+``json.dumps(payload, indent=2, sort_keys=True)`` without its per-value
+Python walk.  Each figure's scenario and row filters live in one
 `FigureSpec`.
 """
 
@@ -14,10 +19,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -26,8 +32,11 @@ from .core import ModelError, Scalar
 RATIONAL = "rational"
 FLOAT = "float"
 
-#: a table rendered for writing: its header and its string rows
-Rendered = tuple[list[str], list[tuple[str, ...]]]
+#: a table rendered for writing: its header and one column of strings per
+#: header entry; writers append the ``config`` column of fingerprints
+Rendered = tuple[list[str], list[Sequence[str]]]
+
+_G12 = "{:.12g}".format
 
 
 class FigureError(ModelError):
@@ -57,6 +66,19 @@ def _render_cell(value: Any, mode: str) -> str:
     return str(value)
 
 
+def _render_column(values: Sequence, mode: str) -> Sequence[str]:
+    """``[_render_cell(v, mode) for v in values]``, in one C-level pass when
+    every value has the same type."""
+    types = set(map(type, values))
+    if types <= {str}:
+        return values
+    if types <= {float} and mode == FLOAT:
+        return list(map(_G12, values))
+    if types <= {int, Fraction}:
+        return list(map(str, values) if mode == RATIONAL else map(_G12, map(float, values)))
+    return [_render_cell(v, mode) for v in values]
+
+
 @dataclass(frozen=True, init=False)
 class ResultTable:
     """A named record set held as one list of values per column;
@@ -79,18 +101,19 @@ class ResultTable:
         """The table as row tuples, built from the columns on each call."""
         return tuple(zip(*self.data))
 
-    def rendered(self, mode: str, fingerprint: str) -> Rendered:
-        """Header and string rows, rendered column by column, with decimal
-        companions for fractions and the config fingerprint appended to
-        every row."""
-        strings: dict[str, list[str]] = {}
+    def rendered(self, mode: str) -> Rendered:
+        """Header and string columns, rendered one column at a time, with
+        decimal companions for fractions in rational mode."""
+        header: list[str] = []
+        columns: list[Sequence[str]] = []
         for col, values in zip(self.columns, self.data):
             numeric = col in self.value_columns
-            strings[col] = [_render_cell(v, mode if numeric else FLOAT) for v in values]
+            header.append(col)
+            columns.append(_render_column(values, mode if numeric else FLOAT))
             if numeric and mode == RATIONAL:
-                strings[f"{col}_decimal"] = [f"{float(v):.12g}" for v in values]
-        fingerprints = [fingerprint] * len(self.data[0])
-        return [*strings, "config"], list(zip(*strings.values(), fingerprints))
+                header.append(f"{col}_decimal")
+                columns.append(list(map(_G12, map(float, values))))
+        return header, columns
 
 
 @dataclass
@@ -127,15 +150,20 @@ def make_bundle(config: dict[str, Any]) -> ResultBundle:
 # --------------------------------------------------------------------------
 
 
-def _csv_text(
-    header: Sequence[str], rows: Iterable[Sequence[str]], preamble: str = ""
-) -> str:
-    buffer = io.StringIO()
-    buffer.write(preamble)
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+def _rows(columns: Sequence[Sequence[str]], fingerprint: str) -> Iterable[tuple[str, ...]]:
+    """The rendered rows, each ending in the config fingerprint."""
+    return zip(*columns, repeat(fingerprint, len(columns[0])))
+
+
+def _write_csv(
+    path: Path, header: Sequence[str], rows: Iterable[Sequence[str]], preamble: str
+) -> Path:
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(preamble)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([*header, "config"])
+        writer.writerows(rows)
+    return path
 
 
 def _metadata_comment(bundle: "ResultBundle") -> str:
@@ -144,10 +172,34 @@ def _metadata_comment(bundle: "ResultBundle") -> str:
 
 
 def bundle_json_text(bundle: ResultBundle, rendered: dict[str, Rendered]) -> str:
-    """The JSON rendering of a bundle whose tables are already rendered."""
-    tables = {name: {"columns": header, "rows": rows} for name, (header, rows) in rendered.items()}
-    payload = {"metadata": bundle.metadata, "tables": tables}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The JSON rendering of a bundle whose tables are already rendered:
+    the text of ``json.dumps({"metadata": ..., "tables": {name: {"columns":
+    ..., "rows": ...}}}, indent=2, sort_keys=True)`` and a newline.
+
+    The skeleton's key order is fixed (``metadata`` < ``tables``, sorted
+    table names, ``columns`` < ``rows``).  The metadata is dumped alone and
+    indented one level deeper, which is safe because JSON escapes every
+    newline inside a string.  Each column is escaped in one pass, and each
+    table's rows are filled into one template holding the escaped
+    fingerprint, so no cell can forge the skeleton."""
+    metadata = json.dumps(bundle.metadata, indent=2, sort_keys=True).replace("\n", "\n  ")
+    config = _json_string(bundle.fingerprint).replace("%", "%%")
+    parts = ['{\n  "metadata": ', metadata, ',\n  "tables": {']
+    separator = "\n"
+    for name in sorted(rendered):
+        header, columns = rendered[name]
+        names = ",\n".join(f"        {_json_string(c)}" for c in [*header, "config"])
+        row = "        [\n" + "          %s,\n" * len(columns) + f"          {config}\n        ]"
+        rows = ",\n".join(map(row.__mod__, zip(*(map(_json_string, c) for c in columns))))
+        parts += [
+            separator,
+            f'    {_json_string(name)}: {{\n      "columns": [\n{names}\n      ],\n      "rows": ',
+            *(("[\n", rows, "\n      ]") if rows else ("[]",)),
+            "\n    }",
+        ]
+        separator = ",\n"
+    parts.append("\n  }\n}\n" if rendered else "}\n}\n")
+    return "".join(parts)
 
 
 def write_bundle(
@@ -162,10 +214,7 @@ def write_bundle(
     outdir.mkdir(parents=True, exist_ok=True)
     tabular = "json" in formats or "csv" in formats
     names = bundle.tables if tabular else {spec.table for spec in specs}
-    rendered = {
-        name: bundle.tables[name].rendered(bundle.numeric_mode, bundle.fingerprint)
-        for name in sorted(names)
-    }
+    rendered = {name: bundle.tables[name].rendered(bundle.numeric_mode) for name in sorted(names)}
     written: list[Path] = []
     if "json" in formats:
         path = outdir / "bundle.json"
@@ -173,10 +222,9 @@ def write_bundle(
         written.append(path)
     if "csv" in formats:
         preamble = _metadata_comment(bundle)
-        for name, (header, rows) in rendered.items():
-            path = outdir / f"{name}.csv"
-            path.write_text(_csv_text(header, rows, preamble), encoding="utf-8")
-            written.append(path)
+        for name, (header, columns) in rendered.items():
+            rows = _rows(columns, bundle.fingerprint)
+            written.append(_write_csv(outdir / f"{name}.csv", header, rows, preamble))
     for spec in specs:
         written.append(_write_plot_data(bundle, spec, rendered[spec.table], outdir / "plotdata"))
     return written
@@ -310,11 +358,12 @@ def _write_plot_data(
     bundle: ResultBundle, spec: FigureSpec, rendered: Rendered, outdir: Path
 ) -> Path:
     """Write a figure's file from its source table's rendering."""
-    header, rows = rendered
+    header, columns = rendered
     keep = [(header.index(column), allowed) for column, allowed in spec.row_filters]
-    rows = [r for r in rows if all(r[i] in allowed for i, allowed in keep)]
+    rows = _rows(columns, bundle.fingerprint)
+    if keep:
+        rows = (r for r in rows if all(r[i] in allowed for i, allowed in keep))
     outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"{spec.figure_id}.csv"
     preamble = (
         f"# figure: {spec.figure_id}\n"
         f"# description: {spec.description}\n"
@@ -322,8 +371,7 @@ def _write_plot_data(
         f"# source_table: {spec.table}\n"
         + _metadata_comment(bundle)
     )
-    path.write_text(_csv_text(header, rows, preamble), encoding="utf-8")
-    return path
+    return _write_csv(outdir / f"{spec.figure_id}.csv", header, rows, preamble)
 
 
 def emit_plot_data(
@@ -332,5 +380,5 @@ def emit_plot_data(
     """Write one self-describing columnar file for a figure."""
     spec = _figure_spec(bundle, figure_id)
     table = bundle.tables[spec.table]
-    rendered = table.rendered(bundle.numeric_mode, bundle.fingerprint)
+    rendered = table.rendered(bundle.numeric_mode)
     return _write_plot_data(bundle, spec, rendered, Path(outdir))

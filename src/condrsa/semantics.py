@@ -15,11 +15,14 @@ likely literal  P(literal)           > 1/2
 A conditional whose antecedent has probability zero is not assertable
 (rather than an error), so speakers stay well-defined on degenerate
 sampled states.  The probabilities come from `core.query` for one state
-and from `core.event_column` for a context's (n, 4) cells.
+and from `core.event_column` for a context's (n, 4) cells; a negated
+literal's probability, a negated antecedent's included, is ``1 - p`` on
+both paths, so the two agree bit for bit on float cells too.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -35,22 +38,31 @@ from .utterances import (
 )
 
 
+def _literal_probability(table, lit: Lit) -> Scalar:
+    # a negated literal is 1 - p, as in `_assertability_columns`
+    p = query(table, Lit(lit.var).event())
+    return p if lit.positive else 1 - p
+
+
 def assertable(utterance: Utterance, state: State, theta: Scalar) -> bool:
     """Whether ``utterance`` may be produced in ``state`` at threshold ``theta``."""
     table = state.table
     if isinstance(utterance, Literal):
-        return query(table, utterance.lit.event()) >= theta
+        return _literal_probability(table, utterance.lit) >= theta
     if isinstance(utterance, Likely):
         # 0.5 is exactly representable, so Fraction comparisons stay exact
-        return query(table, utterance.lit.event()) > 0.5
+        return _literal_probability(table, utterance.lit) > 0.5
     if isinstance(utterance, Conjunction):
         joint = utterance.first.event() & utterance.second.event()
         return query(table, joint) >= theta
     if isinstance(utterance, Conditional):
-        antecedent = utterance.antecedent.event()
-        if query(table, antecedent) == 0:
+        den = _literal_probability(table, utterance.antecedent)
+        if not den > 0:
             return False
-        return query(table, utterance.consequent.event(), given=antecedent) >= theta
+        num = query(table, utterance.antecedent.event() & utterance.consequent.event())
+        if isinstance(num, int) and isinstance(den, int):
+            num = Fraction(num)  # int / int would be a float
+        return num / den >= theta
     raise TypeError(f"not an utterance: {utterance!r}")
 
 

@@ -3,13 +3,20 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import condrsa as cr
 from condrsa.results import (
     FigureError,
+    ResultBundle,
+    ResultTable,
+    _render_cell,
     applicable_figures,
+    bundle_json_text,
     emit_plot_data,
     render_scalar,
+    write_bundle,
 )
 from condrsa.runner import RunConfig, run
 from condrsa.scenario_io import (
@@ -158,6 +165,108 @@ class TestRendering:
     def test_rational_mode_rejects_floats(self):
         with pytest.raises(cr.ModelError):
             render_scalar(0.5, "rational")
+
+
+def _outcome(render):
+    """What a rendering call gives: its columns as lists, or its error type."""
+    try:
+        header, columns = render()
+    except (cr.ModelError, ValueError, OverflowError) as error:
+        return type(error)
+    return header, [list(column) for column in columns]
+
+
+def _cell_rendering(table, mode):
+    """`ResultTable.rendered` cell by cell: the oracle of its typed passes."""
+    header, columns = [], []
+    for col, values in zip(table.columns, table.data):
+        numeric = col in table.value_columns
+        header.append(col)
+        columns.append([_render_cell(v, mode if numeric else "float") for v in values])
+        if numeric and mode == "rational":
+            header.append(f"{col}_decimal")
+            columns.append([f"{float(v):.12g}" for v in values])
+    return header, columns
+
+
+#: text that JSON must escape or that looks like the skeleton
+NASTY = st.text(
+    st.one_of(
+        st.characters(),
+        st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\u2028", "\U0001f600", "%", "é"]),
+    ),
+    max_size=8,
+) | st.sampled_from(["], [", '"]\n    ],', "%s", "%%", '{"rows": []}', ""])
+
+#: table names, some of which sort unusually (upper case, digits, non-ASCII)
+TABLE_NAMES = NASTY | st.sampled_from(["Z", "_", "a", "a ", "aa", "é", "\U0001f600", "10", "9"])
+
+
+@st.composite
+def rendered_tables(draw):
+    n_rows = draw(st.integers(0, 4))
+    header = draw(st.lists(NASTY, min_size=1, max_size=3))
+    columns = [draw(st.lists(NASTY, min_size=n_rows, max_size=n_rows)) for _ in header]
+    return header, columns
+
+
+class TestColumnwiseWriting:
+    """The typed column passes and the column-wise JSON emitter give exactly
+    what a cell-by-cell rendering and ``json.dumps(indent=2)`` give."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.one_of(
+            st.lists(st.floats()),
+            st.lists(st.integers(-(10**15), 10**15)),
+            st.lists(st.fractions()),
+            st.lists(st.fractions() | st.integers()),
+            st.lists(st.text(max_size=3)),
+            st.lists(st.booleans()),
+            st.lists(st.floats() | st.integers() | st.fractions() | st.booleans() | st.text()),
+        ),
+        mode=st.sampled_from(["float", "rational"]),
+        numeric=st.booleans(),
+    )
+    def test_typed_columns_render_as_their_cells(self, values, mode, numeric):
+        table = ResultTable("t", ("x", "label"), (values, ["s"] * len(values)),
+                            value_columns=("x",) if numeric else ())
+        assert _outcome(lambda: table.rendered(mode)) == _outcome(
+            lambda: _cell_rendering(table, mode)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        metadata=st.dictionaries(
+            NASTY, NASTY | st.integers() | st.floats(allow_nan=False) | st.none()
+            | st.booleans() | st.lists(NASTY, max_size=3),
+            max_size=4,
+        ),
+        fingerprint=NASTY,
+        tables=st.dictionaries(TABLE_NAMES, rendered_tables(), max_size=4),
+    )
+    def test_json_text_is_json_dumps(self, metadata, fingerprint, tables):
+        bundle = ResultBundle(metadata={**metadata, "fingerprint": fingerprint})
+        payload = {
+            "metadata": bundle.metadata,
+            "tables": {
+                name: {
+                    "columns": [*header, "config"],
+                    "rows": [[*row, fingerprint] for row in zip(*columns)],
+                }
+                for name, (header, columns) in tables.items()
+            },
+        }
+        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert bundle_json_text(bundle, tables) == expected
+
+    def test_an_empty_table_is_written_with_its_header(self, tmp_path):
+        bundle = ResultBundle(metadata={"fingerprint": "f"})
+        bundle.add(ResultTable("empty", ("a", "b"), ([], [])))
+        write_bundle(bundle, tmp_path, ("csv", "json"))
+        payload = json.loads((tmp_path / "bundle.json").read_text())
+        assert payload["tables"]["empty"] == {"columns": ["a", "b", "config"], "rows": []}
+        assert (tmp_path / "empty.csv").read_text().splitlines()[1:] == ["a,b,config"]
 
 
 class TestBundles:

@@ -7,6 +7,11 @@ change that alters outputs on purpose regenerates them with
     PYTHONPATH=src python tests/test_output_digests.py > tests/output_digests.json
 
 and says in its description which files changed and why.
+
+Each ``bundle.json`` also has a value digest, under its path plus
+``#values``: the sha256 of ``json.dumps(json.loads(text), sort_keys=True)``,
+which ignores the layout of the text.  A change of layout alone must keep
+every value digest.
 """
 
 from __future__ import annotations
@@ -75,20 +80,38 @@ RUNS = {
 }
 
 
+#: the key suffix of a bundle.json's value digest
+VALUES = "#values"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def output_digests(name: str, out: Path) -> dict[str, str]:
-    """Run ``RUNS[name]`` into ``out``; sha256 of each written file by path."""
+    """Run ``RUNS[name]`` into ``out``; sha256 of each written file by path,
+    and the value digest of each ``bundle.json``."""
     run(dataclasses.replace(RUNS[name], output_dir=out))
-    return {
-        p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(out.rglob("*"))
-        if p.is_file()
-    }
+    digests = {}
+    for p in sorted(out.rglob("*")):
+        if p.is_file():
+            key = p.relative_to(out).as_posix()
+            digests[key] = _sha256(p.read_bytes())
+            if p.name == "bundle.json":
+                values = json.dumps(json.loads(p.read_text(encoding="utf-8")), sort_keys=True)
+                digests[key + VALUES] = _sha256(values.encode("utf-8"))
+    return digests
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_output_bytes_are_pinned(name, tmp_path):
     expected = json.loads(DIGESTS.read_text())[name]
-    assert output_digests(name, tmp_path) == expected
+    actual = output_digests(name, tmp_path)
+    # values first, so that a change of layout alone is told apart
+    assert {k: v for k, v in actual.items() if k.endswith(VALUES)} == {
+        k: v for k, v in expected.items() if k.endswith(VALUES)
+    }
+    assert actual == expected
 
 
 if __name__ == "__main__":

@@ -214,10 +214,13 @@ class TestOneArithmetic:
         assert exact.tables["assertability"].data == rendered.tables["assertability"].data
         assert list(exact.tables) == list(rendered.tables)
         for name, table in rendered.tables.items():
-            _, rows = table.rendered("float", rendered.fingerprint)
-            for column, values, strings in zip(table.columns, exact.tables[name].data, zip(*rows)):
+            header, strings = table.rendered("float")
+            assert header == list(table.columns)
+            for column, values, rendered_column in zip(
+                table.columns, exact.tables[name].data, strings
+            ):
                 if column in table.value_columns:
-                    assert list(strings) == [f"{float(v):.12g}" for v in values], name
+                    assert list(rendered_column) == [f"{float(v):.12g}" for v in values], name
 
     def test_overrides_parse_exactly(self):
         assert parse_parameter("0.95") == Fraction(19, 20)
@@ -382,7 +385,7 @@ class TestColumnarTables:
         assert (changed.data, changed.value_columns) == (([5], [6]), ("b",))
         empty = dataclasses.replace(table, rows=())
         assert empty.data == ([], [])
-        assert empty.rendered("float", "f") == (["a", "b", "config"], [])
+        assert empty.rendered("float") == (["a", "b"], [[], []])
 
     def test_sweep_refuses_plot_data(self, tmp_path):
         with pytest.raises(ModelError, match="sweep does not emit plot data"):

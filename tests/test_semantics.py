@@ -193,6 +193,54 @@ class TestAssertabilityMatrix:
         assert bool_matrix_exact(cell_array(states), utterances, theta).tolist() == oracle
 
 
+@st.composite
+def float_tables(draw, theta):
+    """Float tables: the float casts of `boundary_tables`, whose rows sit on
+    ``theta`` in exact arithmetic and within an ulp of it in floats, or
+    normalised random cells."""
+    if draw(st.booleans()):
+        return tuple(map(float, draw(boundary_tables(theta))))
+    unit = st.floats(min_value=0, max_value=1, allow_subnormal=False)
+    raw = draw(st.lists(unit, min_size=4, max_size=4).filter(lambda xs: sum(xs) > 0))
+    return tuple(x / sum(raw) for x in raw)
+
+
+class TestFloatOracle:
+    """On float cells the scalar oracle reads a negated literal, and a
+    negated antecedent's denominator, as ``1 - p``, as the vector path does."""
+
+    def test_negated_literal_is_one_minus_p(self):
+        # 0.3 + 0.6 is 0.8999999999999999, but 1 - (0.05 + 0.05) is 0.9
+        cells = (0.05, 0.05, 0.3, 0.6)
+        ctx = ScenarioContext(
+            cells=np.array([cells]), prior=np.array([1.0]), relations=[0],
+            utterances=default_utterances(), alpha=3.0, theta=0.9,
+        )
+        u = default_utterances().index(parse_utterance("~A"))
+        assert assertable(parse_utterance("~A"), state(cells), 0.9)
+        assert ctx.assertability[0, u]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_oracle_matches_the_context_bit_for_bit(self, data):
+        theta = data.draw(st.one_of(
+            st.sampled_from([F(3, 5), F(3, 4), F(9, 10), F(1)]),
+            st.fractions(min_value="11/20", max_value=1, max_denominator=20),
+        ))
+        tables = data.draw(st.lists(float_tables(theta), min_size=1, max_size=6))
+        try:
+            ctx = ScenarioContext(
+                cells=np.array(tables), prior=np.full(len(tables), 1 / len(tables)),
+                relations=[0] * len(tables), utterances=default_utterances(),
+                alpha=3.0, theta=float(theta),
+            )
+        except ContextError:  # some state can assert nothing
+            assume(False)
+        oracle = [[assertable(u, state(cells), ctx.theta) for u in ctx.utterances]
+                  for cells in tables]
+        assert ctx.assertability.tolist() == oracle
+
+
 def context_at(alpha, tables, weights, theta=THETA):
     return ScenarioContext(
         cells=np.array(tables, dtype=object),
@@ -297,6 +345,12 @@ class TestContext:
                 states=(TOY_S1,), weights=(1,),
                 utterances=(parse_utterance("C"),), alpha=1, theta=F(1, 2),
             )
+
+    @pytest.mark.parametrize("param", ["alpha", "theta"])
+    def test_bool_parameter_rejected(self, toy_ctx, param):
+        # is_rational(True) is false, so True would pass as a float 1.0
+        with pytest.raises(ContextError, match=f"{param} must be a number, not a bool"):
+            toy_ctx.with_params(**{param: True})
 
     def test_exactness_detection(self, toy_ctx, small_ctx):
         assert toy_ctx.exact
