@@ -4,25 +4,36 @@ Output is byte-reproducible: the same configuration (including the seed)
 writes identical files.  To that end every numeric cell is rendered
 through one formatter (exact fractions like ``5/6`` in rational mode, 12
 significant digits in float mode), and every row carries a fingerprint of
-the configuration.  Tables are held as columns.  `write_bundle` renders
-each table it needs once, one typed pass per column (a column of one type
-goes through one C-level formatter), and JSON, CSV and plot data share
-that rendering.  The JSON text is emitted column by column: each column's
-strings are escaped by the C-level JSON string encoder and each table's
-rows are joined from one template, giving the bytes of
-``json.dumps(payload, indent=2, sort_keys=True)`` without its per-value
-Python walk.  Each figure's scenario and row filters live in one
-`FigureSpec`.
+the configuration.  Tables are held as columns.  A write renders each
+table it needs once, one typed pass per column (a column of one type goes
+through one C-level formatter), and JSON, CSV and plot data share that
+rendering.  A row's text without its ``config`` cell is the same in every
+bundle, so each table's row texts are built once from one template and
+the fingerprint is joined in between them at write time.  In JSON each
+column's strings are escaped by the C-level JSON string encoder, giving
+the bytes of ``json.dumps(payload, indent=2, sort_keys=True)`` without its
+per-value Python walk.  CSV is filled into one ``%``-template per table,
+with the quoting of ``csv.writer(fh, lineterminator="\\n")``: a field is
+quoted only when it holds ``,``, ``"`` or ``\\n`` (a ``\\r`` alone is not),
+and only a column holding such a field is quoted field by field.
+
+`write_bundles` writes several bundles in one call: a table object held
+by more than one of them (a sweep's ``world_probabilities``) is rendered
+once and its texts live until the call returns, while every other table
+is rendered, written and dropped one at a time.  Each figure's scenario
+and row filters live in one `FigureSpec`.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
+from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from functools import cached_property
+from itertools import compress
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -150,25 +161,93 @@ def make_bundle(config: dict[str, Any]) -> ResultBundle:
 # --------------------------------------------------------------------------
 
 
-def _rows(columns: Sequence[Sequence[str]], fingerprint: str) -> Iterable[tuple[str, ...]]:
-    """The rendered rows, each ending in the config fingerprint."""
-    return zip(*columns, repeat(fingerprint, len(columns[0])))
+def _csv_field(text: str) -> str:
+    """One field as ``csv.writer(fh, lineterminator="\\n")`` writes it:
+    quoted, its quotes doubled, only when it holds ``,``, ``"`` or ``\\n``.
+    A ``\\r`` alone is not quoted."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _write_csv(
-    path: Path, header: Sequence[str], rows: Iterable[Sequence[str]], preamble: str
-) -> Path:
+def _csv_column(values: Sequence[str]) -> Sequence[str]:
+    """A rendered column as CSV fields; only a column holding a field that
+    needs quoting is passed over field by field."""
+    joined = "".join(values)
+    if "," in joined or '"' in joined or "\n" in joined:
+        return list(map(_csv_field, values))
+    return values
+
+
+def _csv_file(path: Path, preamble: str, header: Sequence[str], lines: Iterable[str]) -> Path:
     with path.open("w", encoding="utf-8") as fh:
-        fh.write(preamble)
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([*header, "config"])
-        writer.writerows(rows)
+        fh.write(preamble + ",".join(map(_csv_field, [*header, "config"])) + "\n")
+        fh.writelines(lines)
     return path
+
+
+class _TableText:
+    """A rendered table and the texts of its rows up to the ``config``
+    cell, which are the same in every bundle; each is built on first use.
+    A table that ``keep``s its texts serves several bundles: its JSON row
+    texts outlive a bundle's write, and its CSV rows are joined from stored
+    row texts instead of being streamed."""
+
+    def __init__(self, header: list[str], columns: list[Sequence[str]], keep: bool = False) -> None:
+        self.header, self.columns, self.keep = header, columns, keep
+
+    @cached_property
+    def json_prefixes(self) -> list[str]:
+        template = "        [\n" + "          %s,\n" * len(self.columns) + "          "
+        return list(map(template.__mod__, zip(*(map(_json_string, c) for c in self.columns))))
+
+    @cached_property
+    def csv_fields(self) -> list[Sequence[str]]:
+        return [_csv_column(c) for c in self.columns]
+
+    @cached_property
+    def csv_prefixes(self) -> list[str]:
+        return list(map(("%s," * len(self.columns)).__mod__, zip(*self.csv_fields)))
+
+    def csv_lines(self, sep: str) -> Iterable[str]:
+        """The CSV rows of a bundle whose ``sep`` is its quoted fingerprint
+        and the line end: streamed from one template, or joined from the
+        kept row texts."""
+        if self.keep:
+            return (sep.join(self.csv_prefixes), sep) if self.csv_prefixes else ()
+        template = "%s," * len(self.columns) + sep.replace("%", "%%")
+        return map(template.__mod__, zip(*self.csv_fields))
 
 
 def _metadata_comment(bundle: "ResultBundle") -> str:
     # full config echo on a comment line, so each file can be re-run alone
     return f"# config: {json.dumps(bundle.metadata, sort_keys=True)}\n"
+
+
+def _json_head(bundle: ResultBundle) -> str:
+    # the metadata is dumped alone and indented one level deeper, which is
+    # safe because JSON escapes every newline inside a string
+    metadata = json.dumps(bundle.metadata, indent=2, sort_keys=True).replace("\n", "\n  ")
+    return '{\n  "metadata": ' + metadata + ',\n  "tables": {'
+
+
+def _json_table(name: str, text: _TableText, config: str, first: bool) -> list[str]:
+    """One table's entry in ``bundle.json``, with the escaped fingerprint
+    ``config`` joined in after each row's prefix."""
+    names = ",\n".join(f"        {_json_string(c)}" for c in [*text.header, "config"])
+    rows = (config + "\n        ],\n").join(text.json_prefixes)
+    if not text.keep:
+        del text.json_prefixes  # a table written once drops its row texts before the write
+    return [
+        "\n" if first else ",\n",
+        f'    {_json_string(name)}: {{\n      "columns": [\n{names}\n      ],\n      "rows": ',
+        *(("[\n", rows, config + "\n        ]\n      ]") if rows else ("[]",)),
+        "\n    }",
+    ]
+
+
+def _json_tail(n_tables: int) -> str:
+    return "\n  }\n}\n" if n_tables else "}\n}\n"
 
 
 def bundle_json_text(bundle: ResultBundle, rendered: dict[str, Rendered]) -> str:
@@ -177,57 +256,109 @@ def bundle_json_text(bundle: ResultBundle, rendered: dict[str, Rendered]) -> str
     ..., "rows": ...}}}, indent=2, sort_keys=True)`` and a newline.
 
     The skeleton's key order is fixed (``metadata`` < ``tables``, sorted
-    table names, ``columns`` < ``rows``).  The metadata is dumped alone and
-    indented one level deeper, which is safe because JSON escapes every
-    newline inside a string.  Each column is escaped in one pass, and each
-    table's rows are filled into one template holding the escaped
-    fingerprint, so no cell can forge the skeleton."""
-    metadata = json.dumps(bundle.metadata, indent=2, sort_keys=True).replace("\n", "\n  ")
-    config = _json_string(bundle.fingerprint).replace("%", "%%")
-    parts = ['{\n  "metadata": ', metadata, ',\n  "tables": {']
-    separator = "\n"
-    for name in sorted(rendered):
-        header, columns = rendered[name]
-        names = ",\n".join(f"        {_json_string(c)}" for c in [*header, "config"])
-        row = "        [\n" + "          %s,\n" * len(columns) + f"          {config}\n        ]"
-        rows = ",\n".join(map(row.__mod__, zip(*(map(_json_string, c) for c in columns))))
-        parts += [
-            separator,
-            f'    {_json_string(name)}: {{\n      "columns": [\n{names}\n      ],\n      "rows": ',
-            *(("[\n", rows, "\n      ]") if rows else ("[]",)),
-            "\n    }",
-        ]
-        separator = ",\n"
-    parts.append("\n  }\n}\n" if rendered else "}\n}\n")
+    table names, ``columns`` < ``rows``).  Each column is escaped in one
+    pass, each row's text up to its ``config`` cell is filled into one
+    template, and the escaped fingerprint is joined in between the rows, so
+    no cell can forge the skeleton.  `write_bundle` writes the same pieces
+    table by table."""
+    config = _json_string(bundle.fingerprint)
+    parts = [_json_head(bundle)]
+    for i, name in enumerate(sorted(rendered)):
+        parts += _json_table(name, _TableText(*rendered[name]), config, first=i == 0)
+    parts.append(_json_tail(len(rendered)))
     return "".join(parts)
 
 
+def _table_names(bundle: ResultBundle, formats: Sequence[str], figures: Sequence[str]) -> list[str]:
+    """The tables that a write of ``formats`` and ``figures`` renders."""
+    if "json" in formats or "csv" in formats:
+        return sorted(bundle.tables)
+    return sorted({FIGURES[figure_id].table for figure_id in figures})
+
+
+def _table_text(table: ResultTable, mode: str, shared: dict | None) -> _TableText:
+    """The table's text: built here, or, for a key of ``shared``, once per
+    `write_bundles` call."""
+    key = (id(table), mode)
+    if shared is None or key not in shared:
+        return _TableText(*table.rendered(mode))
+    if shared[key] is None:
+        shared[key] = _TableText(*table.rendered(mode), keep=True)
+    return shared[key]
+
+
 def write_bundle(
-    bundle: ResultBundle, outdir: str | Path, formats: Sequence[str], figures: Sequence[str] = ()
+    bundle: ResultBundle,
+    outdir: str | Path,
+    formats: Sequence[str],
+    figures: Sequence[str] = (),
+    *,
+    shared: dict[tuple[int, str], _TableText | None] | None = None,
 ) -> list[Path]:
     """Write the requested renderings and the plot data of ``figures``;
-    returns the created paths.  Every figure is checked before anything is
-    written.  Each table that a format or figure needs is rendered once,
-    and JSON, CSV and plot data share that rendering."""
+    returns the created paths: ``bundle.json``, the CSV files, then the
+    plot data in the order of ``figures``.  Every figure is checked before
+    anything is written.  The tables are written one after another: each
+    is rendered once for JSON, CSV and plot data and dropped after it is
+    written, unless ``shared`` keeps it for the other bundles of a
+    `write_bundles` call that hold it: its keys are ``(id(table), numeric
+    mode)``, and a key's text is built on first use."""
     specs = [_figure_spec(bundle, figure_id) for figure_id in figures]
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    tabular = "json" in formats or "csv" in formats
-    names = bundle.tables if tabular else {spec.table for spec in specs}
-    rendered = {name: bundle.tables[name].rendered(bundle.numeric_mode) for name in sorted(names)}
-    written: list[Path] = []
-    if "json" in formats:
-        path = outdir / "bundle.json"
-        path.write_text(bundle_json_text(bundle, rendered), encoding="utf-8")
-        written.append(path)
-    if "csv" in formats:
-        preamble = _metadata_comment(bundle)
-        for name, (header, columns) in rendered.items():
-            rows = _rows(columns, bundle.fingerprint)
-            written.append(_write_csv(outdir / f"{name}.csv", header, rows, preamble))
-    for spec in specs:
-        written.append(_write_plot_data(bundle, spec, rendered[spec.table], outdir / "plotdata"))
-    return written
+    mode = bundle.numeric_mode
+    config = _json_string(bundle.fingerprint)
+    sep = _csv_field(bundle.fingerprint) + "\n"
+    preamble = _metadata_comment(bundle)
+    names = _table_names(bundle, formats, figures)
+    json_path = outdir / "bundle.json"
+    csv_paths: list[Path] = []
+    plot_paths: list = [None] * len(specs)  # in the order of figures
+    json_file = json_path.open("w", encoding="utf-8") if "json" in formats else nullcontext()
+    with json_file as json_fh:
+        if json_fh is not None:
+            json_fh.write(_json_head(bundle))
+        for i, name in enumerate(names):
+            text = _table_text(bundle.tables[name], mode, shared)
+            if "csv" in formats:
+                csv_paths.append(
+                    _csv_file(outdir / f"{name}.csv", preamble, text.header, text.csv_lines(sep))
+                )
+            for k, spec in enumerate(specs):
+                if spec.table == name:
+                    plot_paths[k] = _write_plot_data(bundle, spec, text, outdir / "plotdata")
+            if json_fh is not None:
+                json_fh.writelines(_json_table(name, text, config, first=i == 0))
+        if json_fh is not None:
+            json_fh.write(_json_tail(len(names)))
+    return ([json_path] if "json" in formats else []) + csv_paths + plot_paths
+
+
+def write_bundles(
+    items: Sequence[tuple[ResultBundle, str | Path]],
+    formats: Sequence[str],
+    figures: Sequence[str] = (),
+) -> list[Path]:
+    """Write each ``(bundle, outdir)`` with `write_bundle`, in order, and
+    return every created path; ``figures`` are checked against every
+    bundle before anything is written.  A table object that more than one
+    of the bundles renders, such as a sweep's ``world_probabilities``, is
+    rendered once, and its rendering and row texts are kept until this call
+    returns; every other table is dropped as soon as it is written."""
+    for bundle, _ in items:
+        for figure_id in figures:
+            _figure_spec(bundle, figure_id)
+    held = Counter(
+        (id(bundle.tables[name]), bundle.numeric_mode)
+        for bundle, _ in items
+        for name in _table_names(bundle, formats, figures)
+    )
+    shared = {key: None for key, count in held.items() if count > 1}
+    return [
+        path
+        for bundle, outdir in items
+        for path in write_bundle(bundle, outdir, formats, figures, shared=shared)
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -355,14 +486,17 @@ def _figure_spec(bundle: ResultBundle, figure_id: str) -> FigureSpec:
 
 
 def _write_plot_data(
-    bundle: ResultBundle, spec: FigureSpec, rendered: Rendered, outdir: Path
+    bundle: ResultBundle, spec: FigureSpec, text: _TableText, outdir: Path
 ) -> Path:
-    """Write a figure's file from its source table's rendering."""
-    header, columns = rendered
-    keep = [(header.index(column), allowed) for column, allowed in spec.row_filters]
-    rows = _rows(columns, bundle.fingerprint)
-    if keep:
-        rows = (r for r in rows if all(r[i] in allowed for i, allowed in keep))
+    """Write a figure's file from its source table's text; the row filters
+    read the rendered columns."""
+    if spec.row_filters:
+        tested = [text.columns[text.header.index(column)] for column, _ in spec.row_filters]
+        keep = [
+            all(cell in allowed for cell, (_, allowed) in zip(cells, spec.row_filters))
+            for cells in zip(*tested)
+        ]
+        text = _TableText(text.header, [list(compress(c, keep)) for c in text.columns])
     outdir.mkdir(parents=True, exist_ok=True)
     preamble = (
         f"# figure: {spec.figure_id}\n"
@@ -371,7 +505,8 @@ def _write_plot_data(
         f"# source_table: {spec.table}\n"
         + _metadata_comment(bundle)
     )
-    return _write_csv(outdir / f"{spec.figure_id}.csv", header, rows, preamble)
+    lines = text.csv_lines(_csv_field(bundle.fingerprint) + "\n")
+    return _csv_file(outdir / f"{spec.figure_id}.csv", preamble, text.header, lines)
 
 
 def emit_plot_data(
@@ -379,6 +514,5 @@ def emit_plot_data(
 ) -> Path:
     """Write one self-describing columnar file for a figure."""
     spec = _figure_spec(bundle, figure_id)
-    table = bundle.tables[spec.table]
-    rendered = table.rendered(bundle.numeric_mode)
-    return _write_plot_data(bundle, spec, rendered, Path(outdir))
+    text = _TableText(*bundle.tables[spec.table].rendered(bundle.numeric_mode))
+    return _write_plot_data(bundle, spec, text, Path(outdir))

@@ -12,8 +12,10 @@ qualitative check summary.
 A bundle only lays values out, one list per column: scenario tables
 flatten the engine's matrices (`_cross_columns`), and default-context
 tables read the context's arrays and its memoised
-`analysis.context_analyses` record, which its checks read too.  One
-`write_bundle` call per bundle writes its files and plot data.
+`analysis.context_analyses` record, which its checks read too.  A sweep's
+sub-bundles hold one shared ``world_probabilities`` table, which does not
+depend on alpha or theta.  One `write_bundles` call writes a run's bundles,
+their files and plot data, rendering that shared table once.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .results import (
     ResultTable,
     applicable_figures,
     make_bundle,
-    write_bundle,
+    write_bundles,
 )
 from .scenario_io import parse_scenario_file
 from .scenarios import (
@@ -293,9 +295,31 @@ def scenario_bundle(config: RunConfig) -> ResultBundle:
 # --------------------------------------------------------------------------
 
 
+def world_probabilities_table(ctx: ScenarioContext) -> ResultTable:
+    """Each state's relation and world probabilities: the sampled cells,
+    the same at every alpha and theta."""
+    n = ctx.n_states
+    relations = [RELATION_NAMES[code] for code in ctx.relations.tolist()]
+    return ResultTable(
+        "world_probabilities", ("state", "relation", "world", "probability"),
+        (
+            _repeat(list(range(n)), len(WORLD_NAMES)),
+            _repeat(relations, len(WORLD_NAMES)),
+            list(WORLD_NAMES) * n,
+            ctx.cells.ravel().tolist(),
+        ),
+        value_columns=("probability",),
+    )
+
+
 def default_context_bundle(
-    ctx: ScenarioContext, config: RunConfig, check_level: str = "strict"
+    ctx: ScenarioContext,
+    config: RunConfig,
+    check_level: str = "strict",
+    world: ResultTable | None = None,
 ) -> ResultBundle:
+    """The default-context bundle of ``ctx``; ``world`` is its
+    `world_probabilities_table`, when the caller already holds it."""
     bundle = make_bundle(
         _config_dict(
             config,
@@ -305,18 +329,7 @@ def default_context_bundle(
         )
     )
 
-    n = ctx.n_states
-    relations = [RELATION_NAMES[code] for code in ctx.relations.tolist()]
-    bundle.add(ResultTable(
-        "world_probabilities", ("state", "relation", "world", "probability"),
-        (
-            _repeat(list(range(n)), len(WORLD_NAMES)),
-            _repeat(relations, len(WORLD_NAMES)),
-            list(WORLD_NAMES) * n,
-            ctx.cells.ravel().tolist(),
-        ),
-        value_columns=("probability",),
-    ))
+    bundle.add(world if world is not None else world_probabilities_table(ctx))
 
     analyses = analysis.context_analyses(ctx)
     bundle.add(_beliefs_table(analyses.beliefs))
@@ -340,13 +353,13 @@ def default_context_bundle(
     }))
 
     cohorts = (analyses.cohorts.prior, analyses.cohorts.assertable, analyses.cohorts.best_choice)
-    indices = np.concatenate([cohort.indices for cohort in cohorts]).tolist()
+    indices = np.concatenate([cohort.indices for cohort in cohorts])
     bundle.add(ResultTable(
         "delta_p_cohorts", ("cohort", "state", "relation", "value"),
         (
             [cohort.name for cohort in cohorts for _ in range(len(cohort.indices))],
-            indices,
-            [relations[i] for i in indices],
+            indices.tolist(),
+            [RELATION_NAMES[code] for code in ctx.relations[indices].tolist()],
             np.concatenate([cohort.values for cohort in cohorts]).tolist(),
         ),
         value_columns=("value",),
@@ -387,6 +400,7 @@ def sweep_bundles(config: RunConfig) -> tuple[ResultBundle, dict[tuple[float, fl
     )
     master = make_bundle(_config_dict(config, numeric=FLOAT, grid={
         "alpha": list(alphas), "theta": list(thetas)}))
+    world = world_probabilities_table(ctx)
     combos: dict[tuple[float, float], ResultBundle] = {}
     summary: tuple[list, ...] = ([], [], [], [], [], [])
     for theta in thetas:
@@ -400,7 +414,7 @@ def sweep_bundles(config: RunConfig) -> tuple[ResultBundle, dict[tuple[float, fl
             )
             if (alpha, theta) != (ctx.alpha, ctx.theta):  # one build per combination
                 ctx = ctx.with_params(alpha=alpha, theta=theta)
-            sub = default_context_bundle(ctx, sub_config, check_level="qualitative")
+            sub = default_context_bundle(ctx, sub_config, "qualitative", world)
             combos[(alpha, theta)] = sub
             name, _, passed, observed, requirement = sub.tables["checks"].data
             for column, values in zip(summary, (
@@ -450,7 +464,11 @@ def run(config: RunConfig) -> ResultBundle:
             figures = (config.figure,)
         elif "plotdata" in config.formats:
             figures = applicable_figures(bundle)
-        write_bundle(bundle, out, config.formats, figures)
-        for (alpha, theta), sub in subs.items():
-            write_bundle(sub, out / _combo_dirname(alpha, theta), config.formats)
+        write_bundles(
+            [(bundle, out)] + [
+                (sub, out / _combo_dirname(alpha, theta)) for (alpha, theta), sub in subs.items()
+            ],
+            config.formats,
+            figures,
+        )
     return bundle

@@ -1,9 +1,11 @@
+import csv
+import io
 import json
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import condrsa as cr
@@ -17,6 +19,7 @@ from condrsa.results import (
     emit_plot_data,
     render_scalar,
     write_bundle,
+    write_bundles,
 )
 from condrsa.runner import RunConfig, run
 from condrsa.scenario_io import (
@@ -210,6 +213,24 @@ def rendered_tables(draw):
     return header, columns
 
 
+#: text that CSV must quote, or that a ``%``-template could misread; a new
+#: strategy, so that `NASTY` keeps its examples
+CSV_HOSTILE = st.text(
+    st.sampled_from([",", '"', "\r", "\n", "%", "s", "\x00", "é", "\U0001f600", " ", "a"]),
+    max_size=6,
+) | st.sampled_from(['""', "%s", "%%", "%(x)s", "", "\r\n"])
+
+
+@st.composite
+def csv_tables(draw):
+    """A header and string columns: empty tables and one-column tables
+    included."""
+    n_rows = draw(st.integers(0, 4))
+    header = draw(st.lists(CSV_HOSTILE, min_size=1, max_size=3))
+    columns = [draw(st.lists(CSV_HOSTILE, min_size=n_rows, max_size=n_rows)) for _ in header]
+    return header, columns
+
+
 class TestColumnwiseWriting:
     """The typed column passes and the column-wise JSON emitter give exactly
     what a cell-by-cell rendering and ``json.dumps(indent=2)`` give."""
@@ -259,6 +280,33 @@ class TestColumnwiseWriting:
         }
         expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert bundle_json_text(bundle, tables) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=csv_tables(), fingerprints=st.lists(CSV_HOSTILE, min_size=2, max_size=2))
+    @example(table=(["a\rb"], [["\r", "x\ry"]]), fingerprints=["\r", "f"])
+    def test_csv_is_csv_writer_output(self, table, fingerprints, tmp_path_factory):
+        """The template CSV, streamed for one bundle and joined from stored
+        row texts for a table two bundles share, is byte for byte what
+        ``csv.writer(fh, lineterminator="\\n")`` writes."""
+        header, columns = table
+        shared = ResultTable("t", tuple(header), tuple(columns))
+        out = tmp_path_factory.mktemp("csv")
+        bundles = [ResultBundle(metadata={"fingerprint": f}) for f in fingerprints]
+        for bundle in bundles:
+            bundle.add(shared)
+        alone = ResultBundle(metadata={"fingerprint": fingerprints[0]})
+        alone.add(ResultTable("t", tuple(header), tuple(columns)))
+        write_bundles([(b, out / str(i)) for i, b in enumerate(bundles)], ("csv",))
+        write_bundle(alone, out / "alone", ("csv",))
+        for bundle, where in [*zip(bundles, ("0", "1")), (alone, "alone")]:
+            expected = io.StringIO()
+            writer = csv.writer(expected, lineterminator="\n")
+            writer.writerow([*header, "config"])
+            writer.writerows([*row, bundle.fingerprint] for row in zip(*columns))
+            text = (out / where / "t.csv").read_bytes().decode("utf-8")
+            preamble, _, body = text.partition("\n")
+            assert preamble.startswith("# config: ")
+            assert body == expected.getvalue()
 
     def test_an_empty_table_is_written_with_its_header(self, tmp_path):
         bundle = ResultBundle(metadata={"fingerprint": "f"})

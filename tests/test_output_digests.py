@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from condrsa.runner import RunConfig, run
+from condrsa.runner import RunConfig, parse_grid, run
 from condrsa.scenarios import BUILTIN_NAMES
 
 DIGESTS = Path(__file__).with_name("output_digests.json")
@@ -68,6 +68,14 @@ RUNS = {
         command="run-scenario", scenario=str(FLOAT_FIXTURE),
     ),
     "sweep-seed1-2000": RunConfig(command="sweep", seed=1, n_states=2000),
+    # each format alone: no bundle.json beside the CSV, no CSV beside the JSON
+    **{
+        f"sweep-seed1-500-{fmt}": RunConfig(
+            command="sweep", seed=1, n_states=500, grid=parse_grid("alpha=1,3;theta=0.9"),
+            formats=(fmt,),
+        )
+        for fmt in ("csv", "json")
+    },
     # plot data with no JSON or CSV beside it
     "garden_party-plotdata-only": RunConfig(
         command="run-scenario", scenario="garden_party", formats=("plotdata",),

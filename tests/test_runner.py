@@ -28,10 +28,12 @@ from condrsa.core import RELATION_ORDER, WORLD_NAMES, ModelError, ZeroSupportErr
 from condrsa.results import FIGURES, applicable_figures
 from condrsa.runner import (
     RunConfig,
+    _combo_dirname,
     default_context_bundle,
     parse_parameter,
     run,
     scenario_bundle,
+    sweep_bundles,
 )
 from condrsa.scenario_io import parse_scenario_file
 
@@ -432,3 +434,27 @@ class TestOneRenderingPerWrite:
         assert rendered == Counter(sources)
         assert set(bundle.tables) - sources
         assert [p.name for p in tmp_path.iterdir()] == ["plotdata"]
+
+    def test_a_sweep_renders_its_shared_world_table_once(self, monkeypatch, tmp_path):
+        config = RunConfig(command="sweep", seed=1, n_states=300, grid=((1.0, 3.0), (0.9, 0.95)))
+        master, subs = sweep_bundles(config)
+        worlds = [sub.tables["world_probabilities"] for sub in subs.values()]
+        assert len(worlds) == 4
+        assert all(world is worlds[0] for world in worlds)
+
+        rendered = _counted_renders(monkeypatch)
+        run(dataclasses.replace(config, output_dir=tmp_path / "shared"))
+        assert rendered["world_probabilities"] == 1
+        assert rendered["checks"] == len(subs)
+
+        # sharing changes no byte: each bundle written alone gives the same files
+        alone = [results.write_bundle(master, tmp_path / "alone", config.formats)]
+        alone += [
+            results.write_bundle(sub, tmp_path / "alone" / _combo_dirname(*combo), config.formats)
+            for combo, sub in subs.items()
+        ]
+        files = sorted(p for paths in alone for p in paths)
+        assert len(files) == sum(1 + len(b.tables) for b in (master, *subs.values()))
+        for path in files:
+            shared = tmp_path / "shared" / path.relative_to(tmp_path / "alone")
+            assert shared.read_bytes() == path.read_bytes()
