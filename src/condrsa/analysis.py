@@ -94,15 +94,20 @@ def relation_array(ctx: ScenarioContext) -> np.ndarray:
     return ctx.relations
 
 
-def _group_labels(ctx: ScenarioContext, group_by: str) -> np.ndarray:
+def _groups(ctx: ScenarioContext, group_by: str) -> list[tuple[str, np.ndarray]]:
+    """Each relation group's label and state mask, in order of first
+    appearance; grouped on the relation codes."""
     relations = relation_array(ctx)
     if group_by == "relation":
-        return np.array(RELATION_NAMES)[relations]
-    if group_by == "independence":
-        return np.where(relations == 0, "independent", "dependent")
-    if group_by == "none":
-        return np.full(ctx.n_states, "all")
-    raise ValueError(f"unknown grouping {group_by!r}")
+        codes, labels = relations, RELATION_NAMES
+    elif group_by == "independence":
+        codes, labels = (relations != 0).view(np.int8), ("independent", "dependent")
+    elif group_by == "none":
+        codes, labels = np.zeros(ctx.n_states, np.int8), ("all",)
+    else:
+        raise ValueError(f"unknown grouping {group_by!r}")
+    _, firsts = np.unique(codes, return_index=True)
+    return [(labels[codes[i]], codes == codes[i]) for i in sorted(firsts)]
 
 
 def _type_columns(ctx: ScenarioContext) -> dict[UtteranceType, list[int]]:
@@ -146,12 +151,12 @@ def best_utterance_frequencies(
     """
     type_mass = _type_mass_matrix(ctx, engine.speaker_matrix(ctx, Argmax()))
     cells = certainty_cell_array(ctx)
-    groups = _group_labels(ctx, group_by)
+    groups = _groups(ctx, group_by)
 
     out: dict[tuple[CertaintyCell, str], FrequencyCell] = {}
     for ci, cell in enumerate(CertaintyCell):
-        for group in dict.fromkeys(groups.tolist()):
-            mask = (cells == ci) & (groups == group)
+        for group, in_group in groups:
+            mask = (cells == ci) & in_group
             count = int(mask.sum())
             if count == 0:
                 continue
@@ -294,10 +299,9 @@ def expected_choice_probabilities(
     Every row sums to one (each state's speaker distribution does).
     """
     type_mass = _type_mass_matrix(ctx, engine.speaker_matrix(ctx, rule))
-    groups = _group_labels(ctx, group_by)
     out: dict[str, dict[UtteranceType, float]] = {}
-    for group in dict.fromkeys(groups.tolist()):
-        means = type_mass[groups == group].mean(axis=0)
+    for group, in_group in _groups(ctx, group_by):
+        means = type_mass[in_group].mean(axis=0)
         out[group] = {t: float(m) for t, m in zip(UtteranceType, means)}
     return out
 

@@ -13,18 +13,23 @@ Sampling is reproducible: state ``i`` draws from the PCG64 stream of the
 ``i``-th child of ``SeedSequence(seed).spawn(n)``, so it depends only on
 the seed and ``i``, and the same seed always yields the same context.  The
 children's seeds are derived in arrays, with SeedSequence's hash mixing
-and PCG64's seeding re-done on integer columns, and one reused `Generator`
-is set to each child's state in turn; the streams are exactly the spawned
-children's, and ``tests/test_default_context.py`` compares them with
-numpy's own at random indices, so a change to either numpy algorithm fails
-loudly there.  The sample is a structured array of relation codes and
-cells, and the default context is built from those arrays directly: no
-`State` object is made on this path.
+re-done on integer columns.  PCG64 itself runs on (high, low) pairs of
+uint64 columns: its seeding, its 128-bit LCG step, its XSL-RR output and
+``Generator.random()``'s 53-bit double, so every state's relation draw and
+an independent state's two marginals are column operations.  Only a
+dependent state (about half) visits a Python-level `Generator`: one reused
+generator is set to its stream after the relation draw and draws the two
+Betas and the cause prior, because numpy's Beta sampler runs through
+ziggurat tables that Python cannot reach.  The streams are exactly the
+spawned children's, and ``tests/test_default_context.py`` compares them
+with numpy's own at random indices, so a change to any of these numpy
+algorithms fails loudly there.  The sample is a structured array of
+relation codes and cells, and the default context is built from those
+arrays directly: no `State` object is made on this path.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -55,21 +60,21 @@ RELATION_PRIOR: dict[CausalStructure, Fraction] = {
 TAU_SHAPE = (10.0, 1.0)
 BETA_SHAPE = (1.0, 10.0)
 
-_RELATION_CDF = tuple(
+_RELATION_CDF = np.array([
     float(sum(RELATION_PRIOR[r] for r in RELATION_ORDER[: i + 1]))
     for i in range(len(RELATION_ORDER))
-)
+])
 
 
-def _relation_code(u: float) -> int:
-    """The index into `RELATION_ORDER` that a uniform ``u`` in [0, 1) picks:
+def _relation_codes(u):
+    """The indices into `RELATION_ORDER` that uniforms ``u`` in [0, 1) pick:
     the first relation whose cumulative prior exceeds ``u`` (the last is 1)."""
-    return bisect_right(_RELATION_CDF, u)
+    return np.searchsorted(_RELATION_CDF, u, side="right")
 
 
 def sample_relation(rng: np.random.Generator) -> CausalStructure:
     """One draw from the causal-structure prior (single uniform, fixed CDF)."""
-    return RELATION_ORDER[_relation_code(rng.random())]
+    return RELATION_ORDER[_relation_codes(rng.random())]
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
@@ -86,7 +91,6 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
 # on Python ints where they do not
 
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
@@ -170,23 +174,68 @@ def _spawned_seed_words(seq: np.random.SeedSequence, n: int) -> np.ndarray:
     )
 
 
-def _pcg64_states(seed_words: np.ndarray):
+# -- PCG64 on (high, low) uint64 column pairs ---------------------------------
+# pcg64.h: ``inc = stream << 1 | 1``; a step is ``state * M + inc`` mod
+# 2**128; the XSL-RR output of a state is its two words xor-ed and rotated
+# right by its top six bits; and ``next_double`` keeps an output's top 53 bits
+
+_U32, _U64 = np.uint64(32), np.uint64(64)
+_LOW32 = np.uint64(_MASK32)
+_MULT_HIGH, _MULT_LOW = (np.uint64(w) for w in divmod(_PCG64_MULT, 1 << 64))
+
+
+def _add128(x, y):
+    """``x + y`` mod 2**128 on (high, low) pairs."""
+    low = x[1] + y[1]
+    return x[0] + y[0] + (low < x[1]), low
+
+
+def _step128(state, inc):
+    """One LCG step ``state * M + inc`` mod 2**128 on (high, low) pairs."""
+    high, low = state
+    # the high word of the 64 x 64-bit product ``low * M_low``, from 32-bit halves
+    a1, a0 = low >> _U32, low & _LOW32
+    b1, b0 = _MULT_LOW >> _U32, _MULT_LOW & _LOW32
+    cross_a, cross_b = a0 * b1, a1 * b0
+    middle = (a0 * b0 >> _U32) + (cross_a & _LOW32) + (cross_b & _LOW32)
+    carry = a1 * b1 + (cross_a >> _U32) + (cross_b >> _U32) + (middle >> _U32)
+    product = (carry + high * _MULT_LOW + low * _MULT_HIGH, low * _MULT_LOW)
+    return _add128(product, inc)
+
+
+def _xsl_rr(state) -> np.ndarray:
+    """PCG64's XSL-RR output of each state, as uint64."""
+    high, low = state
+    word, rot = high ^ low, high >> np.uint64(58)
+    # a left shift of ``64 - rot`` would be 64 at rot 0, so it is masked to 0
+    return word >> rot | word << ((_U64 - rot) & np.uint64(63))
+
+
+def _next_double(state, inc):
+    """Step each stream and draw ``Generator.random()``: the new states and
+    ``(output >> 11) * 2**-53`` as float64."""
+    state = _step128(state, inc)
+    return state, (_xsl_rr(state) >> np.uint64(11)) * 2.0**-53
+
+
+def _pcg64_seeded(seed_words: np.ndarray):
     """PCG64's ``(state, inc)`` seeded by each row of (n, 4) uint64 seed
-    words: the first two are the 128-bit seed and the last two the stream,
-    high word first.  ``inc = stream << 1 | 1`` and the state is stepped
-    twice from 0, adding the seed in between."""
-    for seed_high, seed_low, stream_high, stream_low in seed_words.tolist():
-        inc = ((stream_high << 64 | stream_low) << 1 | 1) & _MASK128
-        seed_state = seed_high << 64 | seed_low
-        yield ((inc + seed_state) * _PCG64_MULT + inc) & _MASK128, inc
+    words, as (high, low) uint64 column pairs: the first two words are the
+    128-bit seed and the last two the stream, high word first.  The state is
+    stepped twice from 0, adding the seed in between: ``(inc + seed) * M +
+    inc``."""
+    seed_high, seed_low, stream_high, stream_low = seed_words.T
+    one = np.uint64(1)
+    inc = (stream_high << one | stream_low >> np.uint64(63), stream_low << one | one)
+    return _step128(_add128(inc, (seed_high, seed_low)), inc), inc
 
 
 #: one sampled state: its relation code into `RELATION_ORDER` and its four
 #: cells in `World` order
 SAMPLE_DTYPE = np.dtype([("relation", np.int8), ("cells", np.float64, (4,))])
 
-#: states drawn per block of Python values; bounds the sampler's memory,
-#: not its result
+#: dependent states drawn per block of Python values; bounds the sampler's
+#: memory, not its result
 _BLOCK = 8192
 
 
@@ -211,33 +260,43 @@ def sample_default_states(
     if seq is seed:  # a caller's SeedSequence counts the children it gave out
         seq.spawn(n_states)
 
-    # one reused generator, set to each child's PCG64 state in turn
+    # every state's relation draw, and an independent state's two marginals,
+    # are drawn on the stream columns
+    state, inc = _pcg64_seeded(seed_words)
+    state, u = _next_double(state, inc)
+    codes = _relation_codes(u)
+    dependent = np.flatnonzero(codes != RELATION_ORDER.index(CausalStructure.INDEPENDENT))
+    # per state: (pa, pc, 0) or (tau, beta, upsilon_p)
+    draws = np.zeros((n_states, 3))
+    marginals = state
+    for k in range(2):
+        marginals, draws[:, k] = _next_double(marginals, inc)
+
+    # a Beta draw takes a varying number of outputs through numpy's ziggurat
+    # tables, so one reused generator is set to each dependent stream after
+    # its relation draw in turn
     bit_generator = np.random.PCG64()
     rng = np.random.Generator(bit_generator)
     random, beta = rng.random, rng.beta
     pcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    independent = RELATION_ORDER.index(CausalStructure.INDEPENDENT)
-    # per state: (code, pa, pc, 0) or (code, tau, beta, upsilon_p)
-    draws = np.zeros((n_states, 4))
-    for first in range(0, n_states, _BLOCK):
+    setting = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for first in range(0, len(dependent), _BLOCK):
+        rows = dependent[first : first + _BLOCK]
         block = []
-        for pcg_state, inc in _pcg64_states(seed_words[first : first + _BLOCK]):
-            pcg["state"], pcg["inc"] = pcg_state, inc
-            bit_generator.state = state
-            code = _relation_code(random())
-            if code == independent:
-                block.append((code, random(), random(), 0.0))
-            else:
-                block.append((code, beta(*TAU_SHAPE), beta(*BETA_SHAPE), random()))
-        draws[first : first + len(block)] = block
+        for high, low, inc_high, inc_low in zip(
+            state[0][rows].tolist(), state[1][rows].tolist(),
+            inc[0][rows].tolist(), inc[1][rows].tolist(),
+        ):
+            pcg["state"], pcg["inc"] = high << 64 | low, inc_high << 64 | inc_low
+            bit_generator.state = setting
+            block.append((beta(*TAU_SHAPE), beta(*BETA_SHAPE), random()))
+        draws[rows] = block
 
     sample = np.zeros(n_states, dtype=SAMPLE_DTYPE)
-    codes = sample["relation"]
-    codes[:] = draws[:, 0]
+    sample["relation"] = codes
     for code, relation in enumerate(RELATION_ORDER):
         rows = codes == code
-        first, second, third = draws[rows, 1:].T
+        first, second, third = draws[rows].T
         if relation is CausalStructure.INDEPENDENT:
             cells = product_cells(first, second)
         else:

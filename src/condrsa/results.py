@@ -298,7 +298,8 @@ def write_bundle(
     """Write the requested renderings and the plot data of ``figures``;
     returns the created paths: ``bundle.json``, the CSV files, then the
     plot data in the order of ``figures``.  Every figure is checked before
-    anything is written.  The tables are written one after another: each
+    anything is written, and a write that fails removes every file it
+    wrote.  The tables are written one after another: each
     is rendered once for JSON, CSV and plot data and dropped after it is
     written, unless ``shared`` keeps it for the other bundles of a
     `write_bundles` call that hold it: its keys are ``(id(table), numeric
@@ -314,23 +315,31 @@ def write_bundle(
     json_path = outdir / "bundle.json"
     csv_paths: list[Path] = []
     plot_paths: list = [None] * len(specs)  # in the order of figures
-    json_file = json_path.open("w", encoding="utf-8") if "json" in formats else nullcontext()
-    with json_file as json_fh:
-        if json_fh is not None:
-            json_fh.write(_json_head(bundle))
-        for i, name in enumerate(names):
-            text = _table_text(bundle.tables[name], mode, shared)
-            if "csv" in formats:
-                csv_paths.append(
-                    _csv_file(outdir / f"{name}.csv", preamble, text.header, text.csv_lines(sep))
-                )
-            for k, spec in enumerate(specs):
-                if spec.table == name:
-                    plot_paths[k] = _write_plot_data(bundle, spec, text, outdir / "plotdata")
+    written = [json_path] if "json" in formats else []  # removed if the write fails
+    try:
+        json_file = json_path.open("w", encoding="utf-8") if written else nullcontext()
+        with json_file as json_fh:
             if json_fh is not None:
-                json_fh.writelines(_json_table(name, text, config, first=i == 0))
-        if json_fh is not None:
-            json_fh.write(_json_tail(len(names)))
+                json_fh.write(_json_head(bundle))
+            for i, name in enumerate(names):
+                text = _table_text(bundle.tables[name], mode, shared)
+                if "csv" in formats:
+                    written.append(outdir / f"{name}.csv")
+                    csv_paths.append(
+                        _csv_file(written[-1], preamble, text.header, text.csv_lines(sep))
+                    )
+                for k, spec in enumerate(specs):
+                    if spec.table == name:
+                        written.append(outdir / "plotdata" / f"{spec.figure_id}.csv")
+                        plot_paths[k] = _write_plot_data(bundle, spec, text, written[-1].parent)
+                if json_fh is not None:
+                    json_fh.writelines(_json_table(name, text, config, first=i == 0))
+            if json_fh is not None:
+                json_fh.write(_json_tail(len(names)))
+    except BaseException:
+        for path in written:  # a failed write leaves no partial output
+            path.unlink(missing_ok=True)
+        raise
     return ([json_path] if "json" in formats else []) + csv_paths + plot_paths
 
 

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from fractions import Fraction as F
 
@@ -8,11 +9,16 @@ import condrsa as cr
 from condrsa import CausalStructure, JointTable, State, query
 from condrsa.core import RELATION_ORDER
 from condrsa.default_context import (
+    _PCG64_MULT,
     BETA_SHAPE,
     RELATION_PRIOR,
     TAU_SHAPE,
-    _pcg64_states,
+    _add128,
+    _next_double,
+    _pcg64_seeded,
     _spawned_seed_words,
+    _step128,
+    _xsl_rr,
 )
 from condrsa.runner import RunConfig, run
 from condrsa.tolerances import TOLERANCES
@@ -158,12 +164,28 @@ class TestSpawnedStreams:
     def test_pcg64_states_match_spawned_children(self, make):
         seq, twin = make(), make()
         children = twin.spawn(self.N)
-        states = list(_pcg64_states(_spawned_seed_words(seq, self.N)))
+        state, inc = _pcg64_seeded(_spawned_seed_words(seq, self.N))
         picks = np.random.default_rng(len(children)).choice(self.N, 60, replace=False)
         for i in [0, self.N - 1, *picks.tolist()]:
-            state, inc = states[i]
-            assert np.random.PCG64(children[i]).state["state"] == {"state": state, "inc": inc}
+            assert np.random.PCG64(children[i]).state["state"] == {
+                "state": as_int(state, i), "inc": as_int(inc, i),
+            }
         assert seq.n_children_spawned == twin.n_children_spawned - self.N
+
+    @pytest.mark.parametrize("make", SEED_SEQUENCES)
+    def test_column_draws_match_each_streams_generator(self, make):
+        seq, twin = make(), make()
+        children = twin.spawn(self.N)
+        state, inc = _pcg64_seeded(_spawned_seed_words(seq, self.N))
+        draws = []
+        for _ in range(3):
+            state, u = _next_double(state, inc)
+            draws.append(u)
+        draws = np.stack(draws, axis=1)
+        picks = np.random.default_rng(len(children) + 1).choice(self.N, 60, replace=False)
+        for i in [0, self.N - 1, *picks.tolist()]:
+            expected = np.random.Generator(np.random.PCG64(children[i])).random(3)
+            assert draws[i].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("make", SEED_SEQUENCES[-2:])
     def test_a_seed_sequence_is_advanced_as_spawn_advances_it(self, make):
@@ -184,7 +206,105 @@ class TestSpawnedStreams:
         assert seq.n_children_spawned == 2**32 - 10
 
 
+MASK64, MASK128 = (1 << 64) - 1, (1 << 128) - 1
+
+
+def as_int(pair, i):
+    """Entry ``i`` of a (high, low) uint64 column pair as a Python int."""
+    return int(pair[0][i]) << 64 | int(pair[1][i])
+
+
+def as_pair(values):
+    """Python ints below 2**128 as a (high, low) uint64 column pair."""
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & MASK64 for v in values], dtype=np.uint64))
+
+
+def xsl_rr(state):
+    rot = state >> 122
+    word = (state >> 64 ^ state) & MASK64
+    return (word >> rot | word << (64 - rot)) & MASK64
+
+
+class TestColumnArithmetic:
+    """The 128-bit column arithmetic against the same formulas on Python
+    ints, at the edges where a word boundary or a shift could go wrong."""
+
+    EDGES = [
+        0, 1, MASK64, 1 << 64, MASK128, 1 << 127, (1 << 127) | MASK64,
+        (1 << 58) - 1, ((1 << 58) - 1) << 64 | MASK64, 0x3F << 122, 1 << 122,
+    ]
+
+    def operands(self):
+        """State values, the edges first, and odd increments: each edge
+        meets the edges in reverse order."""
+        rng = np.random.default_rng(5)
+        random = [int.from_bytes(rng.bytes(16), "little") for _ in range(200)]
+        return self.EDGES + random, [v | 1 for v in self.EDGES[::-1] + random[::-1]]
+
+    def test_edges_reach_every_case(self):
+        """The edge operands carry out of the low word, set the high bit, and
+        give XSL-RR a rotation of 0 and of 63."""
+        values, incs = self.operands()
+        pairs = list(zip(values, incs))[: len(self.EDGES)]
+        assert any((v & MASK64) + (c & MASK64) > MASK64 for v, c in pairs)
+        assert any(v >> 127 for v in self.EDGES)
+        assert {v >> 122 for v in self.EDGES} >= {0, 63}
+
+    def test_step_and_add_match_python_ints(self):
+        values, incs = self.operands()
+        state, inc = as_pair(values), as_pair(incs)
+        stepped, added = _step128(state, inc), _add128(state, inc)
+        for i, (v, c) in enumerate(zip(values, incs)):
+            assert as_int(stepped, i) == (v * _PCG64_MULT + c) & MASK128
+            assert as_int(added, i) == (v + c) & MASK128
+
+    def test_xsl_rr_matches_python_ints(self):
+        values, _ = self.operands()
+        out = _xsl_rr(as_pair(values))
+        assert out.tolist() == [xsl_rr(v) for v in values]
+        assert _xsl_rr(as_pair([5 << 64])).tolist() == [5]  # rotation 0: no shift by 64
+
+
+#: sha256 of ``sample_default_states(1, 10_000).tobytes()``, pinned when the
+#: sampler still drew every state through a `Generator`
+SEED_1_SAMPLE_SHA256 = "4ee8142a0881dc123fb8e3b9e2890c57910d87b78d07f15163599ec8f8bb97eb"
+
+
 class TestDeterminism:
+    def test_seed_1_sample_is_pinned(self):
+        sample = cr.sample_default_states(1, 10_000)
+        assert hashlib.sha256(sample.tobytes()).hexdigest() == SEED_1_SAMPLE_SHA256
+
+    def test_generator_is_set_once_per_dependent_state(self, monkeypatch):
+        """Only dependent states visit the reused generator, each once, at
+        its stream's state right after the relation draw."""
+        settings, pcg64 = [], np.random.PCG64
+
+        class PCG64(pcg64):  # numpy checks a state's name against the class's
+            @property
+            def state(self):
+                return pcg64.state.__get__(self)
+
+            @state.setter
+            def state(self, value):
+                settings.append(value["state"]["state"])
+                pcg64.state.__set__(self, value)
+
+        children = np.random.SeedSequence(4).spawn(500)
+        monkeypatch.setattr(np.random, "PCG64", PCG64)
+        sample = cr.sample_default_states(4, 500)
+        monkeypatch.undo()
+        expected = []
+        for child, code in zip(children, sample["relation"].tolist()):
+            if RELATION_ORDER[code].is_dependent:
+                bit_generator = np.random.PCG64(child)
+                np.random.Generator(bit_generator).random()
+                expected.append(bit_generator.state["state"]["state"])
+        assert 0 < len(expected) < 500
+        assert settings == expected
+
+
     def test_same_seed_same_states(self):
         a = cr.sample_default_states(11, 300)
         b = cr.sample_default_states(11, 300)

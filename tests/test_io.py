@@ -316,6 +316,19 @@ class TestColumnwiseWriting:
         assert payload["tables"]["empty"] == {"columns": ["a", "b", "config"], "rows": []}
         assert (tmp_path / "empty.csv").read_text().splitlines()[1:] == ["a,b,config"]
 
+    def test_a_failed_write_leaves_no_file(self, tmp_path):
+        """The second table cannot be rendered rationally after the first
+        table's CSV, plot data and JSON entry are written: none of them is
+        left behind, and the error still reaches the caller."""
+        bundle = ResultBundle(metadata={
+            "fingerprint": "f", "numeric": "rational", "command": "run-default-context",
+        })
+        bundle.add(ResultTable("best_utterance_frequencies", ("v",), ([F(1, 2)],), ("v",)))
+        bundle.add(ResultTable("world_probabilities", ("v",), ([0.5],), ("v",)))
+        with pytest.raises(cr.ModelError, match="non-rational value 0.5"):
+            write_bundle(bundle, tmp_path, ("csv", "json"), ("fig7",))
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
 
 class TestBundles:
     def test_byte_reproducibility_scenario(self, tmp_path):
