@@ -21,11 +21,21 @@ on which utterances are assertable and on the masses.
 
 One matrix engine serves both numeric backends.  It reads only the
 context's arrays (``ctx.cells``, ``ctx.prior``, ``ctx.assertability``,
-``ctx.relations``), in the context's own dtype, whatever the rendering: an
-exact context (all ints and Fractions, integer alpha) runs it on ``object``
-arrays of Fractions, with the soft-max ``(1 / mass(u)) ** alpha`` computed
-once per utterance and row-normalised; a float context runs it on float64
-arrays, with the soft-max in log space.  A zero-prior state whose
+``ctx.relations``), in the context's own dtype, whatever the rendering.  A
+float context runs dense float64 kernels, with the soft-max in log space
+and the masses and surprise as ``prior @ ...`` in BLAS summation order,
+which the sampled output digests pin.  An exact context (all ints and
+Fractions, integer alpha) holds ``object`` arrays of Fractions but does
+Fraction arithmetic only on the support: the masses and the surprise
+vector add only the cells where an utterance is assertable or produced,
+and the listener matrices divide only those cells and hold ``Fraction(0)``
+everywhere else.  Whatever depends only on a state's row of the
+assertability matrix is computed once per distinct row and gathered: the
+speaker row, with the soft-max ``(1 / mass(u)) ** alpha`` computed once per
+utterance and row-normalised; a row's share of each listener column,
+``1 / mass(u)`` or ``P_S(u | s) / surprise(u)``, which each state's prior
+then scales; and the row's terms of the masses and the surprise vector,
+weighted by the prior mass of its states.  A zero-prior state whose
 assertable utterances have no mass gets a zero speaker row.
 
 Each context memoises the utterance masses and, per speaker rule, the
@@ -133,31 +143,35 @@ def _memoised(
 
 
 def _compute_masses(ctx: ScenarioContext) -> np.ndarray:
-    return ctx.prior @ ctx.assertability
+    if not ctx.exact:
+        return ctx.prior @ ctx.assertability
+    patterns, _, inverse = _patterns(ctx)
+    return _prior_dot(ctx, patterns, inverse)
+
+
+def _best(valid: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """The `Argmax` tie set of each row: its valid utterances of least mass.
+
+    An utterance is valid in a row where it is assertable and has mass.  A
+    state's assertable utterances all have mass when its own prior is
+    positive; the rows of zero-prior states without one stay zero, under
+    either rule, and they add nothing to the pragmatic listener or the
+    surprise vector.
+    """
+    mass_rows = np.where(valid, mass, np.inf)
+    return valid & (mass_rows == mass_rows.min(axis=1, keepdims=True))
 
 
 def _compute_speaker(ctx: ScenarioContext, rule: SpeakerRule) -> np.ndarray:
     mass = utterance_masses(ctx)
-    # a state's assertable utterances all have mass when its own prior is
-    # positive; the rows of zero-prior states without one stay zero, and
-    # they add nothing to the pragmatic listener or the surprise vector
+    if ctx.exact:
+        patterns, _, inverse = _patterns(ctx)
+        return _exact_speaker_rows(patterns, mass, rule)[inverse]
     valid = ctx.assertability & (mass > 0)
-
-    zero, one = (Fraction(0), Fraction(1)) if ctx.exact else (0.0, 1.0)
     if isinstance(rule, Argmax):
-        mass_rows = np.where(valid, mass, np.inf)
-        best = valid & (mass_rows == mass_rows.min(axis=1, keepdims=True))
-        scores = np.where(best, one, zero)
-    elif ctx.exact:
-        # the per-state prior factor of the literal listener cancels
-        # row-wise, leaving (1 / mass) ** alpha
-        alpha = _integer_alpha(rule.alpha)
-        power = np.array(
-            [(1 / m) ** alpha if m > 0 else zero for m in mass], dtype=object
-        )
-        scores = np.where(valid, power, zero)
+        scores = np.where(_best(valid, mass), 1.0, 0.0)
     else:
-        # the same soft-max in log space: -alpha * log(mass)
+        # the soft-max in log space: -alpha * log(mass)
         alpha = float(rule.alpha)
         utility = np.zeros_like(mass)
         np.log(mass, where=mass > 0, out=utility)
@@ -167,9 +181,102 @@ def _compute_speaker(ctx: ScenarioContext, rule: SpeakerRule) -> np.ndarray:
     return _bayes(scores, scores.sum(axis=1, keepdims=True))
 
 
+def _compute_surprise(ctx: ScenarioContext, rule: SpeakerRule) -> np.ndarray:
+    speaker = speaker_matrix(ctx, rule)
+    if not ctx.exact:
+        return ctx.prior @ speaker
+    _, first, inverse = _patterns(ctx)
+    return _prior_dot(ctx, speaker[first], inverse)
+
+
 def _bayes(production: np.ndarray, totals: np.ndarray) -> np.ndarray:
     """Divide by ``totals``, per column or per row; a zero total leaves zeros."""
     return production / np.where(totals > 0, totals, 1)
+
+
+def _column(ctx: ScenarioContext, production: np.ndarray, total: Scalar) -> np.ndarray:
+    """One listener column, ``ctx.prior * production / total``; exactly, on
+    the nonzero cells of ``production`` only."""
+    if not ctx.exact:
+        return ctx.prior * production / total
+    states = np.flatnonzero(production)
+    return _on_support(ctx.n_states, states, ctx.prior[states] * production[states] / total)
+
+
+# --------------------------------------------------------------------------
+# the exact backend: Fraction arithmetic on the support only
+# --------------------------------------------------------------------------
+
+
+def _patterns(ctx: ScenarioContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct assertability rows, the first state of each, and the row
+    index of every state."""
+    patterns, first, inverse = np.unique(
+        ctx.assertability, axis=0, return_index=True, return_inverse=True
+    )
+    return patterns, first, inverse.reshape(-1)
+
+
+def _sums(values: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
+    """Exact sum of ``values`` per ``index`` in ``range(n)``, ``index``
+    sorted; an index without values sums to ``Fraction(0)``."""
+    present, starts = np.unique(index, return_index=True)
+    return _on_support(n, present, np.add.reduceat(values, starts))
+
+
+def _prior_dot(ctx: ScenarioContext, rows: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """Exact ``ctx.prior @ rows[inverse]``: the prior mass of each row's
+    states times the row, added over the row's nonzero cells only."""
+    order = np.argsort(inverse, kind="stable")
+    row_prior = _sums(ctx.prior[order], inverse[order], len(rows))
+    utterance, row = np.nonzero(rows.T)
+    return _sums(row_prior[row] * rows[row, utterance], utterance, rows.shape[1])
+
+
+def _exact_bayes(
+    ctx: ScenarioContext, rows: np.ndarray, inverse: np.ndarray, totals: np.ndarray
+) -> np.ndarray:
+    """Exact ``_bayes(ctx.prior[:, None] * rows[inverse], totals)``: each
+    nonzero cell of a row over its total once per row, times each state's
+    prior."""
+    produced = rows.astype(bool) & (totals > 0)
+    row, utterance = np.nonzero(produced)
+    share = _on_support(
+        rows.shape, (row, utterance), rows[row, utterance] / totals[utterance]
+    )
+    cells = produced[inverse]
+    state, utterance = np.nonzero(cells)
+    return _on_support(
+        cells.shape, (state, utterance), ctx.prior[state] * share[inverse[state], utterance]
+    )
+
+
+def _on_support(shape, cells, values) -> np.ndarray:
+    """An ``object`` array holding ``values`` at ``cells`` and ``Fraction(0)``
+    everywhere else."""
+    out = np.full(shape, Fraction(0), dtype=object)
+    out[cells] = values
+    return out
+
+
+def _exact_speaker_rows(
+    patterns: np.ndarray, mass: np.ndarray, rule: SpeakerRule
+) -> np.ndarray:
+    """The speaker row of each assertability row, normalised over its chosen
+    utterances."""
+    valid = patterns & (mass > 0)
+    if isinstance(rule, Argmax):
+        row, utterance = np.nonzero(_best(valid, mass))
+        scores = np.full(len(row), Fraction(1), dtype=object)
+    else:
+        # the per-state prior factor of the literal listener cancels
+        # row-wise, leaving (1 / mass) ** alpha
+        alpha = _integer_alpha(rule.alpha)
+        row, utterance = np.nonzero(valid)
+        power = np.array([(1 / m) ** alpha if m > 0 else 0 for m in mass], dtype=object)
+        scores = power[utterance]
+    totals = _sums(scores, row, len(patterns))
+    return _on_support(patterns.shape, (row, utterance), scores / totals[row])
 
 
 # --------------------------------------------------------------------------
@@ -188,8 +295,11 @@ def literal_listener_matrix(ctx: ScenarioContext) -> np.ndarray:
 
     Columns for utterances assertable nowhere are identically zero.
     """
-    production = ctx.prior[:, None] * ctx.assertability
-    return _bayes(production, utterance_masses(ctx))
+    mass = utterance_masses(ctx)
+    if not ctx.exact:
+        return _bayes(ctx.prior[:, None] * ctx.assertability, mass)
+    patterns, _, inverse = _patterns(ctx)
+    return _exact_bayes(ctx, patterns, inverse, mass)
 
 
 def speaker_matrix(
@@ -206,8 +316,11 @@ def pragmatic_listener_matrix(
 ) -> np.ndarray:
     """P_PL(state | utterance) columns; zero columns where no speaker ever
     produces the utterance."""
-    production = ctx.prior[:, None] * speaker_matrix(ctx, rule)
-    return _bayes(production, surprise_vector(ctx, rule))
+    speaker, surprise = speaker_matrix(ctx, rule), surprise_vector(ctx, rule)
+    if not ctx.exact:
+        return _bayes(ctx.prior[:, None] * speaker, surprise)
+    _, first, inverse = _patterns(ctx)
+    return _exact_bayes(ctx, speaker[first], inverse, surprise)
 
 
 def surprise_vector(
@@ -216,9 +329,7 @@ def surprise_vector(
     """Expected production probability of every utterance under the prior.
     Read-only, memoised per context and rule."""
     rule = _resolve_rule(ctx, rule)
-    return _memoised(
-        ctx, ("surprise", rule), lambda: ctx.prior @ speaker_matrix(ctx, rule)
-    )
+    return _memoised(ctx, ("surprise", rule), lambda: _compute_surprise(ctx, rule))
 
 
 # --------------------------------------------------------------------------
@@ -234,7 +345,7 @@ def literal_listener(ctx: ScenarioContext, utterance: Utterance | str) -> Poster
         raise ZeroSupportError(
             f"utterance {ctx.utterances[j]} is assertable in no state"
         )
-    column = ctx.prior * ctx.assertability[:, j] / mass
+    column = _column(ctx, ctx.assertability[:, j], mass)
     return Posterior(ctx, tuple(column.tolist()))
 
 
@@ -266,7 +377,7 @@ def pragmatic_listener(
     total = surprise_vector(ctx, rule)[j]
     if total == 0:
         raise ZeroSupportError(f"no speaker ever produces {ctx.utterances[j]}")
-    column = ctx.prior * speaker_matrix(ctx, rule)[:, j] / total
+    column = _column(ctx, speaker_matrix(ctx, rule)[:, j], total)
     return Posterior(ctx, tuple(column.tolist()))
 
 

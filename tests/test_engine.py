@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from condrsa import (
     query,
 )
 from condrsa.runner import RunConfig, run
+from condrsa.scenario_io import parse_scenario_file
 from condrsa.utterances import Conditional, Conjunction, Likely, Literal
 
 
@@ -405,6 +407,100 @@ class TestZeroWeightStates:
             got = cr.pragmatic_listener(wider, u).weights
             assert [got[i] for i in kept] == list(expected)
             assert [got[i] for i in inserted] == [0] * len(inserted)
+
+
+def dense_oracle(ctx, rule):
+    """The whole-context arrays by the dense ``object``-array formulas, every
+    cell multiplied, added and divided: the exact engine computes them on the
+    support and once per assertability row."""
+    prior, assertable = ctx.prior, ctx.assertability
+    zero, one = F(0), F(1)
+
+    def bayes(production, totals):
+        return production / np.where(totals > 0, totals, 1)
+
+    mass = prior @ assertable
+    valid = assertable & (mass > 0)
+    if isinstance(rule, Argmax):
+        mass_rows = np.where(valid, mass, np.inf)
+        best = valid & (mass_rows == mass_rows.min(axis=1, keepdims=True))
+        scores = np.where(best, one, zero)
+    else:
+        power = np.array(
+            [(1 / m) ** int(rule.alpha) if m > 0 else zero for m in mass], dtype=object
+        )
+        scores = np.where(valid, power, zero)
+    speaker = bayes(scores, scores.sum(axis=1, keepdims=True))
+    surprise = prior @ speaker
+    return {
+        "utterance_masses": mass,
+        "literal_listener_matrix": bayes(prior[:, None] * assertable, mass),
+        "speaker_matrix": speaker,
+        "surprise_vector": surprise,
+        "pragmatic_listener_matrix": bayes(prior[:, None] * speaker, surprise),
+    }
+
+
+class TestSupportOracle:
+    RULES = (Softmax(0), Softmax(1), Softmax(3), Argmax())
+
+    @staticmethod
+    def same(got, expected):
+        """Equal in value, and every cell of ``got`` a Fraction."""
+        got, expected = np.asarray(got, dtype=object), np.asarray(expected, dtype=object)
+        assert got.shape == expected.shape
+        assert got.tolist() == expected.tolist()
+        assert all(type(x) is F for x in got.flat)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ctx=exact_context_strategy(max_states=5),
+        extra=st.lists(zero_weight_state_strategy(), min_size=1, max_size=2),
+        data=st.data(),
+    )
+    def test_arrays_equal_the_dense_formulas_in_value_and_type(self, ctx, extra, data):
+        states, weights = list(ctx.states), list(ctx.weights)
+        for state in extra:
+            at = data.draw(st.integers(0, len(states)))
+            states.insert(at, state)
+            weights.insert(at, 0)
+        try:
+            ctx = ScenarioContext.from_states(
+                states, weights, ctx.utterances, ctx.alpha, ctx.theta
+            )
+        except ContextError:  # an added state can assert nothing
+            assume(False)
+        # an utterance that no state asserts
+        assume(not ctx.assertability.any(axis=0).all())
+        self.check(ctx)
+
+    @pytest.mark.parametrize("weights", [(0, 1), (1, 0), (F(1, 3), F(2, 3))])
+    def test_zero_weight_pair_equals_the_dense_formulas(self, weights):
+        self.check(TestZeroWeightStates.pair_context(weights))
+
+    def test_file_fixture_equals_the_dense_formulas(self):
+        path = Path(__file__).with_name("riverbank_scenario.json")
+        self.check(parse_scenario_file(path).to_context())
+
+    def check(self, ctx):
+        for rule in self.RULES:
+            expected = dense_oracle(ctx, rule)
+            got = {
+                "utterance_masses": cr.utterance_masses(ctx),
+                "literal_listener_matrix": cr.literal_listener_matrix(ctx),
+                "speaker_matrix": cr.speaker_matrix(ctx, rule),
+                "surprise_vector": cr.surprise_vector(ctx, rule),
+                "pragmatic_listener_matrix": cr.pragmatic_listener_matrix(ctx, rule),
+            }
+            for name, oracle in expected.items():
+                self.same(got[name], oracle)
+            for j, u in enumerate(ctx.utterances):
+                if expected["utterance_masses"][j] > 0:
+                    column = expected["literal_listener_matrix"][:, j]
+                    self.same(cr.literal_listener(ctx, u).weights, column)
+                if expected["surprise_vector"][j] > 0:
+                    column = expected["pragmatic_listener_matrix"][:, j]
+                    self.same(cr.pragmatic_listener(ctx, u, rule).weights, column)
 
 
 class TestTableGrouping:

@@ -38,6 +38,11 @@ FIXTURE = Path(__file__).with_name("orchard_scenario.json")
 #: and an observation: a float context, echoing alpha and theta as floats
 FLOAT_FIXTURE = Path(__file__).with_name("orchard_float_scenario.json")
 
+#: a 48-state exact file scenario: tables and noisy-OR states, states exactly
+#: on theta = 9/10, a zero-weight state that alone asserts one utterance, and
+#: one utterance that no state asserts
+LARGE_FIXTURE = Path(__file__).with_name("riverbank_scenario.json")
+
 #: run name -> configuration (without its output directory)
 RUNS = {
     **{
@@ -66,6 +71,10 @@ RUNS = {
     ),
     "orchard-file-float": RunConfig(
         command="run-scenario", scenario=str(FLOAT_FIXTURE),
+    ),
+    "riverbank-file-rational": RunConfig(
+        command="run-scenario", scenario=str(LARGE_FIXTURE), numeric="rational",
+        formats=("csv", "json", "plotdata"),
     ),
     "sweep-seed1-2000": RunConfig(command="sweep", seed=1, n_states=2000),
     # each format alone: no bundle.json beside the CSV, no CSV beside the JSON
