@@ -212,7 +212,15 @@ class ScenarioContext:
     def n_states(self) -> int:
         return len(self.cells)
 
-    def index_of_state(self, state: State | str) -> int:
+    def index_of_state(self, state: State | str | int) -> int:
+        """The index of a `State`, a state label, or an index itself: an int
+        or numpy integer in ``range(n_states)``."""
+        if isinstance(state, (bool, np.bool_)):  # True would pass as 1
+            raise TypeError(f"a state index must be an integer, not a bool, got {state!r}")
+        if isinstance(state, (int, np.integer)):
+            if not 0 <= state < self.n_states:
+                raise IndexError(f"state index {state} is outside range({self.n_states})")
+            return int(state)
         if isinstance(state, str):
             if state not in self.labels:
                 raise KeyError(f"no state labelled {state!r}")

@@ -19,27 +19,26 @@ one table, so marginalizing listener mass over causal relations attached
 to the same table leaves the speaker unchanged; speakers here depend only
 on which utterances are assertable and on the masses.
 
-One matrix engine serves both numeric backends.  It reads only the
-context's arrays (``ctx.cells``, ``ctx.prior``, ``ctx.assertability``,
-``ctx.relations``), in the context's own dtype, whatever the rendering.  A
-float context runs dense float64 kernels, with the soft-max in log space
-and the masses and surprise as ``prior @ ...`` in BLAS summation order,
-which the sampled output digests pin.  An exact context (all ints and
-Fractions, integer alpha) holds ``object`` arrays of Fractions but does
-Fraction arithmetic only on the support: the masses and the surprise
-vector add only the cells where an utterance is assertable or produced,
-and the listener matrices divide only those cells and hold ``Fraction(0)``
-everywhere else.  Whatever depends only on a state's row of the
-assertability matrix is computed once per distinct row and gathered: the
-speaker row, with the soft-max ``(1 / mass(u)) ** alpha`` computed once per
-utterance and row-normalised; a row's share of each listener column,
-``1 / mass(u)`` or ``P_S(u | s) / surprise(u)``, which each state's prior
-then scales; and the row's terms of the masses and the surprise vector,
-weighted by the prior mass of its states.  A zero-prior state whose
+So every stage of the recursion is a function of a state's row of the
+assertability matrix, and one recursion serves both numeric backends.  It
+reads only the context's arrays, in the context's own dtype, and groups
+the states by assertability row once per context (`_patterns`).  The
+speaker is scored and normalised on the distinct rows and gathered per
+state.  The masses and the surprise vector are each one `_prior_dot`, and
+both listener matrices and every listener column one `_listener`, of a
+per-state matrix whose rows follow the assertability rows.  The backends
+differ in the speaker's scores and in these two kernels.  A float context
+soft-maxes in log space and runs dense float64 kernels, ``prior @ ...`` in
+the BLAS summation order that the sampled output digests pin.  An exact
+context (all ints and Fractions, integer alpha) scores ``(1 / mass(u)) **
+alpha`` and does Fraction arithmetic once per distinct row and only on the
+support: its masses and surprise add only the cells where an utterance is
+assertable or produced, and its listener matrices divide only those cells
+and hold ``Fraction(0)`` everywhere else.  A zero-prior state whose
 assertable utterances have no mass gets a zero speaker row.
 
-Each context memoises the utterance masses and, per speaker rule, the
-speaker matrix and the surprise vector, as read-only arrays.  The
+Each context memoises the grouping, the utterance masses and, per speaker
+rule, the speaker matrix and the surprise vector, as read-only arrays.  The
 per-state and per-utterance operations (`speaker`, `literal_listener`,
 `pragmatic_listener`, `utterance_surprise`) read one row or column of
 them.  The listener matrices are not memoised: on large sampled contexts
@@ -107,8 +106,6 @@ class Posterior:
             raise ValueError("one weight per context state required")
 
     def weight(self, state: State | str | int) -> Scalar:
-        if isinstance(state, int):
-            return self.weights[state]
         return self.weights[self.context.index_of_state(state)]
 
 
@@ -131,22 +128,34 @@ def _integer_alpha(alpha: Scalar) -> int:
     )
 
 
-def _memoised(
-    ctx: ScenarioContext, key: object, compute: Callable[[], np.ndarray]
-) -> np.ndarray:
+def _memoised(ctx: ScenarioContext, key: object, compute: Callable[[], object]):
     memo = ctx._memo
     if key not in memo:
         value = compute()
-        value.setflags(write=False)
+        for array in value if isinstance(value, tuple) else (value,):
+            array.setflags(write=False)
         memo[key] = value
     return memo[key]
 
 
+def _patterns(ctx: ScenarioContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct assertability rows, the first state of each, and the row
+    index of every state.  Read-only, memoised per context."""
+
+    def group():
+        # each row packed to one void element: a 1-D unique finds the groups
+        # of np.unique(axis=0), in the same order, at a thirtieth of its time
+        packed = np.packbits(ctx.assertability, axis=1)
+        _, first, inverse = np.unique(
+            packed.view(f"V{packed.shape[1]}")[:, 0], return_index=True, return_inverse=True
+        )
+        return ctx.assertability[first], first, inverse
+
+    return _memoised(ctx, "patterns", group)
+
+
 def _compute_masses(ctx: ScenarioContext) -> np.ndarray:
-    if not ctx.exact:
-        return ctx.prior @ ctx.assertability
-    patterns, _, inverse = _patterns(ctx)
-    return _prior_dot(ctx, patterns, inverse)
+    return _prior_dot(ctx, ctx.assertability)
 
 
 def _best(valid: np.ndarray, mass: np.ndarray) -> np.ndarray:
@@ -164,12 +173,17 @@ def _best(valid: np.ndarray, mass: np.ndarray) -> np.ndarray:
 
 def _compute_speaker(ctx: ScenarioContext, rule: SpeakerRule) -> np.ndarray:
     mass = utterance_masses(ctx)
-    if ctx.exact:
-        patterns, _, inverse = _patterns(ctx)
-        return _exact_speaker_rows(patterns, mass, rule)[inverse]
-    valid = ctx.assertability & (mass > 0)
+    patterns, _, inverse = _patterns(ctx)
+    valid = patterns & (mass > 0)
+    zero, one = (Fraction(0), Fraction(1)) if ctx.exact else (0.0, 1.0)
     if isinstance(rule, Argmax):
-        scores = np.where(_best(valid, mass), 1.0, 0.0)
+        scores = np.where(_best(valid, mass), one, zero)
+    elif ctx.exact:
+        # the per-state prior factor of the literal listener cancels
+        # row-wise, leaving (1 / mass) ** alpha
+        alpha = _integer_alpha(rule.alpha)
+        power = np.array([(1 / m) ** alpha if m > 0 else zero for m in mass], dtype=object)
+        scores = np.where(valid, power, zero)
     else:
         # the soft-max in log space: -alpha * log(mass)
         alpha = float(rule.alpha)
@@ -178,15 +192,18 @@ def _compute_speaker(ctx: ScenarioContext, rule: SpeakerRule) -> np.ndarray:
         logits = np.where(valid, -alpha * utility[None, :], -np.inf)
         logits -= np.nan_to_num(logits.max(axis=1, keepdims=True), neginf=0.0)
         scores = np.exp(logits, where=np.isfinite(logits), out=np.zeros_like(logits))
-    return _bayes(scores, scores.sum(axis=1, keepdims=True))
+    totals = scores.sum(axis=1, keepdims=True)
+    if ctx.exact:
+        return _bayes(scores, totals)[inverse]
+    # floats divide per state, after the gather: dividing per row and then
+    # gathering gives the same bytes, but the memoised matrices then stay in
+    # the heap beneath later allocations, and the 100k-state sampled
+    # benchmark's peak RSS rose from 141 to 175 MB
+    return _bayes(scores[inverse], totals[inverse])
 
 
 def _compute_surprise(ctx: ScenarioContext, rule: SpeakerRule) -> np.ndarray:
-    speaker = speaker_matrix(ctx, rule)
-    if not ctx.exact:
-        return ctx.prior @ speaker
-    _, first, inverse = _patterns(ctx)
-    return _prior_dot(ctx, speaker[first], inverse)
+    return _prior_dot(ctx, speaker_matrix(ctx, rule))
 
 
 def _bayes(production: np.ndarray, totals: np.ndarray) -> np.ndarray:
@@ -194,27 +211,40 @@ def _bayes(production: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return production / np.where(totals > 0, totals, 1)
 
 
-def _column(ctx: ScenarioContext, production: np.ndarray, total: Scalar) -> np.ndarray:
-    """One listener column, ``ctx.prior * production / total``; exactly, on
-    the nonzero cells of ``production`` only."""
+# --------------------------------------------------------------------------
+# kernels on per-state matrices whose rows follow the assertability rows
+# --------------------------------------------------------------------------
+
+
+def _prior_dot(ctx: ScenarioContext, matrix: np.ndarray) -> np.ndarray:
+    """``ctx.prior @ matrix``; exactly, the prior mass of each row's states
+    times the row, added over the row's nonzero cells only."""
     if not ctx.exact:
-        return ctx.prior * production / total
-    states = np.flatnonzero(production)
-    return _on_support(ctx.n_states, states, ctx.prior[states] * production[states] / total)
+        return ctx.prior @ matrix
+    _, first, inverse = _patterns(ctx)
+    order = np.argsort(inverse, kind="stable")
+    row_prior = _sums(ctx.prior[order], inverse[order], len(first))
+    utterance, row = np.nonzero(matrix[first].T)
+    return _sums(row_prior[row] * matrix[first[row], utterance], utterance, matrix.shape[1])
 
 
-# --------------------------------------------------------------------------
-# the exact backend: Fraction arithmetic on the support only
-# --------------------------------------------------------------------------
-
-
-def _patterns(ctx: ScenarioContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct assertability rows, the first state of each, and the row
-    index of every state."""
-    patterns, first, inverse = np.unique(
-        ctx.assertability, axis=0, return_index=True, return_inverse=True
+def _listener(ctx: ScenarioContext, matrix: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """``_bayes(ctx.prior[:, None] * matrix, totals)``; exactly, each nonzero
+    cell of a distinct row over its total once per row, times each state's
+    prior, and ``Fraction(0)`` in every other cell."""
+    if not ctx.exact:
+        return _bayes(ctx.prior[:, None] * matrix, totals)
+    _, first, inverse = _patterns(ctx)
+    produced = matrix[first].astype(bool) & (totals > 0)
+    row, utterance = np.nonzero(produced)
+    share = _on_support(
+        produced.shape, (row, utterance), matrix[first[row], utterance] / totals[utterance]
     )
-    return patterns, first, inverse.reshape(-1)
+    cells = produced[inverse]
+    state, utterance = np.nonzero(cells)
+    return _on_support(
+        cells.shape, (state, utterance), ctx.prior[state] * share[inverse[state], utterance]
+    )
 
 
 def _sums(values: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
@@ -224,59 +254,12 @@ def _sums(values: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
     return _on_support(n, present, np.add.reduceat(values, starts))
 
 
-def _prior_dot(ctx: ScenarioContext, rows: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-    """Exact ``ctx.prior @ rows[inverse]``: the prior mass of each row's
-    states times the row, added over the row's nonzero cells only."""
-    order = np.argsort(inverse, kind="stable")
-    row_prior = _sums(ctx.prior[order], inverse[order], len(rows))
-    utterance, row = np.nonzero(rows.T)
-    return _sums(row_prior[row] * rows[row, utterance], utterance, rows.shape[1])
-
-
-def _exact_bayes(
-    ctx: ScenarioContext, rows: np.ndarray, inverse: np.ndarray, totals: np.ndarray
-) -> np.ndarray:
-    """Exact ``_bayes(ctx.prior[:, None] * rows[inverse], totals)``: each
-    nonzero cell of a row over its total once per row, times each state's
-    prior."""
-    produced = rows.astype(bool) & (totals > 0)
-    row, utterance = np.nonzero(produced)
-    share = _on_support(
-        rows.shape, (row, utterance), rows[row, utterance] / totals[utterance]
-    )
-    cells = produced[inverse]
-    state, utterance = np.nonzero(cells)
-    return _on_support(
-        cells.shape, (state, utterance), ctx.prior[state] * share[inverse[state], utterance]
-    )
-
-
 def _on_support(shape, cells, values) -> np.ndarray:
     """An ``object`` array holding ``values`` at ``cells`` and ``Fraction(0)``
     everywhere else."""
     out = np.full(shape, Fraction(0), dtype=object)
     out[cells] = values
     return out
-
-
-def _exact_speaker_rows(
-    patterns: np.ndarray, mass: np.ndarray, rule: SpeakerRule
-) -> np.ndarray:
-    """The speaker row of each assertability row, normalised over its chosen
-    utterances."""
-    valid = patterns & (mass > 0)
-    if isinstance(rule, Argmax):
-        row, utterance = np.nonzero(_best(valid, mass))
-        scores = np.full(len(row), Fraction(1), dtype=object)
-    else:
-        # the per-state prior factor of the literal listener cancels
-        # row-wise, leaving (1 / mass) ** alpha
-        alpha = _integer_alpha(rule.alpha)
-        row, utterance = np.nonzero(valid)
-        power = np.array([(1 / m) ** alpha if m > 0 else 0 for m in mass], dtype=object)
-        scores = power[utterance]
-    totals = _sums(scores, row, len(patterns))
-    return _on_support(patterns.shape, (row, utterance), scores / totals[row])
 
 
 # --------------------------------------------------------------------------
@@ -295,11 +278,7 @@ def literal_listener_matrix(ctx: ScenarioContext) -> np.ndarray:
 
     Columns for utterances assertable nowhere are identically zero.
     """
-    mass = utterance_masses(ctx)
-    if not ctx.exact:
-        return _bayes(ctx.prior[:, None] * ctx.assertability, mass)
-    patterns, _, inverse = _patterns(ctx)
-    return _exact_bayes(ctx, patterns, inverse, mass)
+    return _listener(ctx, ctx.assertability, utterance_masses(ctx))
 
 
 def speaker_matrix(
@@ -316,11 +295,7 @@ def pragmatic_listener_matrix(
 ) -> np.ndarray:
     """P_PL(state | utterance) columns; zero columns where no speaker ever
     produces the utterance."""
-    speaker, surprise = speaker_matrix(ctx, rule), surprise_vector(ctx, rule)
-    if not ctx.exact:
-        return _bayes(ctx.prior[:, None] * speaker, surprise)
-    _, first, inverse = _patterns(ctx)
-    return _exact_bayes(ctx, speaker[first], inverse, surprise)
+    return _listener(ctx, speaker_matrix(ctx, rule), surprise_vector(ctx, rule))
 
 
 def surprise_vector(
@@ -340,13 +315,13 @@ def surprise_vector(
 def literal_listener(ctx: ScenarioContext, utterance: Utterance | str) -> Posterior:
     """Prior conditioned on the states where ``utterance`` is assertable."""
     j = ctx.index_of_utterance(utterance)
-    mass = utterance_masses(ctx)[j]
-    if mass == 0:
+    mass = utterance_masses(ctx)
+    if mass[j] == 0:
         raise ZeroSupportError(
             f"utterance {ctx.utterances[j]} is assertable in no state"
         )
-    column = _column(ctx, ctx.assertability[:, j], mass)
-    return Posterior(ctx, tuple(column.tolist()))
+    column = _listener(ctx, ctx.assertability[:, [j]], mass[[j]])
+    return Posterior(ctx, tuple(column[:, 0].tolist()))
 
 
 def speaker(
@@ -355,7 +330,7 @@ def speaker(
     rule: SpeakerRule | None = None,
 ) -> dict[Utterance, Scalar]:
     """Utterance choice probabilities of a speaker in ``state``."""
-    i = state if isinstance(state, int) else ctx.index_of_state(state)
+    i = ctx.index_of_state(state)
     return dict(zip(ctx.utterances, speaker_matrix(ctx, rule)[i].tolist()))
 
 
@@ -374,11 +349,11 @@ def pragmatic_listener(
 ) -> Posterior:
     """Bayesian inversion of the speaker: prior times production probability."""
     j = ctx.index_of_utterance(utterance)
-    total = surprise_vector(ctx, rule)[j]
-    if total == 0:
+    surprise = surprise_vector(ctx, rule)
+    if surprise[j] == 0:
         raise ZeroSupportError(f"no speaker ever produces {ctx.utterances[j]}")
-    column = _column(ctx, speaker_matrix(ctx, rule)[:, j], total)
-    return Posterior(ctx, tuple(column.tolist()))
+    column = _listener(ctx, speaker_matrix(ctx, rule)[:, [j]], surprise[[j]])
+    return Posterior(ctx, tuple(column[:, 0].tolist()))
 
 
 def interpretations(

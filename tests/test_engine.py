@@ -503,6 +503,135 @@ class TestSupportOracle:
                     self.same(cr.pragmatic_listener(ctx, u, rule).weights, column)
 
 
+def dense_float_oracle(ctx, rule):
+    """The whole-context arrays by the dense float64 kernels, every state's
+    speaker row scored and normalised on its own: the engine scores the
+    speaker once per assertability row."""
+    prior, assertable = ctx.prior, ctx.assertability
+
+    def bayes(production, totals):
+        return production / np.where(totals > 0, totals, 1)
+
+    mass = prior @ assertable
+    valid = assertable & (mass > 0)
+    if isinstance(rule, Argmax):
+        mass_rows = np.where(valid, mass, np.inf)
+        best = valid & (mass_rows == mass_rows.min(axis=1, keepdims=True))
+        scores = np.where(best, 1.0, 0.0)
+    else:
+        utility = np.zeros_like(mass)
+        np.log(mass, where=mass > 0, out=utility)
+        logits = np.where(valid, -float(rule.alpha) * utility[None, :], -np.inf)
+        logits -= np.nan_to_num(logits.max(axis=1, keepdims=True), neginf=0.0)
+        scores = np.exp(logits, where=np.isfinite(logits), out=np.zeros_like(logits))
+    speaker = bayes(scores, scores.sum(axis=1, keepdims=True))
+    surprise = prior @ speaker
+    return {
+        "utterance_masses": mass,
+        "literal_listener_matrix": bayes(prior[:, None] * assertable, mass),
+        "speaker_matrix": speaker,
+        "surprise_vector": surprise,
+        "pragmatic_listener_matrix": bayes(prior[:, None] * speaker, surprise),
+    }
+
+
+def as_float(state):
+    return State(JointTable(tuple(map(float, state.table.cells))), state.relation, state.label)
+
+
+class TestFloatOracle:
+    RULES = (Softmax(0), Softmax(1), Softmax(2.5), Softmax(3), Argmax())
+
+    @staticmethod
+    def same(got, expected):
+        """Equal bit for bit, in float64."""
+        got = np.asarray(got)
+        assert got.dtype == expected.dtype == np.float64
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ctx=exact_context_strategy(max_states=5),
+        extra=st.lists(zero_weight_state_strategy(), min_size=1, max_size=2),
+        on_theta_weight=st.integers(0, 3),
+        data=st.data(),
+    )
+    def test_arrays_equal_the_dense_kernels_bit_for_bit(
+        self, ctx, extra, on_theta_weight, data
+    ):
+        theta = float(ctx.theta)
+        # P(C) and P(C | A) are exactly theta
+        on_theta = State(JointTable((theta, 1 - theta, 0.0, 0.0)), label="on theta")
+        states = [as_float(s) for s in ctx.states] + [on_theta]
+        weights = [*ctx.weights, F(on_theta_weight, 4)]
+        total = sum(weights)
+        weights = [float(w / total) for w in weights]
+        for state in extra:
+            at = data.draw(st.integers(0, len(states)))
+            states.insert(at, as_float(state))
+            weights.insert(at, 0.0)
+        try:
+            ctx = ScenarioContext.from_states(
+                states, weights, ctx.utterances, float(ctx.alpha), theta
+            )
+        except ContextError:  # an added state can assert nothing
+            assume(False)
+        assert not ctx.exact
+        self.check(ctx)
+
+    def test_sampled_context_equals_the_dense_kernels(self, small_ctx):
+        self.check(small_ctx)
+
+    def check(self, ctx):
+        for rule in self.RULES:
+            expected = dense_float_oracle(ctx, rule)
+            got = {
+                "utterance_masses": cr.utterance_masses(ctx),
+                "literal_listener_matrix": cr.literal_listener_matrix(ctx),
+                "speaker_matrix": cr.speaker_matrix(ctx, rule),
+                "surprise_vector": cr.surprise_vector(ctx, rule),
+                "pragmatic_listener_matrix": cr.pragmatic_listener_matrix(ctx, rule),
+            }
+            for name, oracle in expected.items():
+                self.same(got[name], oracle)
+            # a column read is prior * production / total
+            for j, u in enumerate(ctx.utterances):
+                if (mass := expected["utterance_masses"][j]) > 0:
+                    column = ctx.prior * ctx.assertability[:, j] / mass
+                    self.same(cr.literal_listener(ctx, u).weights, column)
+                if (total := expected["surprise_vector"][j]) > 0:
+                    column = ctx.prior * expected["speaker_matrix"][:, j] / total
+                    self.same(cr.pragmatic_listener(ctx, u, rule).weights, column)
+
+
+class TestPatterns:
+    """One grouping of the states by assertability row per context."""
+
+    @staticmethod
+    def check(ctx):
+        patterns, first, inverse = engine._patterns(ctx)
+        assert (patterns[inverse] == ctx.assertability).all()
+        # first is each group's first state
+        assert (inverse[first] == np.arange(len(first))).all()
+        assert (first[inverse] <= np.arange(ctx.n_states)).all()
+        expected = np.unique(ctx.assertability, axis=0, return_index=True, return_inverse=True)
+        for got, want in zip((patterns, first, inverse), expected):
+            assert np.array_equal(got, want.reshape(got.shape))
+
+    @pytest.mark.parametrize("reverse", [True, False])
+    def test_sampled_groups_are_those_of_unique_rows(self, reverse):
+        utterances = default_utterances(include_reverse_conditionals=reverse)
+        ctx = cr.build_default_context(seed=3, n_states=2000, utterances=utterances)
+        assert len(ctx.utterances) == (20 if reverse else 16)
+        self.check(ctx)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ctx=exact_context_strategy(max_states=8))
+    def test_exact_groups_are_those_of_unique_rows(self, ctx):
+        self.check(ctx)
+
+
 class TestTableGrouping:
     def test_duplicate_tables_share_speaker_and_split_listener_mass(self):
         table = JointTable((F(3, 5), F(1, 10), F(1, 5), F(1, 10)))
@@ -548,6 +677,21 @@ class TestMemo:
         assert once_each(masses)
         assert once_each(speakers)
 
+    def test_exact_run_groups_once_per_context(self, monkeypatch, tmp_path):
+        patterns, calls = engine._patterns, []
+
+        def spy(ctx):
+            calls.append((ctx, patterns(ctx)))  # holds ctx, so its id stays unique
+            return calls[-1][1]
+
+        monkeypatch.setattr(engine, "_patterns", spy)
+        run(RunConfig(command="run-scenario", scenario="garden_party", output_dir=tmp_path))
+        grouping = {}
+        for ctx, got in calls:
+            assert grouping.setdefault(id(ctx), got) is got
+            assert len(got) == 3 and not any(array.flags.writeable for array in got)
+        assert len(calls) > len(grouping)
+
     @pytest.mark.parametrize(
         "read",
         [cr.utterance_masses, cr.speaker_matrix, cr.surprise_vector,
@@ -580,6 +724,30 @@ class TestPosterior:
     def test_surprise_vector_sums_to_one(self, small_ctx):
         total = cr.surprise_vector(small_ctx).sum()
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+class TestStateIndex:
+    """A state is a `State`, a label, or an int or numpy integer index."""
+
+    def test_int_and_numpy_integer_indices(self, toy_ctx):
+        post = cr.prior_posterior(toy_ctx)
+        for i, label in enumerate(toy_ctx.labels):
+            for index in (i, np.int64(i), np.uint8(i)):
+                assert toy_ctx.index_of_state(index) == i
+                assert cr.speaker(toy_ctx, index) == cr.speaker(toy_ctx, label)
+                assert post.weight(index) == post.weight(label)
+
+    @pytest.mark.parametrize("state", [True, False, np.True_])
+    def test_bool_is_not_an_index(self, toy_ctx, state):
+        for read in (cr.speaker, lambda ctx, s: cr.prior_posterior(ctx).weight(s)):
+            with pytest.raises(TypeError, match="not a bool"):
+                read(toy_ctx, state)
+
+    @pytest.mark.parametrize("state", [3, -1, np.int64(3), np.int64(-3)])
+    def test_index_outside_the_states_raises(self, toy_ctx, state):
+        for read in (cr.speaker, lambda ctx, s: cr.prior_posterior(ctx).weight(s)):
+            with pytest.raises(IndexError, match=r"outside range\(3\)"):
+                read(toy_ctx, state)
 
 
 def relation_posterior_oracle(post):
