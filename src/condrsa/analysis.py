@@ -5,7 +5,10 @@ Everything here is computed from the engine's matrices and the context's
 cells and is pure; an event probability that adds cells, such as a
 marginal, comes from `core.event_column`.
 `context_analyses` computes, once per context, the record of analyses that
-a default-context bundle lays out; the check suite at the bottom reads that
+a default-context bundle lays out.  Its relation beliefs and CP metrics
+read the same three interpretations of "A -> C" (prior, literal and
+pragmatic listener), built once; a posterior is a read-only column of
+weights, which both read as it is.  The check suite at the bottom reads that
 record and evaluates the reference claims against the bounds in
 `condrsa.tolerances` (strict form for the default configuration,
 qualitative ordinal/zero-one form for the robustness grid).
@@ -118,16 +121,20 @@ def _type_columns(ctx: ScenarioContext) -> dict[UtteranceType, list[int]]:
 
 
 def _type_mass_matrix(ctx: ScenarioContext, choice: np.ndarray) -> np.ndarray:
-    """Collapse a (states x utterances) probability matrix to utterance types.
+    """Collapse a (states x utterances) speaker matrix to utterance types.
 
-    Returns (n_states, len(UtteranceType)) in UtteranceType order.
+    Returns (n_states, len(UtteranceType)) in UtteranceType order.  A
+    speaker row depends only on the state's assertability row, so each
+    distinct row is summed once and the sums are gathered per state.
     """
+    _, first, inverse = engine._patterns(ctx)
+    rows = choice[first]
     cols = _type_columns(ctx)
     return np.stack(
-        [choice[:, cols[t]].sum(axis=1) if cols[t] else np.zeros(len(choice))
+        [rows[:, cols[t]].sum(axis=1) if cols[t] else np.zeros(len(rows))
          for t in UtteranceType],
         axis=1,
-    )
+    )[inverse]
 
 
 @dataclass(frozen=True)
@@ -194,7 +201,7 @@ def cp_metrics(post: Posterior) -> CPMetrics:
     (or ints) on exact contexts, Python floats otherwise."""
     ctx = post.context
     tables = ctx.cells
-    weights = np.array(post.weights, dtype=tables.dtype)
+    weights = post.column
     scalar = _unchanged if ctx.exact else float
     p_a, p_c = marginal_arrays(ctx)
 
@@ -312,7 +319,10 @@ def relation_beliefs(
     rule: SpeakerRule | None = None,
 ) -> dict[str, dict[CausalStructure, Scalar]]:
     """Relation marginals prior to the utterance and under both listeners."""
-    return engine.interpretations(ctx, utterance, rule, engine.relation_posterior)
+    return {
+        stage: engine.relation_posterior(post)
+        for stage, post in engine.interpretations(ctx, utterance, rule).items()
+    }
 
 
 def cp_comparison(
@@ -321,7 +331,10 @@ def cp_comparison(
     rule: SpeakerRule | None = None,
 ) -> dict[str, CPMetrics]:
     """CP metrics prior to the utterance and under both listeners."""
-    return engine.interpretations(ctx, utterance, rule, cp_metrics)
+    return {
+        stage: cp_metrics(post)
+        for stage, post in engine.interpretations(ctx, utterance, rule).items()
+    }
 
 
 @dataclass(frozen=True)
@@ -340,13 +353,19 @@ class ContextAnalyses:
 def context_analyses(ctx: ScenarioContext) -> ContextAnalyses:
     """The `ContextAnalyses` of a context, computed once and memoised in it."""
     if "analyses" not in ctx._memo:
+        stages = engine.interpretations(ctx, A_IMPLIES_C)
+        beliefs = {stage: engine.relation_posterior(post) for stage, post in stages.items()}
+        cp = {stage: cp_metrics(post) for stage, post in stages.items()}
+        # dropped before the speaker-matrix analyses: held through them, the
+        # three columns raised the 100k-state benchmark's peak RSS by 1 MB
+        del stages
         ctx._memo["analyses"] = ContextAnalyses(
             frequencies={
                 group_by: best_utterance_frequencies(ctx, group_by)
                 for group_by in ("independence", "none")
             },
-            beliefs=relation_beliefs(ctx),
-            cp=cp_comparison(ctx),
+            beliefs=beliefs,
+            cp=cp,
             cohorts=delta_p_cohorts(ctx),
             choice={
                 name: expected_choice_probabilities(ctx, rule)

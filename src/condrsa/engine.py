@@ -43,6 +43,9 @@ per-state and per-utterance operations (`speaker`, `literal_listener`,
 `pragmatic_listener`, `utterance_surprise`) read one row or column of
 them.  The listener matrices are not memoised: on large sampled contexts
 they would add a full (states x utterances) array per rule to memory.
+A `Posterior` holds its weights as one read-only column in the context's
+dtype, and `expectation` and `relation_posterior` read that column
+directly; its ``weights`` tuple is only built when a caller asks for it.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -94,24 +98,32 @@ class Argmax:
 SpeakerRule = Union[Softmax, Argmax]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Posterior:
-    """A distribution over the states of a context."""
+    """A distribution over the states of a context: one read-only column of
+    weights, a copy in the context's dtype."""
 
     context: ScenarioContext
-    weights: tuple[Scalar, ...]
+    column: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.weights) != self.context.n_states:
+        column = np.array(self.column, dtype=self.context.prior.dtype)
+        if column.shape != (self.context.n_states,):
             raise ValueError("one weight per context state required")
+        column.setflags(write=False)
+        object.__setattr__(self, "column", column)
+
+    @cached_property
+    def weights(self) -> tuple[Scalar, ...]:
+        return tuple(self.column.tolist())
 
     def weight(self, state: State | str | int) -> Scalar:
-        return self.weights[self.context.index_of_state(state)]
+        return self.column.item(self.context.index_of_state(state))
 
 
 def prior_posterior(ctx: ScenarioContext) -> Posterior:
     """The prior, wrapped as a posterior for uniform downstream handling."""
-    return Posterior(ctx, tuple(ctx.prior.tolist()))
+    return Posterior(ctx, ctx.prior)
 
 
 def _resolve_rule(ctx: ScenarioContext, rule: SpeakerRule | None) -> SpeakerRule:
@@ -321,7 +333,7 @@ def literal_listener(ctx: ScenarioContext, utterance: Utterance | str) -> Poster
             f"utterance {ctx.utterances[j]} is assertable in no state"
         )
     column = _listener(ctx, ctx.assertability[:, [j]], mass[[j]])
-    return Posterior(ctx, tuple(column[:, 0].tolist()))
+    return Posterior(ctx, column[:, 0])
 
 
 def speaker(
@@ -353,22 +365,20 @@ def pragmatic_listener(
     if surprise[j] == 0:
         raise ZeroSupportError(f"no speaker ever produces {ctx.utterances[j]}")
     column = _listener(ctx, speaker_matrix(ctx, rule)[:, [j]], surprise[[j]])
-    return Posterior(ctx, tuple(column[:, 0].tolist()))
+    return Posterior(ctx, column[:, 0])
 
 
 def interpretations(
     ctx: ScenarioContext,
     utterance: Utterance | str,
     rule: SpeakerRule | None = None,
-    read: Callable[[Posterior], object] = lambda post: post,
-) -> dict[str, object]:
+) -> dict[str, Posterior]:
     """The prior, literal listener and pragmatic listener of ``utterance``,
-    keyed by stage name, each passed through ``read`` before the next is
-    built: on a large context, one posterior at a time is alive."""
+    keyed by stage name."""
     return {
-        "prior": read(prior_posterior(ctx)),
-        "literal": read(literal_listener(ctx, utterance)),
-        "pragmatic": read(pragmatic_listener(ctx, utterance, rule)),
+        "prior": prior_posterior(ctx),
+        "literal": literal_listener(ctx, utterance),
+        "pragmatic": pragmatic_listener(ctx, utterance, rule),
     }
 
 
@@ -387,19 +397,17 @@ def utterance_surprise(
 def expectation(post: Posterior, values: np.ndarray) -> Scalar:
     """Posterior expectation of a per-state quantity, given as one value per
     state (such as a column of ``ctx.cells``)."""
-    weights = np.array(post.weights, dtype=post.context.prior.dtype)
     # a running sum adds in state order, so floats match a state-by-state loop
-    return np.cumsum(weights * values)[-1:].tolist()[0]
+    return np.cumsum(post.column * values)[-1:].tolist()[0]
 
 
 def relation_posterior(post: Posterior) -> dict[CausalStructure, Scalar]:
     """Posterior mass per causal structure (all five variants listed)."""
     ctx = post.context
-    weights = np.array(post.weights, dtype=ctx.prior.dtype)
     zero = Fraction(0) if ctx.exact else 0.0
     # the last running sum adds a structure's weights one at a time in state
     # order, so float masses equal those of a state-by-state loop
     return {
-        relation: sum(np.cumsum(weights[ctx.relations == code])[-1:].tolist(), zero)
+        relation: sum(np.cumsum(post.column[ctx.relations == code])[-1:].tolist(), zero)
         for code, relation in enumerate(RELATION_ORDER)
     }

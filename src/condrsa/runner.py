@@ -98,6 +98,10 @@ def parse_grid(spec: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return alphas, thetas
 
 
+class GridCollisionError(ModelError):
+    """Two values of one sweep grid axis would write the same sub-bundle."""
+
+
 @dataclass(frozen=True)
 class RunConfig:
     command: str
@@ -127,6 +131,15 @@ class RunConfig:
                 raise ModelError("sampled contexts only support float numerics")
             if self.n_states < 1:
                 raise ModelError("n_states must be positive")
+        for axis, values in zip(("alpha", "theta"), self.grid or ()):
+            # each combination writes to `_combo_dirname`, which names values with :g
+            names = [f"{value:g}" for value in values]
+            clash = next((name for name in names if names.count(name) > 1), None)
+            if clash is not None:
+                raise GridCollisionError(
+                    f"grid {axis} values {[v for v, n in zip(values, names) if n == clash]} "
+                    f"share the name {axis}-{clash} of their output directories"
+                )
         if self.command == "sweep" and (self.figure is not None or "plotdata" in self.formats):
             raise ModelError(
                 "sweep does not emit plot data; run run-default-context "

@@ -322,7 +322,7 @@ def observation_update(post: Posterior, link: ObservationLink) -> Scalar:
     ))
     total = 0
     for weight, label, (p_med, p_not_med, a_med, a_not_med) in zip(
-        post.weights, post.context.labels, columns
+        post.column.tolist(), post.context.labels, columns
     ):
         if weight == 0:
             continue

@@ -184,6 +184,19 @@ class TestSweep:
         assert json.loads(result.stderr) == {"error": "ModelError", "message": message}
         assert list(tmp_path.iterdir()) == []
 
+    def test_grid_values_sharing_a_directory_rejected(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "sweep", "--seed", "1", "--n-states", "300",
+            "--sweep-grid", "alpha=1,1.0000001;theta=0.9", "--out", str(tmp_path),
+        ])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr) == {
+            "error": "GridCollisionError",
+            "message": "grid alpha values [1.0, 1.0000001] share the name alpha-1 "
+                       "of their output directories",
+        }
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_grid_rejected(self, runner):
         result = runner.invoke(
             main, ["sweep", "--seed", "3", "--sweep-grid", "gamma=1,2"]

@@ -726,6 +726,59 @@ class TestPosterior:
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.fixture(params=["exact", "float", "sampled"])
+def any_ctx(request, toy_ctx, small_ctx):
+    return {
+        "exact": toy_ctx,
+        "float": toy_ctx.with_params(alpha=1.0, theta=0.9),
+        "sampled": small_ctx,
+    }[request.param]
+
+
+class TestPosteriorColumn:
+    """A posterior is one read-only column in its context's dtype."""
+
+    def test_stages_are_read_only_columns_of_the_engine_arrays(self, any_ctx):
+        ctx = any_ctx
+        j = ctx.index_of_utterance("A -> C")
+        stages = cr.interpretations(ctx, "A -> C")
+        expected = {
+            "prior": ctx.prior,
+            "literal": cr.literal_listener_matrix(ctx)[:, j],
+            "pragmatic": cr.pragmatic_listener_matrix(ctx)[:, j],
+        }
+        for stage, post in stages.items():
+            assert post.column.dtype == ctx.prior.dtype
+            assert not post.column.flags.writeable
+            with pytest.raises(ValueError):
+                post.column[0] = 0
+            if ctx.exact:
+                assert post.column.tolist() == expected[stage].tolist()
+                assert list(map(type, post.column)) == list(map(type, expected[stage]))
+            else:
+                assert post.column.tobytes() == expected[stage].tobytes()
+            assert post.weights == tuple(post.column.tolist())
+
+    def test_weight_is_a_python_scalar(self, any_ctx):
+        post = cr.literal_listener(any_ctx, "A -> C")
+        for i in range(any_ctx.n_states):
+            weight = post.weight(i)
+            assert weight == post.weights[i]
+            assert type(weight) in ((F, int) if any_ctx.exact else (float,))
+
+    @pytest.mark.parametrize("column", [(1,), np.zeros((3, 1)), np.zeros(4)])
+    def test_wrong_shape_rejected(self, toy_ctx, column):
+        with pytest.raises(ValueError, match="one weight per context state"):
+            cr.Posterior(toy_ctx, column)
+
+    def test_callers_array_stays_writable(self, small_ctx):
+        weights = np.full(small_ctx.n_states, 1.0 / small_ctx.n_states)
+        post = cr.Posterior(small_ctx, weights)
+        assert weights.flags.writeable
+        weights[0] = 0.0
+        assert post.weight(0) == 1.0 / small_ctx.n_states
+
+
 class TestStateIndex:
     """A state is a `State`, a label, or an int or numpy integer index."""
 
@@ -835,13 +888,14 @@ def test_bool_softmax_alpha_rejected_after_softmax_one(request, fixture):
 def test_interpretations_are_the_three_stages(request, fixture, rule):
     ctx = request.getfixturevalue(fixture)
     stages = cr.interpretations(ctx, "A -> C", rule)
-    assert stages == {
-        "prior": cr.prior_posterior(ctx),
-        "literal": cr.literal_listener(ctx, "A -> C"),
-        "pragmatic": cr.pragmatic_listener(ctx, "A -> C", rule),
+    assert {stage: post.weights for stage, post in stages.items()} == {
+        "prior": cr.prior_posterior(ctx).weights,
+        "literal": cr.literal_listener(ctx, "A -> C").weights,
+        "pragmatic": cr.pragmatic_listener(ctx, "A -> C", rule).weights,
     }
-    read = cr.interpretations(ctx, "A -> C", rule, cr.relation_posterior)
-    assert read == {stage: cr.relation_posterior(post) for stage, post in stages.items()}
+    assert cr.relation_beliefs(ctx, "A -> C", rule) == {
+        stage: cr.relation_posterior(post) for stage, post in stages.items()
+    }
 
 
 @pytest.mark.parametrize("name", ["toy", "skiing", "garden_party", "sundowners"])

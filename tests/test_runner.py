@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import tempfile
 from collections import Counter
 from fractions import Fraction
@@ -22,11 +23,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import condrsa as cr
-from condrsa import analysis, results
+from condrsa import analysis, engine, results
 from condrsa.context import ScenarioContext
 from condrsa.core import RELATION_ORDER, WORLD_NAMES, ModelError, ZeroSupportError
 from condrsa.results import FIGURES, applicable_figures
 from condrsa.runner import (
+    GridCollisionError,
     RunConfig,
     _combo_dirname,
     default_context_bundle,
@@ -248,24 +250,25 @@ class TestOneArithmetic:
 class TestComputedOnce:
     def test_default_context_bundle_runs_each_analysis_once(self, monkeypatch):
         calls: Counter[str] = Counter()
-        for name in (
-            "best_utterance_frequencies", "relation_beliefs", "cp_comparison",
-            "cp_metrics", "delta_p_cohorts", "_delta_p_array",
-            "expected_choice_probabilities",
+        for module, name in (
+            (analysis, "best_utterance_frequencies"), (analysis, "cp_metrics"),
+            (analysis, "delta_p_cohorts"), (analysis, "_delta_p_array"),
+            (analysis, "expected_choice_probabilities"),
+            (engine, "interpretations"), (engine, "pragmatic_listener"),
         ):
-            def counted(*args, _name=name, _original=getattr(analysis, name), **kwargs):
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(analysis, name, counted)
+            monkeypatch.setattr(module, name, counted)
         ctx = cr.build_default_context(1, 300)
         config = RunConfig(command="run-default-context", seed=1, n_states=300)
         bundle = default_context_bundle(ctx, config)
         assert calls == {
             "best_utterance_frequencies": 2,  # once per grouping
             "expected_choice_probabilities": 2,  # once per speaker rule
-            "relation_beliefs": 1,
-            "cp_comparison": 1,
+            "interpretations": 1,  # read by both relation beliefs and CP metrics
+            "pragmatic_listener": 1,
             "cp_metrics": 3,  # prior, literal, pragmatic
             "delta_p_cohorts": 1,
             "_delta_p_array": 1,
@@ -393,6 +396,18 @@ class TestColumnarTables:
         with pytest.raises(ModelError, match="sweep does not emit plot data"):
             run(RunConfig(command="sweep", seed=1, n_states=300, grid=((1.0, 3.0), (0.9,)),
                           output_dir=tmp_path, formats=("csv", "json", "plotdata")))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("grid, values", [
+        (((1.0, 1.0000001), (0.9,)), "alpha values [1.0, 1.0000001]"),
+        (((1.0, 1.0), (0.9,)), "alpha values [1.0, 1.0]"),
+        (((1.0,), (0.9, 0.95, 0.9)), "theta values [0.9, 0.9]"),
+    ])
+    def test_sweep_refuses_grid_values_sharing_a_directory(self, tmp_path, grid, values):
+        # each combination writes to its _combo_dirname: two values with one
+        # name would overwrite a sub-bundle and repeat its sweep_checks rows
+        with pytest.raises(GridCollisionError, match=re.escape(values)):
+            run(RunConfig(command="sweep", seed=1, n_states=300, grid=grid, output_dir=tmp_path))
         assert list(tmp_path.iterdir()) == []
 
 
