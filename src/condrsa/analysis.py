@@ -1,9 +1,12 @@
 """Aggregate analyses over a context: who says what when, and what a
 listener concludes.
 
-Everything here is computed from the engine's matrices and the context's
+Everything here is computed from the engine's arrays and the context's
 cells and is pure; an event probability that adds cells, such as a
-marginal, comes from `core.event_column`.
+marginal, comes from `core.event_column`.  The speaker analyses read the
+engine's memoised pattern rows (one per distinct assertability row), sum
+or test them once per pattern, and gather the results per state; no
+(states x utterances) speaker matrix is built.
 `context_analyses` computes, once per context, the record of analyses that
 a default-context bundle lays out.  Its relation beliefs and CP metrics
 read the same three interpretations of "A -> C" (prior, literal and
@@ -120,21 +123,19 @@ def _type_columns(ctx: ScenarioContext) -> dict[UtteranceType, list[int]]:
     return cols
 
 
-def _type_mass_matrix(ctx: ScenarioContext, choice: np.ndarray) -> np.ndarray:
-    """Collapse a (states x utterances) speaker matrix to utterance types.
+def _type_mass_matrix(ctx: ScenarioContext, rule: SpeakerRule | None) -> np.ndarray:
+    """Each state's speaker mass per utterance type under ``rule``.
 
-    Returns (n_states, len(UtteranceType)) in UtteranceType order.  A
-    speaker row depends only on the state's assertability row, so each
-    distinct row is summed once and the sums are gathered per state.
+    Returns (n_states, len(UtteranceType)) in UtteranceType order.  Each
+    speaker pattern row is summed once and the sums are gathered per state.
     """
-    _, first, inverse = engine._patterns(ctx)
-    rows = choice[first]
+    rows = engine._speaker_rows(ctx, rule)
     cols = _type_columns(ctx)
     return np.stack(
         [rows[:, cols[t]].sum(axis=1) if cols[t] else np.zeros(len(rows))
          for t in UtteranceType],
         axis=1,
-    )[inverse]
+    )[engine._patterns(ctx)[2]]
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,7 @@ def best_utterance_frequencies(
     Argmax ties contribute fractionally.  Cells containing no state are
     absent from the result rather than reported as zeros.
     """
-    type_mass = _type_mass_matrix(ctx, engine.speaker_matrix(ctx, Argmax()))
+    type_mass = _type_mass_matrix(ctx, Argmax())
     cells = certainty_cell_array(ctx)
     groups = _groups(ctx, group_by)
 
@@ -282,7 +283,8 @@ def delta_p_cohorts(ctx: ScenarioContext) -> DeltaPCohorts:
     values, defined = _delta_p_array(ctx)
     j = ctx.index_of_utterance(A_IMPLIES_C)
     assertable = ctx.assertability[:, j] & defined
-    best = (engine.speaker_matrix(ctx, Argmax())[:, j] > 0) & assertable
+    produced = engine._speaker_rows(ctx, Argmax())[:, j] > 0
+    best = produced[engine._patterns(ctx)[2]] & assertable
 
     def cohort(name: str, mask: np.ndarray) -> DeltaPCohort:
         idx = np.flatnonzero(mask)
@@ -305,7 +307,7 @@ def expected_choice_probabilities(
 
     Every row sums to one (each state's speaker distribution does).
     """
-    type_mass = _type_mass_matrix(ctx, engine.speaker_matrix(ctx, rule))
+    type_mass = _type_mass_matrix(ctx, rule)
     out: dict[str, dict[UtteranceType, float]] = {}
     for group, in_group in _groups(ctx, group_by):
         means = type_mass[in_group].mean(axis=0)
@@ -533,8 +535,8 @@ def default_context_checks(
 
     # exact in floats: at most two literals, one per variable, are ever
     # assertable, so a state's literal argmax mass is 1, 1/2 + 1/2 or below 1
-    argmax = engine.speaker_matrix(ctx, Argmax())
-    literal_argmax = argmax[:, _type_columns(ctx)[UtteranceType.LITERAL]].sum(axis=1) == 1.0
+    argmax = engine._speaker_rows(ctx, Argmax())[:, _type_columns(ctx)[UtteranceType.LITERAL]]
+    literal_argmax = (argmax.sum(axis=1) == 1.0)[engine._patterns(ctx)[2]]
     ca_dir = np.isin(ctx.relations, [
         RELATION_ORDER.index(CausalStructure.CA_POS),
         RELATION_ORDER.index(CausalStructure.CA_NEG),

@@ -320,6 +320,6 @@ def build_default_context(
         prior=np.full(n_states, 1.0 / n_states),
         relations=sample["relation"],
         utterances=utterances if utterances is not None else default_utterances(),
-        alpha=float(alpha),
-        theta=float(theta),
+        alpha=alpha,
+        theta=theta,
     )

@@ -23,29 +23,33 @@ So every stage of the recursion is a function of a state's row of the
 assertability matrix, and one recursion serves both numeric backends.  It
 reads only the context's arrays, in the context's own dtype, and groups
 the states by assertability row once per context (`_patterns`).  The
-speaker is scored and normalised on the distinct rows and gathered per
-state.  The masses and the surprise vector are each one `_prior_dot`, and
-both listener matrices and every listener column one `_listener`, of a
-per-state matrix whose rows follow the assertability rows.  The backends
-differ in the speaker's scores and in these two kernels.  A float context
-soft-maxes in log space and runs dense float64 kernels, ``prior @ ...`` in
-the BLAS summation order that the sampled output digests pin.  An exact
-context (all ints and Fractions, integer alpha) scores ``(1 / mass(u)) **
-alpha`` and does Fraction arithmetic once per distinct row and only on the
-support: its masses and surprise add only the cells where an utterance is
-assertable or produced, and its listener matrices divide only those cells
-and hold ``Fraction(0)`` everywhere else.  A zero-prior state whose
-assertable utterances have no mass gets a zero speaker row.
+speaker is scored and normalised on the distinct rows, the pattern rows
+(`_speaker_rows`).  The masses and the surprise vector are each one
+`_prior_dot`, and both listener matrices and every listener column one
+`_listener`, of pattern rows.  The backends differ in the speaker's
+scores and in these two kernels.  A float context soft-maxes in log space
+and runs dense float64 kernels on the per-state gather ``rows[inverse]``,
+``prior @ ...`` in the BLAS summation order that the sampled output
+digests pin.  An exact context (all ints and Fractions, integer alpha)
+scores ``(1 / mass(u)) ** alpha`` and does Fraction arithmetic once per
+distinct row and only on the support: its masses and surprise add only
+the cells where an utterance is assertable or produced, and its listener
+matrices divide only those cells and hold ``Fraction(0)`` everywhere
+else.  A zero-prior state whose assertable utterances have no mass gets a
+zero speaker row.
 
 Each context memoises the grouping, the utterance masses and, per speaker
-rule, the speaker matrix and the surprise vector, as read-only arrays.  The
-per-state and per-utterance operations (`speaker`, `literal_listener`,
-`pragmatic_listener`, `utterance_surprise`) read one row or column of
-them.  The listener matrices are not memoised: on large sampled contexts
-they would add a full (states x utterances) array per rule to memory.
-A `Posterior` holds its weights as one read-only column in the context's
-dtype, and `expectation` and `relation_posterior` read that column
-directly; its ``weights`` tuple is only built when a caller asks for it.
+rule, the speaker's pattern rows and the surprise vector, as read-only
+arrays; none has a row per state.  A per-state matrix is a gather made
+where it is needed: `speaker_matrix` returns a new one on each call, and
+the per-state and per-utterance operations (`speaker`, `literal_listener`,
+`pragmatic_listener`, `utterance_surprise`) read one pattern row or
+column.  The listener matrices are not memoised: on large sampled
+contexts they would add a full (states x utterances) array per rule to
+memory.  A `Posterior` holds its weights as one read-only column in the
+context's dtype, and `expectation` and `relation_posterior` read that
+column directly; its ``weights`` tuple is only built when a caller asks
+for it.
 """
 
 from __future__ import annotations
@@ -167,7 +171,7 @@ def _patterns(ctx: ScenarioContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _compute_masses(ctx: ScenarioContext) -> np.ndarray:
-    return _prior_dot(ctx, ctx.assertability)
+    return _prior_dot(ctx, _patterns(ctx)[0])
 
 
 def _best(valid: np.ndarray, mass: np.ndarray) -> np.ndarray:
@@ -185,8 +189,7 @@ def _best(valid: np.ndarray, mass: np.ndarray) -> np.ndarray:
 
 def _compute_speaker(ctx: ScenarioContext, rule: SpeakerRule) -> np.ndarray:
     mass = utterance_masses(ctx)
-    patterns, _, inverse = _patterns(ctx)
-    valid = patterns & (mass > 0)
+    valid = _patterns(ctx)[0] & (mass > 0)
     zero, one = (Fraction(0), Fraction(1)) if ctx.exact else (0.0, 1.0)
     if isinstance(rule, Argmax):
         scores = np.where(_best(valid, mass), one, zero)
@@ -204,18 +207,11 @@ def _compute_speaker(ctx: ScenarioContext, rule: SpeakerRule) -> np.ndarray:
         logits = np.where(valid, -alpha * utility[None, :], -np.inf)
         logits -= np.nan_to_num(logits.max(axis=1, keepdims=True), neginf=0.0)
         scores = np.exp(logits, where=np.isfinite(logits), out=np.zeros_like(logits))
-    totals = scores.sum(axis=1, keepdims=True)
-    if ctx.exact:
-        return _bayes(scores, totals)[inverse]
-    # floats divide per state, after the gather: dividing per row and then
-    # gathering gives the same bytes, but the memoised matrices then stay in
-    # the heap beneath later allocations, and the 100k-state sampled
-    # benchmark's peak RSS rose from 141 to 175 MB
-    return _bayes(scores[inverse], totals[inverse])
+    return _bayes(scores, scores.sum(axis=1, keepdims=True))
 
 
 def _compute_surprise(ctx: ScenarioContext, rule: SpeakerRule) -> np.ndarray:
-    return _prior_dot(ctx, speaker_matrix(ctx, rule))
+    return _prior_dot(ctx, _speaker_rows(ctx, rule))
 
 
 def _bayes(production: np.ndarray, totals: np.ndarray) -> np.ndarray:
@@ -224,34 +220,32 @@ def _bayes(production: np.ndarray, totals: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# kernels on per-state matrices whose rows follow the assertability rows
+# kernels on pattern rows: one row per distinct assertability row
 # --------------------------------------------------------------------------
 
 
-def _prior_dot(ctx: ScenarioContext, matrix: np.ndarray) -> np.ndarray:
-    """``ctx.prior @ matrix``; exactly, the prior mass of each row's states
-    times the row, added over the row's nonzero cells only."""
-    if not ctx.exact:
-        return ctx.prior @ matrix
+def _prior_dot(ctx: ScenarioContext, rows: np.ndarray) -> np.ndarray:
+    """``ctx.prior @ rows[inverse]``; exactly, the prior mass of each
+    pattern's states times its row, added over the row's nonzero cells only."""
     _, first, inverse = _patterns(ctx)
+    if not ctx.exact:
+        return ctx.prior @ rows[inverse]
     order = np.argsort(inverse, kind="stable")
     row_prior = _sums(ctx.prior[order], inverse[order], len(first))
-    utterance, row = np.nonzero(matrix[first].T)
-    return _sums(row_prior[row] * matrix[first[row], utterance], utterance, matrix.shape[1])
+    utterance, row = np.nonzero(rows.T)
+    return _sums(row_prior[row] * rows[row, utterance], utterance, rows.shape[1])
 
 
-def _listener(ctx: ScenarioContext, matrix: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """``_bayes(ctx.prior[:, None] * matrix, totals)``; exactly, each nonzero
-    cell of a distinct row over its total once per row, times each state's
-    prior, and ``Fraction(0)`` in every other cell."""
+def _listener(ctx: ScenarioContext, rows: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """``_bayes(ctx.prior[:, None] * rows[inverse], totals)``; exactly, each
+    nonzero cell of a pattern row over its total once per row, times each
+    state's prior, and ``Fraction(0)`` in every other cell."""
+    inverse = _patterns(ctx)[2]
     if not ctx.exact:
-        return _bayes(ctx.prior[:, None] * matrix, totals)
-    _, first, inverse = _patterns(ctx)
-    produced = matrix[first].astype(bool) & (totals > 0)
+        return _bayes(ctx.prior[:, None] * rows[inverse], totals)
+    produced = rows.astype(bool) & (totals > 0)
     row, utterance = np.nonzero(produced)
-    share = _on_support(
-        produced.shape, (row, utterance), matrix[first[row], utterance] / totals[utterance]
-    )
+    share = _on_support(produced.shape, (row, utterance), rows[row, utterance] / totals[utterance])
     cells = produced[inverse]
     state, utterance = np.nonzero(cells)
     return _on_support(
@@ -290,16 +284,22 @@ def literal_listener_matrix(ctx: ScenarioContext) -> np.ndarray:
 
     Columns for utterances assertable nowhere are identically zero.
     """
-    return _listener(ctx, ctx.assertability, utterance_masses(ctx))
+    return _listener(ctx, _patterns(ctx)[0], utterance_masses(ctx))
+
+
+def _speaker_rows(ctx: ScenarioContext, rule: SpeakerRule | None = None) -> np.ndarray:
+    """P_S(utterance | state) on each distinct assertability row, in the
+    order of `_patterns`.  Read-only, memoised per context and rule."""
+    rule = _resolve_rule(ctx, rule)
+    return _memoised(ctx, ("speaker", rule), lambda: _compute_speaker(ctx, rule))
 
 
 def speaker_matrix(
     ctx: ScenarioContext, rule: SpeakerRule | None = None
 ) -> np.ndarray:
-    """P_S(utterance | state) as an (n_states, n_utterances) matrix.
-    Read-only, memoised per context and rule."""
-    rule = _resolve_rule(ctx, rule)
-    return _memoised(ctx, ("speaker", rule), lambda: _compute_speaker(ctx, rule))
+    """P_S(utterance | state) as an (n_states, n_utterances) matrix, a new
+    gather of the pattern rows on each call."""
+    return _speaker_rows(ctx, rule)[_patterns(ctx)[2]]
 
 
 def pragmatic_listener_matrix(
@@ -307,7 +307,7 @@ def pragmatic_listener_matrix(
 ) -> np.ndarray:
     """P_PL(state | utterance) columns; zero columns where no speaker ever
     produces the utterance."""
-    return _listener(ctx, speaker_matrix(ctx, rule), surprise_vector(ctx, rule))
+    return _listener(ctx, _speaker_rows(ctx, rule), surprise_vector(ctx, rule))
 
 
 def surprise_vector(
@@ -332,7 +332,7 @@ def literal_listener(ctx: ScenarioContext, utterance: Utterance | str) -> Poster
         raise ZeroSupportError(
             f"utterance {ctx.utterances[j]} is assertable in no state"
         )
-    column = _listener(ctx, ctx.assertability[:, [j]], mass[[j]])
+    column = _listener(ctx, _patterns(ctx)[0][:, [j]], mass[[j]])
     return Posterior(ctx, column[:, 0])
 
 
@@ -342,8 +342,8 @@ def speaker(
     rule: SpeakerRule | None = None,
 ) -> dict[Utterance, Scalar]:
     """Utterance choice probabilities of a speaker in ``state``."""
-    i = ctx.index_of_state(state)
-    return dict(zip(ctx.utterances, speaker_matrix(ctx, rule)[i].tolist()))
+    row = _speaker_rows(ctx, rule)[_patterns(ctx)[2][ctx.index_of_state(state)]]
+    return dict(zip(ctx.utterances, row.tolist()))
 
 
 def argmax_utterances(
@@ -364,7 +364,7 @@ def pragmatic_listener(
     surprise = surprise_vector(ctx, rule)
     if surprise[j] == 0:
         raise ZeroSupportError(f"no speaker ever produces {ctx.utterances[j]}")
-    column = _listener(ctx, speaker_matrix(ctx, rule)[:, [j]], surprise[[j]])
+    column = _listener(ctx, _speaker_rows(ctx, rule)[:, [j]], surprise[[j]])
     return Posterior(ctx, column[:, 0])
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -54,13 +55,24 @@ class FigureError(ModelError):
     """A plot-data request that the bundle cannot satisfy."""
 
 
+def _exact_strings(values: Iterable[int | Fraction]) -> list[str]:
+    """``str`` of each int or Fraction; an integer part too long for Python
+    to convert to text raises a `ModelError`."""
+    try:
+        return list(map(str, values))
+    except ValueError:
+        raise ModelError(
+            "an exact value has a numerator or denominator of more than "
+            f"{sys.get_int_max_str_digits()} digits, Python's limit for converting "
+            "an integer to text; render it with --numeric float"
+        ) from None
+
+
 def render_scalar(value: Scalar, mode: str) -> str:
     """One cell: ``5/6`` in rational mode, 12 significant digits otherwise."""
     if mode == RATIONAL:
-        if isinstance(value, Fraction):
-            return str(value)
-        if isinstance(value, int) and not isinstance(value, bool):
-            return str(value)
+        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+            return _exact_strings((value,))[0]
         raise ModelError(
             f"rational rendering asked for a non-rational value {value!r}"
         )
@@ -86,7 +98,7 @@ def _render_column(values: Sequence, mode: str) -> Sequence[str]:
     if types <= {float} and mode == FLOAT:
         return list(map(_G12, values))
     if types <= {int, Fraction}:
-        return list(map(str, values) if mode == RATIONAL else map(_G12, map(float, values)))
+        return _exact_strings(values) if mode == RATIONAL else list(map(_G12, map(float, values)))
     return [_render_cell(v, mode) for v in values]
 
 

@@ -87,6 +87,8 @@ def parse_grid(spec: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
                 f"cannot parse grid component {part!r}; expected "
                 "'alpha=...;theta=...'"
             )
+        if key in values:
+            raise ModelError(f"grid {spec!r} gives the {key} axis twice")
         try:
             values[key] = tuple(float(x) for x in rest.split(",") if x.strip())
         except ValueError:
@@ -333,6 +335,9 @@ def default_context_bundle(
 ) -> ResultBundle:
     """The default-context bundle of ``ctx``; ``world`` is its
     `world_probabilities_table`, when the caller already holds it."""
+    # computed before any table is laid out, so that the tables' lists reuse
+    # the heap that the analyses' short-lived arrays freed
+    analyses = analysis.context_analyses(ctx)
     bundle = make_bundle(
         _config_dict(
             config,
@@ -343,8 +348,6 @@ def default_context_bundle(
     )
 
     bundle.add(world if world is not None else world_probabilities_table(ctx))
-
-    analyses = analysis.context_analyses(ctx)
     bundle.add(_beliefs_table(analyses.beliefs))
 
     bundle.add(_labelled_table(

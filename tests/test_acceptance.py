@@ -195,9 +195,7 @@ def test_criterion_8_delta_p_cohorts(default_ctx):
         cr.analysis.RELATION_ORDER.index(CausalStructure.CA_POS),
         cr.analysis.RELATION_ORDER.index(CausalStructure.CA_NEG),
     ])
-    argmax_types = cr.analysis._type_mass_matrix(
-        default_ctx, cr.speaker_matrix(default_ctx, Argmax())
-    )
+    argmax_types = cr.analysis._type_mass_matrix(default_ctx, Argmax())
     literal_argmax = argmax_types[:, list(UtteranceType).index(UtteranceType.LITERAL)] == 1.0
     extreme = defined & ca & literal_argmax & (values < TOL.delta_p_extreme_negative)
 

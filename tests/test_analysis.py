@@ -302,6 +302,17 @@ class TestCheckSuite:
         with pytest.raises(ValueError):
             cr.default_context_checks(default_ctx, "vibes")
 
+    def test_checks_gather_no_speaker_matrix(self, small_ctx, monkeypatch):
+        """The analyses and checks read the speaker's pattern rows: a
+        per-state speaker matrix would hold (states x utterances) floats."""
+
+        def refuse(*args):
+            raise AssertionError("engine.speaker_matrix was called")
+
+        monkeypatch.setattr(cr.engine, "speaker_matrix", refuse)
+        for level in ("strict", "qualitative"):
+            cr.default_context_checks(small_ctx.with_params(), level)
+
     def test_one_claims_count_states_not_float_sums(self, small_ctx, monkeypatch):
         """The "== 1.0" checks pass when no state of their cell gives argmax
         mass to another utterance type, whatever the float means add up to."""
@@ -320,17 +331,18 @@ class TestCheckSuite:
         a, c, a_and_c, a_to_c = (
             ctx.index_of_utterance(u) for u in ("A", "C", "A & C", "A -> C")
         )
-        first, second = np.searchsorted(keep, certain[:2])
-        rows = cr.speaker_matrix(ctx, Argmax()).copy()
+        inverse = cr.engine._patterns(ctx)[2]
+        first, second = inverse[np.searchsorted(keep, certain[:2])]
+        rows = cr.engine._speaker_rows(ctx, Argmax()).copy()
         rows[[first, second]] = 0.0
         rows[first, a] = 1.0
         rows[second, [a, c, a_and_c]] = 1 / 3
-        original = cr.engine.speaker_matrix
+        original = cr.engine._speaker_rows
 
         def patched(context, rule=None):
             return rows if isinstance(rule, Argmax) else original(context, rule)
 
-        monkeypatch.setattr(cr.engine, "speaker_matrix", patched)
+        monkeypatch.setattr(cr.engine, "_speaker_rows", patched)
         frequencies = cr.best_utterance_frequencies(ctx, group_by="none")
         cell = frequencies[(CertaintyCell.CERTAIN_BOTH, "all")]
         value = sum(cell.frequencies[t] for t in (cr.UtteranceType.CONJUNCTION, cr.UtteranceType.LITERAL))
@@ -346,7 +358,7 @@ class TestCheckSuite:
         # an uncertain-both independent state with argmax mass off "likely"
         uncertain = (certainty_cell_array(ctx) == list(CertaintyCell).index(
             CertaintyCell.UNCERTAIN_BOTH)) & (ctx.relations == 0)
-        rows[np.flatnonzero(uncertain)[0], a_to_c] = 1.0
+        rows[inverse[np.flatnonzero(uncertain)[0]], a_to_c] = 1.0
         fresh = ctx.with_params()  # a new context computes its analyses again
         checks = {check.name: check.passed for check in cr.default_context_checks(fresh)}
         assert not checks["certain_both_conjunction_or_literal"]

@@ -35,6 +35,20 @@ class TestRunScenario:
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["scenario"] == "skiing"
 
+    def test_exact_value_too_long_to_render_suggests_float(self, runner, tmp_path):
+        # at alpha 20000 a rational speaker value has more digits than Python
+        # converts to text; the float rendering of the same run works
+        args = ["run-scenario", "--scenario", "sundowners", "--alpha", "20000"]
+        result = runner.invoke(main, [*args, "--out", str(tmp_path / "rational")])
+        assert result.exit_code == 1
+        record = json.loads(result.stderr)
+        assert record["error"] == "ModelError"
+        assert "more than 4300 digits" in record["message"]
+        assert "--numeric float" in record["message"]
+        assert not any(path.is_file() for path in tmp_path.rglob("*"))
+        result = runner.invoke(main, [*args, "--numeric", "float", "--out", str(tmp_path / "float")])
+        assert result.exit_code == 0, result.output
+
     def test_unknown_scenario_is_machine_readable_error(self, runner):
         result = runner.invoke(main, ["run-scenario", "--scenario", "nope"])
         assert result.exit_code == 1
@@ -174,6 +188,9 @@ class TestSweep:
     @pytest.mark.parametrize("grid, message", [
         ("alpha=x", "cannot parse grid values in 'alpha=x'"),
         ("alpha=", "grid 'alpha=' has an empty axis"),
+        ("alpha=1;alpha=3", "grid 'alpha=1;alpha=3' gives the alpha axis twice"),
+        ("theta=0.9;alpha=1;theta=0.95",
+         "grid 'theta=0.9;alpha=1;theta=0.95' gives the theta axis twice"),
     ])
     def test_bad_grid_values_rejected(self, runner, tmp_path, grid, message):
         result = runner.invoke(main, [

@@ -329,6 +329,14 @@ class TestBuildDefaultContext:
         assert ctx.n_states == 1
         cr.speaker_matrix(ctx)
 
+    @pytest.mark.parametrize("param", ["alpha", "theta"])
+    def test_bool_alpha_or_theta_rejected(self, param):
+        message = f"{param} must be a number, not a bool"
+        with pytest.raises(cr.ContextError, match=message):
+            cr.build_default_context(1, 200, **{param: True})
+        with pytest.raises(cr.ContextError, match=message):
+            run(RunConfig("run-default-context", seed=1, n_states=200, **{param: True}))
+
     def test_custom_utterances(self):
         utts = cr.default_utterances(include_reverse_conditionals=False)
         ctx = cr.build_default_context(3, 50, utterances=utts)

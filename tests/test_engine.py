@@ -694,8 +694,8 @@ class TestMemo:
 
     @pytest.mark.parametrize(
         "read",
-        [cr.utterance_masses, cr.speaker_matrix, cr.surprise_vector,
-         lambda ctx: cr.speaker_matrix(ctx, Argmax())],
+        [cr.utterance_masses, engine._speaker_rows, cr.surprise_vector,
+         lambda ctx: engine._speaker_rows(ctx, Argmax())],
     )
     def test_memoised_arrays_are_read_only(self, toy_ctx, small_ctx, read):
         for ctx in (toy_ctx, small_ctx):
@@ -705,13 +705,40 @@ class TestMemo:
                 array[0] = 0
 
     def test_with_params_gets_a_fresh_memo(self, toy_ctx):
-        before = cr.speaker_matrix(toy_ctx)
+        before = engine._speaker_rows(toy_ctx)
         changed = toy_ctx.with_params(alpha=3)
-        after = cr.speaker_matrix(changed)
+        after = engine._speaker_rows(changed)
         assert after is not before
         assert cr.speaker(changed, "s1") != cr.speaker(toy_ctx, "s1")
         assert cr.speaker(changed, "s1") == cr.speaker(toy_ctx, "s1", Softmax(3))
-        assert cr.speaker_matrix(toy_ctx) is before
+        assert engine._speaker_rows(toy_ctx) is before
+
+    @pytest.mark.parametrize("rule", [None, Argmax(), Softmax(0)])
+    def test_speaker_matrix_is_a_new_gather_of_the_pattern_rows(self, toy_ctx, small_ctx, rule):
+        for ctx in (toy_ctx, small_ctx):
+            inverse = engine._patterns(ctx)[2]
+            matrix = cr.speaker_matrix(ctx, rule)
+            expected = engine._speaker_rows(ctx, rule)[inverse]
+            # on an exact context the bytes are references to the same Fractions
+            assert (matrix.dtype, matrix.shape) == (expected.dtype, expected.shape)
+            assert matrix.tobytes() == expected.tobytes()
+            again = cr.speaker_matrix(ctx, rule)
+            assert again is not matrix and not np.shares_memory(again, matrix)
+
+    def test_memo_holds_no_per_state_matrix(self, small_ctx):
+        riverbank = parse_scenario_file(Path(__file__).with_name("riverbank_scenario.json"))
+        for ctx in (riverbank.to_context(), small_ctx.with_params()):
+            cr.analysis.context_analyses(ctx)
+            n_patterns = len(engine._patterns(ctx)[1])
+            assert n_patterns < ctx.n_states
+            arrays = [
+                array
+                for value in ctx._memo.values()
+                for array in (value if isinstance(value, tuple) else (value,))
+                if isinstance(array, np.ndarray)
+            ]
+            assert sum(("speaker", Argmax()) == key for key in ctx._memo) == 1
+            assert all(len(array) == n_patterns for array in arrays if array.ndim == 2)
 
 
 class TestPosterior:

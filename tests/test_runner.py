@@ -32,6 +32,7 @@ from condrsa.runner import (
     RunConfig,
     _combo_dirname,
     default_context_bundle,
+    parse_grid,
     parse_parameter,
     run,
     scenario_bundle,
@@ -409,6 +410,15 @@ class TestColumnarTables:
         with pytest.raises(GridCollisionError, match=re.escape(values)):
             run(RunConfig(command="sweep", seed=1, n_states=300, grid=grid, output_dir=tmp_path))
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("spec, axis", [
+    ("alpha=1;alpha=3", "alpha"), ("theta=0.9;alpha=1;theta=0.95", "theta"),
+])
+def test_parse_grid_rejects_an_axis_given_twice(spec, axis):
+    assert parse_grid("theta=0.9;alpha=1,3") == ((1.0, 3.0), (0.9,))
+    with pytest.raises(ModelError, match=f"gives the {axis} axis twice"):
+        parse_grid(spec)
 
 
 def _counted_renders(monkeypatch) -> Counter[str]:
