@@ -16,20 +16,26 @@ children's seeds are derived in arrays, with SeedSequence's hash mixing
 re-done on integer columns.  PCG64 itself runs on (high, low) pairs of
 uint64 columns: its seeding, its 128-bit LCG step, its XSL-RR output and
 ``Generator.random()``'s 53-bit double, so every state's relation draw and
-an independent state's two marginals are column operations.  Only a
-dependent state (about half) visits a Python-level `Generator`: one reused
-generator is set to its stream after the relation draw and draws the two
-Betas and the cause prior, because numpy's Beta sampler runs through
-ziggurat tables that Python cannot reach.  The streams are exactly the
-spawned children's, and ``tests/test_default_context.py`` compares them
-with numpy's own at random indices, so a change to any of these numpy
-algorithms fails loudly there.  The sample is a structured array of
-relation codes and cells, and the default context is built from those
-arrays directly: no `State` object is made on this path.
+an independent state's two marginals are column operations.  A dependent
+state's two Betas and cause prior are column operations too: numpy's Beta
+is Marsaglia and Tsang's gamma method on its ziggurat normal and
+exponential samplers, whose tables are read from numpy itself on the first
+sample, and their fast paths are redone on the columns.  Only a state whose
+draws leave a fast path (about 8% of the dependent ones) visits a
+Python-level `Generator`: one reused generator is set to its stream after
+the relation draw and draws its Betas and cause prior.  The streams and
+draws are exactly the spawned children's, and
+``tests/test_default_context.py`` compares them with numpy's own at random
+indices, so a change to any of these numpy algorithms fails loudly there.
+The sample is a structured array of relation codes and cells, and the
+default context is built from those arrays directly: no `State` object is
+made on this path.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -211,11 +217,17 @@ def _xsl_rr(state) -> np.ndarray:
     return word >> rot | word << ((_U64 - rot) & np.uint64(63))
 
 
+def _next_word(state, inc):
+    """Step each stream: the new states and their uint64 outputs."""
+    state = _step128(state, inc)
+    return state, _xsl_rr(state)
+
+
 def _next_double(state, inc):
     """Step each stream and draw ``Generator.random()``: the new states and
     ``(output >> 11) * 2**-53`` as float64."""
-    state = _step128(state, inc)
-    return state, (_xsl_rr(state) >> np.uint64(11)) * 2.0**-53
+    state, word = _next_word(state, inc)
+    return state, (word >> np.uint64(11)) * 2.0**-53
 
 
 def _pcg64_seeded(seed_words: np.ndarray):
@@ -228,6 +240,123 @@ def _pcg64_seeded(seed_words: np.ndarray):
     one = np.uint64(1)
     inc = (stream_high << one | stream_low >> np.uint64(63), stream_low << one | one)
     return _step128(_add128(inc, (seed_high, seed_low)), inc), inc
+
+
+# -- numpy's Beta on the stream columns ---------------------------------------
+# distributions.c: ``random_beta(a, b)`` with a shape above 1 is ``Ga / (Ga +
+# Gb)`` of two ``random_standard_gamma`` draws.  Shape 1 is one
+# ``random_standard_exponential`` draw, and a shape above 1 is Marsaglia and
+# Tsang's method on ``random_standard_normal`` and ``next_double``.  Both
+# samplers are ziggurats: a word picks a strip ``idx`` and a number ``r``, and
+# while ``r`` is below the strip's limit the draw is ``r * width[idx]``, from
+# that word alone.  Any other case is left to a `Generator`.
+
+#: each ziggurat's word layout: (shift of ``r``, shift of ``idx``, bits of
+#: ``r``); bit 8 of a normal word is its sign
+_ZIGGURAT_WORDS = {"normal": (9, 0, 52), "exponential": (11, 3, 53)}
+#: how far below its estimate a fast-path limit is probed
+_LIMIT_MARGIN = 16
+
+
+@functools.cache
+def _ziggurat_tables() -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each ziggurat's 256 strip widths (float64) and fast-path limits
+    (uint64), read from numpy's own samplers on the first call.
+
+    PCG64 at state ``(word - 1) * M**-1`` with ``inc = 1`` outputs ``word``
+    next, so each sampler is fed chosen words: ``r = 1`` draws a width.  A
+    limit is estimated from the widths as ``width[idx - 1] / width[idx] *
+    2**bits`` less a margin, and kept only if ``r = limit - 1`` draws ``r *
+    width[idx]`` from its word alone; otherwise it is 0.  So a table entry
+    can only send a state to the `Generator`, never give it a wrong draw.
+    """
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    inverse = pow(_PCG64_MULT, -1, 1 << 128)
+    pcg = {"state": 0, "inc": 1}
+    setting = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+
+    def fed(sampler, word):
+        """The sampler's draw when PCG64 outputs ``word`` next, and whether
+        it used no other output."""
+        pcg["state"] = (word - 1) * inverse % (1 << 128)
+        bit_generator.state = setting
+        value = sampler()
+        return value, bit_generator.state["state"]["state"] == word
+
+    tables = {}
+    for name, sampler in (("normal", rng.standard_normal),
+                          ("exponential", rng.standard_exponential)):
+        r_shift, idx_shift, bits = _ZIGGURAT_WORDS[name]
+        widths = [fed(sampler, 1 << r_shift | idx << idx_shift)[0] for idx in range(256)]
+        limits = []
+        for idx, width in enumerate(widths):
+            # strip 0's estimate wraps round to strip 255; strip 1 has no
+            # fast path, and its probe at the top of the range finds that
+            limit = min(int(widths[idx - 1] / width * 2.0**bits), 1 << bits) - _LIMIT_MARGIN
+            value, alone = fed(sampler, (limit - 1) << r_shift | idx << idx_shift)
+            limits.append(limit if alone and value == (limit - 1) * width else 0)
+        tables[name] = np.array(widths), np.array(limits, dtype=np.uint64)
+        for table in tables[name]:  # shared by every caller
+            table.flags.writeable = False
+    return tables
+
+
+def _ziggurat(name: str, word: np.ndarray, tables):
+    """The fast-path draw of a ziggurat sampler on each word, and whether
+    the word is on the fast path."""
+    widths, limits = tables[name]
+    r_shift, idx_shift, bits = _ZIGGURAT_WORDS[name]
+    idx = (word >> np.uint64(idx_shift) & np.uint64(0xFF)).astype(np.intp)
+    r = word >> np.uint64(r_shift) & np.uint64((1 << bits) - 1)
+    value = r * widths[idx]
+    if name == "normal":
+        value = np.where(word & np.uint64(1 << 8), -value, value)
+    return value, r < limits[idx]
+
+
+def _column_gamma(shape: float, state, inc, tables):
+    """``random_standard_gamma(shape)`` on each stream: the new states, the
+    draws, and whether each draw stayed on the fast paths."""
+    if shape == 1.0:
+        state, word = _next_word(state, inc)
+        return (state, *_ziggurat("exponential", word, tables))
+    if shape < 1.0:  # not on the columns
+        return state, np.zeros(len(inc[0])), np.zeros(len(inc[0]), dtype=bool)
+    b = shape - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9 * b)
+    state, word = _next_word(state, inc)
+    x, fast = _ziggurat("normal", word, tables)
+    v = 1.0 + c * x
+    fast &= v > 0.0
+    v = v * v * v
+    state, u = _next_double(state, inc)
+    # about a tenth miss the squeeze and take the log test, on libm's log as
+    # the C code does; a zero U is left to the generator
+    tail = np.flatnonzero(fast & ~(u < 1.0 - 0.0331 * (x * x) * (x * x)))
+    fast[tail] = [
+        0.0 < u_ and math.log(u_) < 0.5 * x_ * x_ + b * (1.0 - v_ + math.log(v_))
+        for x_, v_, u_ in zip(x[tail].tolist(), v[tail].tolist(), u[tail].tolist())
+    ]
+    return state, b * v, fast
+
+
+def _column_betas(state, inc):
+    """Each stream's ``(tau, beta, upsilon_p)`` drawn after its relation
+    draw, as numpy's ``beta(*TAU_SHAPE)``, ``beta(*BETA_SHAPE)`` and
+    ``random()`` draw them: an (n, 3) array, and whether each row stayed on
+    the fast paths.  A row that did not must be drawn by a `Generator`."""
+    tables = _ziggurat_tables()
+    draws, fast = [], np.ones(len(inc[0]), dtype=bool)
+    for a, b in (TAU_SHAPE, BETA_SHAPE):
+        if a <= 1.0 and b <= 1.0:  # Johnk's algorithm, not on the columns
+            fast[:] = False
+        state, gamma_a, fast_a = _column_gamma(a, state, inc, tables)
+        state, gamma_b, fast_b = _column_gamma(b, state, inc, tables)
+        draws.append(gamma_a / (gamma_a + gamma_b))
+        fast &= fast_a & fast_b
+    draws.append(_next_double(state, inc)[1])
+    return np.stack(draws, axis=1), fast
 
 
 #: one sampled state: its relation code into `RELATION_ORDER` and its four
@@ -249,10 +378,14 @@ def sample_default_states(
     ``SeedSequence(seed).spawn(n_states)``; a `SeedSequence` seed is
     advanced as ``spawn`` advances it.  Draw order per state (part of the
     determinism contract): the relation; then either the two independent
-    marginals, or (tau, beta, upsilon_p).  The cells then come from the
-    `core` table formulas, applied once per relation.  The result depends
-    only on ``seed`` and ``n_states``.
+    marginals, or (tau, beta, upsilon_p).  Every draw runs on the streams'
+    uint64 columns except a dependent state's whose Betas leave numpy's fast
+    paths, which a `Generator` set to its stream draws instead.  The cells
+    then come from the `core` table formulas, applied once per relation.
+    The result depends only on ``seed`` and ``n_states``.
     """
+    if isinstance(n_states, bool) or not isinstance(n_states, (int, np.integer)):
+        raise TypeError(f"n_states must be an int, got {type(n_states).__name__}")
     if n_states < 1:
         raise ValueError(f"n_states must be positive, got {n_states}")
     seq = _seed_sequence(seed)
@@ -272,9 +405,10 @@ def sample_default_states(
     for k in range(2):
         marginals, draws[:, k] = _next_double(marginals, inc)
 
-    # a Beta draw takes a varying number of outputs through numpy's ziggurat
-    # tables, so one reused generator is set to each dependent stream after
-    # its relation draw in turn
+    # a dependent state's Betas are drawn on its stream's columns, in blocks;
+    # a state whose draws leave numpy's fast paths takes a varying number of
+    # outputs, so one reused generator is set to each such stream after its
+    # relation draw in turn
     bit_generator = np.random.PCG64()
     rng = np.random.Generator(bit_generator)
     random, beta = rng.random, rng.beta
@@ -282,6 +416,10 @@ def sample_default_states(
     setting = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     for first in range(0, len(dependent), _BLOCK):
         rows = dependent[first : first + _BLOCK]
+        draws[rows], fast = _column_betas(
+            (state[0][rows], state[1][rows]), (inc[0][rows], inc[1][rows])
+        )
+        rows = rows[~fast]
         block = []
         for high, low, inc_high, inc_low in zip(
             state[0][rows].tolist(), state[1][rows].tolist(),
@@ -290,7 +428,7 @@ def sample_default_states(
             pcg["state"], pcg["inc"] = high << 64 | low, inc_high << 64 | inc_low
             bit_generator.state = setting
             block.append((beta(*TAU_SHAPE), beta(*BETA_SHAPE), random()))
-        draws[rows] = block
+        draws[rows] = np.reshape(block, (-1, 3))
 
     sample = np.zeros(n_states, dtype=SAMPLE_DTYPE)
     sample["relation"] = codes

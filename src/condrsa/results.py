@@ -30,7 +30,7 @@ import hashlib
 import json
 import sys
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -311,13 +311,16 @@ def write_bundle(
     returns the created paths: ``bundle.json``, the CSV files, then the
     plot data in the order of ``figures``.  Every figure is checked before
     anything is written, and a write that fails removes every file it
-    wrote.  The tables are written one after another: each
-    is rendered once for JSON, CSV and plot data and dropped after it is
-    written, unless ``shared`` keeps it for the other bundles of a
-    `write_bundles` call that hold it: its keys are ``(id(table), numeric
-    mode)``, and a key's text is built on first use."""
+    wrote and every directory it made, while empty.  The tables are written
+    one after another: each is rendered once for JSON, CSV and plot data
+    and dropped after it is written, unless ``shared`` keeps it for the
+    other bundles of a `write_bundles` call that hold it: its keys are
+    ``(id(table), numeric mode)``, and a key's text is built on first
+    use."""
     specs = [_figure_spec(bundle, figure_id) for figure_id in figures]
     outdir = Path(outdir)
+    # the directories this call makes, innermost first, removed if it fails
+    made = [d for d in (outdir / "plotdata", outdir, *outdir.parents) if not d.exists()]
     outdir.mkdir(parents=True, exist_ok=True)
     mode = bundle.numeric_mode
     config = _json_string(bundle.fingerprint)
@@ -351,6 +354,9 @@ def write_bundle(
     except BaseException:
         for path in written:  # a failed write leaves no partial output
             path.unlink(missing_ok=True)
+        for directory in made:  # rmdir keeps one that is missing or not empty
+            with suppress(OSError):
+                directory.rmdir()
         raise
     return ([json_path] if "json" in formats else []) + csv_paths + plot_paths
 

@@ -131,6 +131,8 @@ class RunConfig:
                 raise ModelError(f"{self.command} samples states and requires an explicit --seed")
             if self.numeric == RATIONAL:
                 raise ModelError("sampled contexts only support float numerics")
+            if isinstance(self.n_states, bool) or not isinstance(self.n_states, (int, np.integer)):
+                raise ModelError(f"n_states must be an integer, got {self.n_states!r}")
             if self.n_states < 1:
                 raise ModelError("n_states must be positive")
         for axis, values in zip(("alpha", "theta"), self.grid or ()):

@@ -49,6 +49,19 @@ class TestRunScenario:
         result = runner.invoke(main, [*args, "--numeric", "float", "--out", str(tmp_path / "float")])
         assert result.exit_code == 0, result.output
 
+    def test_a_failed_run_removes_the_directories_it_made(self, runner, tmp_path):
+        """Only the missing directories of ``--out`` are made, and only
+        those are removed when the write fails; one that existed is kept."""
+        args = ["run-scenario", "--scenario", "sundowners", "--alpha", "20000", "--out"]
+        result = runner.invoke(main, [*args, str(tmp_path / "D" / "a" / "b")])
+        assert result.exit_code == 1
+        assert "more than 4300 digits" in json.loads(result.stderr)["message"]
+        assert not (tmp_path / "D").exists()
+        (tmp_path / "kept").mkdir()
+        result = runner.invoke(main, [*args, str(tmp_path / "kept" / "a")])
+        assert result.exit_code == 1
+        assert list(tmp_path.rglob("*")) == [tmp_path / "kept"]
+
     def test_unknown_scenario_is_machine_readable_error(self, runner):
         result = runner.invoke(main, ["run-scenario", "--scenario", "nope"])
         assert result.exit_code == 1

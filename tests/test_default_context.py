@@ -6,19 +6,23 @@ import numpy as np
 import pytest
 
 import condrsa as cr
+import condrsa.default_context as dc
 from condrsa import CausalStructure, JointTable, State, query
 from condrsa.core import RELATION_ORDER
 from condrsa.default_context import (
     _PCG64_MULT,
+    _ZIGGURAT_WORDS,
     BETA_SHAPE,
     RELATION_PRIOR,
     TAU_SHAPE,
     _add128,
+    _column_betas,
     _next_double,
     _pcg64_seeded,
     _spawned_seed_words,
     _step128,
     _xsl_rr,
+    _ziggurat_tables,
 )
 from condrsa.runner import RunConfig, run
 from condrsa.tolerances import TOLERANCES
@@ -206,6 +210,83 @@ class TestSpawnedStreams:
         assert seq.n_children_spawned == 2**32 - 10
 
 
+class TestColumnBetas:
+    """A dependent state's Betas drawn on the stream columns against numpy's
+    own samplers: a wrong table entry, formula or draw order fails here."""
+
+    N = 3000
+
+    @pytest.mark.parametrize("make", SEED_SEQUENCES)
+    def test_column_betas_match_each_streams_generator(self, make):
+        """A row kept on the columns has numpy's draws, from seven outputs
+        after the relation draw; every row left to the generator is one on
+        which numpy's draws take more outputs."""
+        seq, twin = make(), make()
+        children = twin.spawn(self.N)
+        state, inc = _pcg64_seeded(_spawned_seed_words(seq, self.N))
+        state, _ = _next_double(state, inc)  # the relation draw
+        draws, fast = _column_betas(state, inc)
+        assert 0.85 < fast.mean() < 1
+        picks = np.random.default_rng(self.N).choice(np.flatnonzero(fast), 300, replace=False)
+        for i in [*picks.tolist(), *np.flatnonzero(~fast).tolist()]:
+            bit_generator = np.random.PCG64(children[i])
+            rng = np.random.Generator(bit_generator)
+            rng.random()
+            expected = [rng.beta(*TAU_SHAPE), rng.beta(*BETA_SHAPE), rng.random()]
+            eight_outputs = np.random.PCG64(children[i]).advance(8).state
+            assert (bit_generator.state == eight_outputs) == fast[i], i
+            if fast[i]:
+                assert draws[i].tobytes() == np.array(expected).tobytes()
+
+    def test_the_fallback_alone_gives_the_same_sample(self, monkeypatch):
+        """With every fast-path limit 0, every dependent state is drawn by
+        the generator, and the sample does not change."""
+        expected = cr.sample_default_states(1, 3000)
+        zeroed = {name: (widths, np.zeros_like(limits))
+                  for name, (widths, limits) in _ziggurat_tables().items()}
+        monkeypatch.setattr(dc, "_ziggurat_tables", lambda: zeroed)
+        settings = record_settings(monkeypatch)
+        sample = cr.sample_default_states(1, 3000)
+        monkeypatch.undo()
+        assert sample.tobytes() == expected.tobytes()
+        assert len(settings) == np.count_nonzero(sample["relation"] != INDEPENDENT)
+
+
+class TestZigguratTables:
+    """The tables read from numpy's normal and exponential samplers."""
+
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    inverse = pow(_PCG64_MULT, -1, 1 << 128)
+
+    def fed(self, name, word):
+        """numpy's standard ``name`` draw when PCG64's next output is
+        ``word``, and whether it used no other output."""
+        self.bit_generator.state = {
+            "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+            "state": {"state": (word - 1) * self.inverse % (1 << 128), "inc": 1},
+        }
+        value = getattr(self.rng, f"standard_{name}")()
+        return value, self.bit_generator.state["state"]["state"] == word
+
+    @pytest.mark.parametrize("name", ["normal", "exponential"])
+    def test_widths_and_limits_match_numpys_sampler(self, name):
+        """Each width is numpy's draw at ``r = 1``, and each limit is at
+        most the first ``r`` off the fast path, found by binary search, and
+        within 32 of it, so the generator's share cannot grow silently."""
+        widths, limits = _ziggurat_tables()[name]
+        r_shift, idx_shift, bits = _ZIGGURAT_WORDS[name]
+        for idx in range(256):
+            assert self.fed(name, 1 << r_shift | idx << idx_shift)[0] == widths[idx]
+            low, high = 0, 1 << bits
+            while low < high:
+                r = (low + high) // 2
+                value, alone = self.fed(name, r << r_shift | idx << idx_shift)
+                low, high = (r + 1, high) if alone and value == r * widths[idx] else (low, r)
+            assert low - 32 <= int(limits[idx]) <= low, idx
+        assert limits[1] == 0 and np.count_nonzero(limits) == 255
+
+
 MASK64, MASK128 = (1 << 64) - 1, (1 << 128) - 1
 
 
@@ -269,6 +350,29 @@ class TestColumnArithmetic:
 #: sha256 of ``sample_default_states(1, 10_000).tobytes()``, pinned when the
 #: sampler still drew every state through a `Generator`
 SEED_1_SAMPLE_SHA256 = "4ee8142a0881dc123fb8e3b9e2890c57910d87b78d07f15163599ec8f8bb97eb"
+#: the same at 100,000 states, pinned when every dependent state's Betas
+#: were still drawn through a `Generator`
+SEED_1_100K_SAMPLE_SHA256 = "220795ffc4d92f50d05c679df31e73833c316fb516ac9cd26cbb832c2e7ca7ea"
+INDEPENDENT = RELATION_ORDER.index(CausalStructure.INDEPENDENT)
+
+
+def record_settings(monkeypatch) -> list[int]:
+    """Patch `np.random.PCG64` to record the 128-bit state of each setting
+    of its ``state``; returns the list it fills."""
+    settings, pcg64 = [], np.random.PCG64
+
+    class PCG64(pcg64):  # numpy checks a state's name against the class's
+        @property
+        def state(self):
+            return pcg64.state.__get__(self)
+
+        @state.setter
+        def state(self, value):
+            settings.append(value["state"]["state"])
+            pcg64.state.__set__(self, value)
+
+    monkeypatch.setattr(np.random, "PCG64", PCG64)
+    return settings
 
 
 class TestDeterminism:
@@ -276,34 +380,32 @@ class TestDeterminism:
         sample = cr.sample_default_states(1, 10_000)
         assert hashlib.sha256(sample.tobytes()).hexdigest() == SEED_1_SAMPLE_SHA256
 
-    def test_generator_is_set_once_per_dependent_state(self, monkeypatch):
-        """Only dependent states visit the reused generator, each once, at
-        its stream's state right after the relation draw."""
-        settings, pcg64 = [], np.random.PCG64
+    def test_seed_1_100k_sample_is_pinned(self):
+        sample = cr.sample_default_states(1, 100_000)
+        assert hashlib.sha256(sample.tobytes()).hexdigest() == SEED_1_100K_SAMPLE_SHA256
 
-        class PCG64(pcg64):  # numpy checks a state's name against the class's
-            @property
-            def state(self):
-                return pcg64.state.__get__(self)
-
-            @state.setter
-            def state(self, value):
-                settings.append(value["state"]["state"])
-                pcg64.state.__set__(self, value)
-
-        children = np.random.SeedSequence(4).spawn(500)
-        monkeypatch.setattr(np.random, "PCG64", PCG64)
+    def test_generator_is_set_once_per_fallback_state(self, monkeypatch):
+        """Only the dependent states whose Betas leave numpy's fast paths
+        visit the reused generator, each once and in order, at its stream's
+        state right after the relation draw."""
+        _ziggurat_tables()  # read before PCG64 is recorded
+        settings = record_settings(monkeypatch)
         sample = cr.sample_default_states(4, 500)
         monkeypatch.undo()
+        state, inc = _pcg64_seeded(_spawned_seed_words(np.random.SeedSequence(4), 500))
+        state, _ = _next_double(state, inc)
+        dependent = np.flatnonzero(sample["relation"] != INDEPENDENT)
+        _, fast = _column_betas(
+            (state[0][dependent], state[1][dependent]), (inc[0][dependent], inc[1][dependent])
+        )
+        children = np.random.SeedSequence(4).spawn(500)
         expected = []
-        for child, code in zip(children, sample["relation"].tolist()):
-            if RELATION_ORDER[code].is_dependent:
-                bit_generator = np.random.PCG64(child)
-                np.random.Generator(bit_generator).random()
-                expected.append(bit_generator.state["state"]["state"])
-        assert 0 < len(expected) < 500
+        for i in dependent[~fast].tolist():
+            bit_generator = np.random.PCG64(children[i])
+            np.random.Generator(bit_generator).random()
+            expected.append(bit_generator.state["state"]["state"])
+        assert 0 < len(expected) < len(dependent)
         assert settings == expected
-
 
     def test_same_seed_same_states(self):
         a = cr.sample_default_states(11, 300)
@@ -347,6 +449,15 @@ class TestBuildDefaultContext:
             cr.sample_default_states(1, 0)
         with pytest.raises(ValueError):
             cr.build_default_context(1, 0)
+
+    @pytest.mark.parametrize("n_states", [True, 2.5, 200.0, "200"])
+    def test_non_integer_n_states_rejected(self, n_states):
+        with pytest.raises(TypeError, match="n_states must be an int, got"):
+            cr.sample_default_states(1, n_states)
+        with pytest.raises(cr.ModelError, match="n_states must be an integer"):
+            run(RunConfig("run-default-context", seed=1, n_states=n_states))
+        with pytest.raises(cr.ModelError, match="n_states must be an integer"):
+            run(RunConfig("sweep", seed=1, n_states=n_states))
 
     def test_seed_type_checked(self):
         for seed in ("not-a-seed", True, False, np.True_, 1.0):

@@ -327,7 +327,10 @@ class TestColumnwiseWriting:
         bundle.add(ResultTable("world_probabilities", ("v",), ([0.5],), ("v",)))
         with pytest.raises(cr.ModelError, match="non-rational value 0.5"):
             write_bundle(bundle, tmp_path, ("csv", "json"), ("fig7",))
-        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+        assert list(tmp_path.rglob("*")) == []  # nor the plotdata directory
+        with pytest.raises(cr.ModelError, match="non-rational value 0.5"):
+            write_bundle(bundle, tmp_path / "new" / "out", ("csv", "json"), ("fig7",))
+        assert list(tmp_path.rglob("*")) == []
 
 
 class TestBundles:
