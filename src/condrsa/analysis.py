@@ -168,8 +168,9 @@ def best_utterance_frequencies(
             count = int(mask.sum())
             if count == 0:
                 continue
-            means = type_mass[mask].mean(axis=0)
-            positive = (type_mass[mask] > 0).sum(axis=0).tolist()
+            masses = type_mass[mask]
+            means = masses.mean(axis=0)
+            positive = (masses > 0).sum(axis=0).tolist()
             out[(cell, group)] = FrequencyCell(
                 count=count,
                 frequencies={t: float(m) for t, m in zip(UtteranceType, means)},

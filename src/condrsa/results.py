@@ -4,12 +4,20 @@ Output is byte-reproducible: the same configuration (including the seed)
 writes identical files.  To that end every numeric cell is rendered
 through one formatter (exact fractions like ``5/6`` in rational mode, 12
 significant digits in float mode), and every row carries a fingerprint of
-the configuration.  Tables are held as columns.  A write renders each
-table it needs once, one typed pass per column (a column of one type goes
-through one C-level formatter), and JSON, CSV and plot data share that
-rendering.  A row's text without its ``config`` cell is the same in every
-bundle, so each table's row texts are built once from one template and
-the fingerprint is joined in between them at write time.  In JSON each
+the configuration.  Tables are held as columns, each of one of three kinds:
+a list of Python values, a read-only 1-D numpy array of numbers, or
+`Labels`, integer codes into a tuple of repeated strings.  Columns become
+Python values only at the edge: in `ResultTable.rows` and in rendering.
+A write renders each table it needs once, one typed pass per column (a
+column of one type goes through one C-level formatter; a `Labels` column
+renders its names once and gathers them by code), and JSON, CSV and plot
+data share that rendering.  A table of more than ``_CHUNK_ROWS`` rows is
+rendered, turned into row texts, written and dropped one chunk of rows at
+a time, with the bytes of a whole-table write: with ``indent=2`` each JSON
+row's text stands alone, and CSV quoting is decided field by field.  A
+row's text without its ``config`` cell is the same in every bundle, so
+each table's row texts are built once from one template and the
+fingerprint is joined in between them at write time.  In JSON each
 column's strings are escaped by the C-level JSON string encoder, giving
 the bytes of ``json.dumps(payload, indent=2, sort_keys=True)`` without its
 per-value Python walk.  CSV is filled into one ``%``-template per table,
@@ -19,25 +27,28 @@ and only a column holding such a field is quoted field by field.
 
 `write_bundles` writes several bundles in one call: a table object held
 by more than one of them (a sweep's ``world_probabilities``) is rendered
-once and its texts live until the call returns, while every other table
-is rendered, written and dropped one at a time.  Each figure's scenario
-and row filters live in one `FigureSpec`.
+once, whole, and its texts live until the call returns, while every
+other table is rendered, written and dropped one chunk at a time.  Each
+figure's scenario and row filters live in one `FigureSpec`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import sys
 from collections import Counter
-from contextlib import nullcontext, suppress
+from contextlib import ExitStack, nullcontext, suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence, TextIO
+
+import numpy as np
 
 from .core import ModelError, Scalar
 
@@ -49,6 +60,10 @@ FLOAT = "float"
 Rendered = tuple[list[str], list[Sequence[str]]]
 
 _G12 = "{:.12g}".format
+
+#: a table of more rows than this is rendered and written in chunks of
+#: this many rows
+_CHUNK_ROWS = 65536
 
 
 class FigureError(ModelError):
@@ -102,12 +117,69 @@ def _render_column(values: Sequence, mode: str) -> Sequence[str]:
     return [_render_cell(v, mode) for v in values]
 
 
+def _decimals(values: Sequence) -> list[str]:
+    return list(map(_G12, map(float, values)))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+def _gather(names: Sequence, codes: np.ndarray) -> list:
+    """``[names[c] for c in codes]``, in one C-level gather."""
+    return np.array(names, dtype=object)[codes].tolist()
+
+
+class Labels:
+    """A column of repeated labels held as integer codes: row ``i`` is
+    ``names[codes[i]]``.  A slice is a `Labels` of the same names."""
+
+    __slots__ = ("codes", "names")
+
+    def __init__(self, codes: np.ndarray, names: Sequence[str]) -> None:
+        self.codes, self.names = _read_only(np.asarray(codes)), tuple(names)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, rows: slice) -> "Labels":
+        return Labels(self.codes[rows], self.names)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Labels) and _values(self) == _values(other)
+
+    def __repr__(self) -> str:
+        return f"Labels({self.codes!r}, {self.names!r})"
+
+
+def _values(column) -> list:
+    """A column's Python values: a list as it is, an array's ``tolist()``,
+    and each label's name."""
+    if isinstance(column, Labels):
+        return _gather(column.names, column.codes)
+    if isinstance(column, np.ndarray):
+        return column.tolist()
+    return column
+
+
+def _map_values(column, render, *args) -> Sequence[str]:
+    """``render(values, *args)`` of a column's values; a `Labels` column
+    renders its names once and gathers them by code."""
+    if isinstance(column, Labels):
+        return _gather(render(column.names, *args), column.codes)
+    return render(_values(column), *args)
+
+
 @dataclass(frozen=True, init=False)
 class ResultTable:
-    """A named record set held as one list of values per column;
-    ``value_columns`` get numeric rendering.  Given ``rows``, the columns
-    are built from those row tuples instead of ``data``, so that
-    ``dataclasses.replace(table, rows=...)`` swaps a table's rows."""
+    """A named record set held as one column per entry of ``columns``,
+    each a list, a read-only 1-D numpy array or `Labels` (an array is held
+    as a read-only view); ``value_columns`` get numeric rendering.  Given
+    ``rows``, the columns are lists built from those row tuples instead of
+    ``data``, so that ``dataclasses.replace(table, rows=...)`` swaps a
+    table's rows."""
 
     name: str
     columns: tuple[str, ...]
@@ -117,25 +189,33 @@ class ResultTable:
     def __init__(self, name, columns, data=(), value_columns=(), rows=None) -> None:
         if rows is not None:
             data = tuple(map(list, zip(*rows))) or tuple([] for _ in columns)
+        data = tuple(_read_only(c) if isinstance(c, np.ndarray) else c for c in data)
         self.__dict__.update(name=name, columns=columns, data=data, value_columns=value_columns)
 
     @property
-    def rows(self) -> tuple[tuple, ...]:
-        """The table as row tuples, built from the columns on each call."""
-        return tuple(zip(*self.data))
+    def n_rows(self) -> int:
+        return len(self.data[0]) if self.data else 0
 
-    def rendered(self, mode: str) -> Rendered:
-        """Header and string columns, rendered one column at a time, with
-        decimal companions for fractions in rational mode."""
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        """The table as row tuples of Python values, built from the columns
+        on each call."""
+        return tuple(zip(*map(_values, self.data)))
+
+    def rendered(self, mode: str, rows: slice = slice(None)) -> Rendered:
+        """Header and string columns of the table's ``rows``, rendered one
+        column at a time, with decimal companions for fractions in rational
+        mode."""
         header: list[str] = []
         columns: list[Sequence[str]] = []
-        for col, values in zip(self.columns, self.data):
+        for col, column in zip(self.columns, self.data):
             numeric = col in self.value_columns
+            column = column[rows]
             header.append(col)
-            columns.append(_render_column(values, mode if numeric else FLOAT))
+            columns.append(_map_values(column, _render_column, mode if numeric else FLOAT))
             if numeric and mode == RATIONAL:
                 header.append(f"{col}_decimal")
-                columns.append(list(map(_G12, map(float, values))))
+                columns.append(_map_values(column, _decimals))
         return header, columns
 
 
@@ -191,19 +271,21 @@ def _csv_column(values: Sequence[str]) -> Sequence[str]:
     return values
 
 
-def _csv_file(path: Path, preamble: str, header: Sequence[str], lines: Iterable[str]) -> Path:
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(preamble + ",".join(map(_csv_field, [*header, "config"])) + "\n")
-        fh.writelines(lines)
-    return path
+def _new_file(path: Path) -> TextIO:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path.open("w", encoding="utf-8")
+
+
+def _csv_head(header: Sequence[str]) -> str:
+    return ",".join(map(_csv_field, [*header, "config"])) + "\n"
 
 
 class _TableText:
-    """A rendered table and the texts of its rows up to the ``config``
-    cell, which are the same in every bundle; each is built on first use.
-    A table that ``keep``s its texts serves several bundles: its JSON row
-    texts outlive a bundle's write, and its CSV rows are joined from stored
-    row texts instead of being streamed."""
+    """A rendered table, or a chunk of its rows, and the texts of its rows
+    up to the ``config`` cell, which are the same in every bundle; each is
+    built on first use.  A table that ``keep``s its texts serves several
+    bundles whole: its JSON row texts outlive a bundle's write, and its CSV
+    rows are joined from stored row texts instead of being streamed."""
 
     def __init__(self, header: list[str], columns: list[Sequence[str]], keep: bool = False) -> None:
         self.header, self.columns, self.keep = header, columns, keep
@@ -230,6 +312,18 @@ class _TableText:
         template = "%s," * len(self.columns) + sep.replace("%", "%%")
         return map(template.__mod__, zip(*self.csv_fields))
 
+    def plotted(self, spec: FigureSpec | None) -> _TableText:
+        """The rows that pass the figure's row filters, read from the
+        rendered columns; all of them without a spec or a filter."""
+        if spec is None or not spec.row_filters:
+            return self
+        tested = [self.columns[self.header.index(column)] for column, _ in spec.row_filters]
+        keep = [
+            all(cell in allowed for cell, (_, allowed) in zip(cells, spec.row_filters))
+            for cells in zip(*tested)
+        ]
+        return _TableText(self.header, [list(compress(c, keep)) for c in self.columns])
+
 
 def _metadata_comment(bundle: "ResultBundle") -> str:
     # full config echo on a comment line, so each file can be re-run alone
@@ -243,19 +337,31 @@ def _json_head(bundle: ResultBundle) -> str:
     return '{\n  "metadata": ' + metadata + ',\n  "tables": {'
 
 
-def _json_table(name: str, text: _TableText, config: str, first: bool) -> list[str]:
-    """One table's entry in ``bundle.json``, with the escaped fingerprint
-    ``config`` joined in after each row's prefix."""
-    names = ",\n".join(f"        {_json_string(c)}" for c in [*text.header, "config"])
-    rows = (config + "\n        ],\n").join(text.json_prefixes)
+def _json_table_head(name: str, header: Sequence[str], first: bool) -> str:
+    """A table's entry in ``bundle.json`` up to its rows."""
+    names = ",\n".join(f"        {_json_string(c)}" for c in [*header, "config"])
+    return ("\n" if first else ",\n") + (
+        f'    {_json_string(name)}: {{\n      "columns": [\n{names}\n      ],\n      "rows": '
+    )
+
+
+def _write_json_rows(fh: TextIO, text: _TableText, config: str, opened: bool) -> bool:
+    """Write a chunk's rows into its table's entry, with the escaped
+    fingerprint ``config`` joined in after each row's prefix; ``opened``
+    when an earlier chunk of the table wrote rows.  Returns whether the
+    table has rows so far."""
+    if not text.json_prefixes:
+        return opened
+    sep = config + "\n        ],\n"
+    rows = sep.join(text.json_prefixes)
     if not text.keep:
-        del text.json_prefixes  # a table written once drops its row texts before the write
-    return [
-        "\n" if first else ",\n",
-        f'    {_json_string(name)}: {{\n      "columns": [\n{names}\n      ],\n      "rows": ',
-        *(("[\n", rows, config + "\n        ]\n      ]") if rows else ("[]",)),
-        "\n    }",
-    ]
+        del text.json_prefixes  # a chunk written once drops its row texts before the write
+    fh.writelines((sep if opened else "[\n", rows))
+    return True
+
+
+def _json_table_tail(config: str, opened: bool) -> str:
+    return (config + "\n        ]\n      ]" if opened else "[]") + "\n    }"
 
 
 def _json_tail(n_tables: int) -> str:
@@ -272,13 +378,16 @@ def bundle_json_text(bundle: ResultBundle, rendered: dict[str, Rendered]) -> str
     pass, each row's text up to its ``config`` cell is filled into one
     template, and the escaped fingerprint is joined in between the rows, so
     no cell can forge the skeleton.  `write_bundle` writes the same pieces
-    table by table."""
+    table by table, and chunk by chunk."""
     config = _json_string(bundle.fingerprint)
-    parts = [_json_head(bundle)]
+    out = io.StringIO()
+    out.write(_json_head(bundle))
     for i, name in enumerate(sorted(rendered)):
-        parts += _json_table(name, _TableText(*rendered[name]), config, first=i == 0)
-    parts.append(_json_tail(len(rendered)))
-    return "".join(parts)
+        text = _TableText(*rendered[name])
+        out.write(_json_table_head(name, text.header, i == 0))
+        out.write(_json_table_tail(config, _write_json_rows(out, text, config, opened=False)))
+    out.write(_json_tail(len(rendered)))
+    return out.getvalue()
 
 
 def _table_names(bundle: ResultBundle, formats: Sequence[str], figures: Sequence[str]) -> list[str]:
@@ -288,15 +397,18 @@ def _table_names(bundle: ResultBundle, formats: Sequence[str], figures: Sequence
     return sorted({FIGURES[figure_id].table for figure_id in figures})
 
 
-def _table_text(table: ResultTable, mode: str, shared: dict | None) -> _TableText:
-    """The table's text: built here, or, for a key of ``shared``, once per
-    `write_bundles` call."""
+def _table_texts(table: ResultTable, mode: str, shared: dict | None) -> Iterator[_TableText]:
+    """The table's text in chunks of ``_CHUNK_ROWS`` rows, at least one; for
+    a key of ``shared``, one whole text built once per `write_bundles`
+    call."""
     key = (id(table), mode)
-    if shared is None or key not in shared:
-        return _TableText(*table.rendered(mode))
-    if shared[key] is None:
-        shared[key] = _TableText(*table.rendered(mode), keep=True)
-    return shared[key]
+    if shared is not None and key in shared:
+        if shared[key] is None:
+            shared[key] = _TableText(*table.rendered(mode), keep=True)
+        yield shared[key]
+        return
+    for start in range(0, max(table.n_rows, 1), _CHUNK_ROWS):
+        yield _TableText(*table.rendered(mode, slice(start, start + _CHUNK_ROWS)))
 
 
 def write_bundle(
@@ -312,11 +424,11 @@ def write_bundle(
     plot data in the order of ``figures``.  Every figure is checked before
     anything is written, and a write that fails removes every file it
     wrote and every directory it made, while empty.  The tables are written
-    one after another: each is rendered once for JSON, CSV and plot data
-    and dropped after it is written, unless ``shared`` keeps it for the
-    other bundles of a `write_bundles` call that hold it: its keys are
-    ``(id(table), numeric mode)``, and a key's text is built on first
-    use."""
+    one after another, each chunk of ``_CHUNK_ROWS`` rows rendered once for
+    JSON, CSV and plot data and dropped after it is written, unless
+    ``shared`` keeps a whole table for the other bundles of a
+    `write_bundles` call that hold it: its keys are ``(id(table), numeric
+    mode)``, and a key's text is built on first use."""
     specs = [_figure_spec(bundle, figure_id) for figure_id in figures]
     outdir = Path(outdir)
     # the directories this call makes, innermost first, removed if it fails
@@ -325,8 +437,6 @@ def write_bundle(
     mode = bundle.numeric_mode
     config = _json_string(bundle.fingerprint)
     sep = _csv_field(bundle.fingerprint) + "\n"
-    preamble = _metadata_comment(bundle)
-    names = _table_names(bundle, formats, figures)
     json_path = outdir / "bundle.json"
     csv_paths: list[Path] = []
     plot_paths: list = [None] * len(specs)  # in the order of figures
@@ -336,19 +446,32 @@ def write_bundle(
         with json_file as json_fh:
             if json_fh is not None:
                 json_fh.write(_json_head(bundle))
+            names = _table_names(bundle, formats, figures)
             for i, name in enumerate(names):
-                text = _table_text(bundle.tables[name], mode, shared)
+                # the table's CSV files: (path, preamble, figure or None)
+                outputs: list[tuple[Path, str, FigureSpec | None]] = []
                 if "csv" in formats:
-                    written.append(outdir / f"{name}.csv")
-                    csv_paths.append(
-                        _csv_file(written[-1], preamble, text.header, text.csv_lines(sep))
-                    )
+                    csv_paths.append(outdir / f"{name}.csv")
+                    outputs.append((csv_paths[-1], _metadata_comment(bundle), None))
                 for k, spec in enumerate(specs):
                     if spec.table == name:
-                        written.append(outdir / "plotdata" / f"{spec.figure_id}.csv")
-                        plot_paths[k] = _write_plot_data(bundle, spec, text, written[-1].parent)
+                        plot_paths[k] = outdir / "plotdata" / f"{spec.figure_id}.csv"
+                        outputs.append((plot_paths[k], _plot_preamble(bundle, spec), spec))
+                written += [path for path, _, _ in outputs]
+                with ExitStack() as files:
+                    handles = [files.enter_context(_new_file(path)) for path, _, _ in outputs]
+                    opened = False
+                    for n, text in enumerate(_table_texts(bundle.tables[name], mode, shared)):
+                        for fh, (_, preamble, spec) in zip(handles, outputs):
+                            if n == 0:
+                                fh.write(preamble + _csv_head(text.header))
+                            fh.writelines(text.plotted(spec).csv_lines(sep))
+                        if json_fh is not None:
+                            if n == 0:
+                                json_fh.write(_json_table_head(name, text.header, first=i == 0))
+                            opened = _write_json_rows(json_fh, text, config, opened)
                 if json_fh is not None:
-                    json_fh.writelines(_json_table(name, text, config, first=i == 0))
+                    json_fh.write(_json_table_tail(config, opened))
             if json_fh is not None:
                 json_fh.write(_json_tail(len(names)))
     except BaseException:
@@ -370,8 +493,9 @@ def write_bundles(
     return every created path; ``figures`` are checked against every
     bundle before anything is written.  A table object that more than one
     of the bundles renders, such as a sweep's ``world_probabilities``, is
-    rendered once, and its rendering and row texts are kept until this call
-    returns; every other table is dropped as soon as it is written."""
+    rendered once, whole, and its rendering and row texts are kept until
+    this call returns; every other table is dropped chunk by chunk as it is
+    written."""
     for bundle, _ in items:
         for figure_id in figures:
             _figure_spec(bundle, figure_id)
@@ -512,34 +636,28 @@ def _figure_spec(bundle: ResultBundle, figure_id: str) -> FigureSpec:
     return spec
 
 
-def _write_plot_data(
-    bundle: ResultBundle, spec: FigureSpec, text: _TableText, outdir: Path
-) -> Path:
-    """Write a figure's file from its source table's text; the row filters
-    read the rendered columns."""
-    if spec.row_filters:
-        tested = [text.columns[text.header.index(column)] for column, _ in spec.row_filters]
-        keep = [
-            all(cell in allowed for cell, (_, allowed) in zip(cells, spec.row_filters))
-            for cells in zip(*tested)
-        ]
-        text = _TableText(text.header, [list(compress(c, keep)) for c in text.columns])
-    outdir.mkdir(parents=True, exist_ok=True)
-    preamble = (
+def _plot_preamble(bundle: ResultBundle, spec: FigureSpec) -> str:
+    return (
         f"# figure: {spec.figure_id}\n"
         f"# description: {spec.description}\n"
         f"# axes: {spec.axes}\n"
         f"# source_table: {spec.table}\n"
         + _metadata_comment(bundle)
     )
-    lines = text.csv_lines(_csv_field(bundle.fingerprint) + "\n")
-    return _csv_file(outdir / f"{spec.figure_id}.csv", preamble, text.header, lines)
 
 
 def emit_plot_data(
     bundle: ResultBundle, figure_id: str, outdir: str | Path
 ) -> Path:
-    """Write one self-describing columnar file for a figure."""
+    """Write one self-describing columnar file for a figure, chunk by
+    chunk."""
     spec = _figure_spec(bundle, figure_id)
-    text = _TableText(*bundle.tables[spec.table].rendered(bundle.numeric_mode))
-    return _write_plot_data(bundle, spec, text, Path(outdir))
+    path = Path(outdir) / f"{spec.figure_id}.csv"
+    sep = _csv_field(bundle.fingerprint) + "\n"
+    texts = _table_texts(bundle.tables[spec.table], bundle.numeric_mode, None)
+    with _new_file(path) as fh:
+        for n, text in enumerate(texts):
+            if n == 0:
+                fh.write(_plot_preamble(bundle, spec) + _csv_head(text.header))
+            fh.writelines(text.plotted(spec).csv_lines(sep))
+    return path

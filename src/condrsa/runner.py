@@ -9,10 +9,15 @@ summary; ``sweep`` repeats the latter over the robustness grid, reusing
 one state sample per seed, and emits per-combination bundles plus a
 qualitative check summary.
 
-A bundle only lays values out, one list per column: scenario tables
+A bundle only lays values out, one column per field: scenario tables
 flatten the engine's matrices (`_cross_columns`), and default-context
 tables read the context's arrays and its memoised
-`analysis.context_analyses` record, which its checks read too.  A sweep's
+`analysis.context_analyses` record, which its checks read too.  The large
+sampled tables, ``world_probabilities`` and ``delta_p_cohorts``, hold no
+per-row Python object: their numbers are numpy arrays (a probability
+column is a view of the context's cells) and their repeated names are
+`Labels` codes, so a bundle's tables become Python values only as they are
+rendered, chunk by chunk, or read through ``rows``.  A sweep's
 sub-bundles hold one shared ``world_probabilities`` table, which does not
 depend on alpha or theta.  One `write_bundles` call writes a run's bundles,
 their files and plot data, rendering that shared table once.
@@ -22,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +47,10 @@ from .default_context import build_default_context
 from .results import (
     FLOAT,
     RATIONAL,
+    Labels,
     ResultBundle,
     ResultTable,
+    _figure_spec,
     applicable_figures,
     make_bundle,
     write_bundles,
@@ -69,7 +75,10 @@ def parse_parameter(text: str | None) -> Scalar | None:
     """Parse an alpha/theta override as an exact rational: ``0.95`` is 19/20."""
     if text is None:
         return None
-    value = Fraction(text)
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        raise ModelError(f"parameter {text!r} divides by zero") from None
     return int(value) if value.denominator == 1 else value
 
 
@@ -129,6 +138,10 @@ class RunConfig:
         if self.command in ("run-default-context", "sweep"):
             if self.seed is None:
                 raise ModelError(f"{self.command} samples states and requires an explicit --seed")
+            if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+                raise ModelError(f"seed must be an integer, got {self.seed!r}")
+            if self.seed < 0:
+                raise ModelError(f"seed must be non-negative, got {self.seed}")
             if self.numeric == RATIONAL:
                 raise ModelError("sampled contexts only support float numerics")
             if isinstance(self.n_states, bool) or not isinstance(self.n_states, (int, np.integer)):
@@ -193,15 +206,14 @@ def _load_scenario(name_or_path: str) -> ScenarioDefinition:
     )
 
 
-def _repeat(values: list, times: int) -> list:
-    """Each value ``times`` times in a row, every repeat the same object."""
-    return list(chain.from_iterable(zip(*[values] * times)))
-
-
-def _cross_columns(outer: list, inner: list, matrix: np.ndarray) -> tuple[list, ...]:
+def _cross_columns(outer: list, inner: list, matrix: np.ndarray) -> tuple:
     """Columns ``outer[a]``, ``inner[b]`` and ``matrix[a, b]`` for every
-    pair, outer-major."""
-    return _repeat(outer, len(inner)), inner * len(outer), matrix.ravel().tolist()
+    pair, outer-major: the names as `Labels`, the values as a list."""
+    return (
+        Labels(np.repeat(np.arange(len(outer)), len(inner)), outer),
+        Labels(np.tile(np.arange(len(inner)), len(outer)), inner),
+        matrix.ravel().tolist(),
+    )
 
 
 def _labelled_table(
@@ -315,15 +327,16 @@ def scenario_bundle(config: RunConfig) -> ResultBundle:
 def world_probabilities_table(ctx: ScenarioContext) -> ResultTable:
     """Each state's relation and world probabilities: the sampled cells,
     the same at every alpha and theta."""
-    n = ctx.n_states
-    relations = [RELATION_NAMES[code] for code in ctx.relations.tolist()]
+    n, worlds = ctx.n_states, len(WORLD_NAMES)
+    # one int object per state, shared by its rows, as `rows` would give
+    states = np.arange(n).astype(object)
     return ResultTable(
         "world_probabilities", ("state", "relation", "world", "probability"),
         (
-            _repeat(list(range(n)), len(WORLD_NAMES)),
-            _repeat(relations, len(WORLD_NAMES)),
-            list(WORLD_NAMES) * n,
-            ctx.cells.ravel().tolist(),
+            np.repeat(states, worlds),
+            Labels(np.repeat(ctx.relations, worlds), RELATION_NAMES),
+            Labels(np.tile(np.arange(worlds, dtype=np.int8), n), WORLD_NAMES),
+            ctx.cells.ravel(),
         ),
         value_columns=("probability",),
     )
@@ -337,8 +350,8 @@ def default_context_bundle(
 ) -> ResultBundle:
     """The default-context bundle of ``ctx``; ``world`` is its
     `world_probabilities_table`, when the caller already holds it."""
-    # computed before any table is laid out, so that the tables' lists reuse
-    # the heap that the analyses' short-lived arrays freed
+    # computed before any table is laid out, so that the tables reuse the
+    # heap that the analyses' short-lived arrays freed
     analyses = analysis.context_analyses(ctx)
     bundle = make_bundle(
         _config_dict(
@@ -372,13 +385,17 @@ def default_context_bundle(
 
     cohorts = (analyses.cohorts.prior, analyses.cohorts.assertable, analyses.cohorts.best_choice)
     indices = np.concatenate([cohort.indices for cohort in cohorts])
+    sizes = [len(cohort.indices) for cohort in cohorts]
     bundle.add(ResultTable(
         "delta_p_cohorts", ("cohort", "state", "relation", "value"),
         (
-            [cohort.name for cohort in cohorts for _ in range(len(cohort.indices))],
-            indices.tolist(),
-            [RELATION_NAMES[code] for code in ctx.relations[indices].tolist()],
-            np.concatenate([cohort.values for cohort in cohorts]).tolist(),
+            Labels(
+                np.repeat(np.arange(len(cohorts), dtype=np.int8), sizes),
+                [cohort.name for cohort in cohorts],
+            ),
+            indices,
+            Labels(ctx.relations[indices], RELATION_NAMES),
+            np.concatenate([cohort.values for cohort in cohorts]),
         ),
         value_columns=("value",),
     ))
@@ -475,6 +492,8 @@ def run(config: RunConfig) -> ResultBundle:
     else:
         bundle, subs = sweep_bundles(config)
 
+    if config.figure is not None:  # checked with or without an output directory
+        _figure_spec(bundle, config.figure)
     if config.output_dir is not None:
         out = Path(config.output_dir)
         figures: tuple[str, ...] = ()

@@ -99,6 +99,28 @@ class TestRunScenario:
         assert json.loads(result.stderr) == {"error": "FigureError", "message": message}
         assert not out.exists() or not any(out.rglob("*"))
 
+    @pytest.mark.parametrize("option", ["--alpha", "--theta"])
+    def test_zero_denominator_parameter_is_a_record(self, runner, tmp_path, option):
+        result = runner.invoke(main, [
+            "run-scenario", "--scenario", "toy", option, "1/0", "--out", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr) == {
+            "error": "ModelError", "message": "parameter '1/0' divides by zero",
+        }
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [
+        ["run-scenario", "--scenario", "toy"],
+        ["run-default-context", "--seed", "1", "--n-states", "100"],
+    ])
+    def test_unknown_figure_fails_without_out(self, runner, command):
+        result = runner.invoke(main, [*command, "--figure", "nope"])
+        assert result.exit_code == 1
+        record = json.loads(result.stderr)
+        assert record["error"] == "FigureError"
+        assert record["message"].startswith("unknown figure 'nope'")
+
     def test_figure_flag(self, runner, tmp_path):
         result = runner.invoke(
             main,
@@ -167,6 +189,18 @@ class TestRunDefaultContext:
             "error": "ModelError", "message": "n_states must be positive",
         }
         assert list(tmp_path.iterdir()) == []
+
+
+    def test_negative_seed_is_named(self, runner, tmp_path):
+        for command in ("run-default-context", "sweep"):
+            result = runner.invoke(main, [
+                command, "--seed", "-1", "--n-states", "100", "--out", str(tmp_path),
+            ])
+            assert result.exit_code == 1
+            assert json.loads(result.stderr) == {
+                "error": "ModelError", "message": "seed must be non-negative, got -1",
+            }
+            assert list(tmp_path.iterdir()) == []
 
 
 class TestSweep:

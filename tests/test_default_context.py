@@ -2,6 +2,8 @@ import hashlib
 from collections import Counter
 from fractions import Fraction as F
 
+import re
+
 import numpy as np
 import pytest
 
@@ -458,6 +460,17 @@ class TestBuildDefaultContext:
             run(RunConfig("run-default-context", seed=1, n_states=n_states))
         with pytest.raises(cr.ModelError, match="n_states must be an integer"):
             run(RunConfig("sweep", seed=1, n_states=n_states))
+
+    @pytest.mark.parametrize("seed, message", [
+        (True, "seed must be an integer, got True"),
+        (2.5, "seed must be an integer, got 2.5"),
+        ("1", "seed must be an integer, got '1'"),
+        (-1, "seed must be non-negative, got -1"),
+    ])
+    def test_bad_seed_rejected_by_run_config(self, seed, message):
+        for command in ("run-default-context", "sweep"):
+            with pytest.raises(cr.ModelError, match=re.escape(message)):
+                RunConfig(command, seed=seed, n_states=5)
 
     def test_seed_type_checked(self):
         for seed in ("not-a-seed", True, False, np.True_, 1.0):

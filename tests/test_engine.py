@@ -1,10 +1,12 @@
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import condrsa as cr
 from condrsa import engine
@@ -630,6 +632,15 @@ class TestPatterns:
     @given(ctx=exact_context_strategy(max_states=8))
     def test_exact_groups_are_those_of_unique_rows(self, ctx):
         self.check(ctx)
+
+    @settings(max_examples=200, deadline=None)
+    @given(assertability=arrays(bool, st.tuples(st.integers(1, 50), st.integers(1, 40))))
+    def test_random_rows_group_as_unique_rows(self, assertability):
+        """Up to 40 columns, the grammar's largest distinct utterance set
+        over two variables, fit the one-word keys."""
+        self.check(SimpleNamespace(
+            assertability=assertability, n_states=len(assertability), _memo={},
+        ))
 
 
 class TestTableGrouping:

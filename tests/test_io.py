@@ -4,13 +4,16 @@ import json
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import condrsa as cr
+from condrsa import results
 from condrsa.results import (
     FigureError,
+    Labels,
     ResultBundle,
     ResultTable,
     _render_cell,
@@ -331,6 +334,94 @@ class TestColumnwiseWriting:
         with pytest.raises(cr.ModelError, match="non-rational value 0.5"):
             write_bundle(bundle, tmp_path / "new" / "out", ("csv", "json"), ("fig7",))
         assert list(tmp_path.rglob("*")) == []
+
+
+@st.composite
+def labels(draw, n_rows):
+    """`Labels` of ``n_rows`` rows over one to three hostile names."""
+    names = draw(st.lists(CSV_HOSTILE, min_size=1, max_size=3))
+    codes = draw(st.lists(st.integers(0, len(names) - 1), min_size=n_rows, max_size=n_rows))
+    return Labels(np.array(codes, dtype=np.int8), names)
+
+
+@st.composite
+def array_tables(draw, name="t", columns=("label", "x", "n")):
+    """A table of a `Labels` column, a float array and an int array."""
+    n_rows = draw(st.integers(0, 12))
+    return ResultTable(name, columns, (
+        draw(labels(n_rows)),
+        np.array(draw(st.lists(st.floats(), min_size=n_rows, max_size=n_rows)), dtype=float),
+        np.array(draw(st.lists(st.integers(-(2**62), 2**62), min_size=n_rows, max_size=n_rows)),
+                 dtype=np.int64),
+    ), value_columns=draw(st.sampled_from([(), (columns[1],), (columns[2],)])))
+
+
+def _as_lists(table):
+    """The same table with every column a list of its Python values."""
+    return ResultTable(table.name, table.columns, tuple(map(list, zip(*table.rows)))
+                       or tuple([] for _ in table.columns), table.value_columns)
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestColumnKinds:
+    """Array and `Labels` columns, and writes in chunks of rows, give the
+    bytes of whole list-backed tables."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=array_tables(), mode=st.sampled_from(["float", "rational"]),
+           fingerprint=CSV_HOSTILE)
+    def test_arrays_and_labels_write_as_lists(self, table, mode, fingerprint, tmp_path_factory):
+        listed = _as_lists(table)
+        assert [type(c) for c in table.data] == [Labels, np.ndarray, np.ndarray]
+        assert repr(table.rows) == repr(listed.rows)  # NaN cells included
+        assert {tuple(map(type, row)) for row in table.rows} <= {(str, float, int)}
+        assert _outcome(lambda: table.rendered(mode)) == _outcome(lambda: listed.rendered(mode))
+        if isinstance(_outcome(lambda: table.rendered(mode)), type):
+            return  # rational rendering of a float column fails alike
+        out = tmp_path_factory.mktemp("kinds")
+        for where, t in (("arrays", table), ("lists", listed)):
+            bundle = ResultBundle(metadata={"fingerprint": fingerprint, "numeric": mode})
+            bundle.add(t)
+            write_bundle(bundle, out / where, ("csv", "json"))
+        assert _tree(out / "arrays") == _tree(out / "lists")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        world=array_tables("world_probabilities", ("relation", "probability", "state")),
+        metrics=st.lists(
+            st.sampled_from(["not_c_given_not_a", "a_given_c"]) | CSV_HOSTILE, max_size=12,
+        ),
+        fingerprint=CSV_HOSTILE,
+    )
+    def test_chunked_writes_equal_a_whole_write(self, world, metrics, fingerprint, tmp_path_factory):
+        """JSON, CSV and the fig5 and fig8 plot data (fig8 filters rows), of
+        one bundle and of two bundles sharing a table, at chunks of 1, 2 and
+        7 rows."""
+        cp = ResultTable("cp_metrics", ("interpretation", "metric", "value"), (
+            ["prior"] * len(metrics), metrics, [0.5] * len(metrics),
+        ), value_columns=("value",))
+        bundles = []
+        for f in (fingerprint, fingerprint + "2"):
+            bundles.append(ResultBundle(metadata={"fingerprint": f, "command": "run-default-context"}))
+            bundles[-1].add(world)
+            bundles[-1].add(cp)
+        out = tmp_path_factory.mktemp("chunks")
+
+        def write(where):
+            write_bundle(bundles[0], out / where / "alone", ("csv", "json"), ("fig5", "fig8"))
+            write_bundles([(b, out / where / str(i)) for i, b in enumerate(bundles)],
+                          ("csv", "json"), ("fig5", "fig8"))
+            emit_plot_data(bundles[0], "fig8", out / where / "emitted")
+            return _tree(out / where)
+
+        whole = write("whole")
+        for rows in (1, 2, 7):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(results, "_CHUNK_ROWS", rows)
+                assert write(f"chunks-{rows}") == whole
 
 
 class TestBundles:

@@ -18,6 +18,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -363,11 +364,15 @@ class TestColumnarTables:
         world = bundle.tables["world_probabilities"]
         assert _typed(world.rows) == _typed(world_rows)
         assert _typed(bundle.tables["delta_p_cohorts"].rows) == _typed(cohort_rows)
-        # repeated values are one object each, as in the row tuples
-        states, relation, names, _ = world.data
-        assert len({id(v) for v in states}) == ctx.n_states
-        assert len({id(v) for v in relation}) <= len(RELATION_ORDER)
-        assert len({id(v) for v in names}) == len(WORLD_NAMES)
+        # repeated names are label codes, the probabilities a view of the
+        # cells, and rows give Python values
+        delta_p = bundle.tables["delta_p_cohorts"]
+        _, relation, names, probability = world.data
+        cohort, _, cohort_relation, _ = delta_p.data
+        assert all(isinstance(c, results.Labels) for c in (relation, names, cohort, cohort_relation))
+        assert np.shares_memory(probability, ctx.cells)
+        assert {tuple(map(type, row)) for row in world.rows} == {(int, str, str, float)}
+        assert {tuple(map(type, row)) for row in delta_p.rows} == {(str, int, str, float)}
 
     @pytest.mark.parametrize("config", [
         RunConfig(command="run-default-context", seed=1, n_states=500,
