@@ -87,8 +87,8 @@ def run_scenario(scenario, alpha, theta, numeric, out, formats, figure) -> None:
     _run(lambda: RunConfig(
         command="run-scenario",
         scenario=scenario,
-        alpha=parse_parameter(alpha),
-        theta=parse_parameter(theta),
+        alpha=parse_parameter(alpha, "--alpha"),
+        theta=parse_parameter(theta, "--theta"),
         numeric=numeric,
         output_dir=out,
         formats=_formats(formats),

@@ -13,7 +13,14 @@ it to the other arithmetic.  It validates once, vectorised, keeps read-only
 copies, and adds the bool ``assertability`` matrix.  Validation and
 assertability are decided before any cast, in exact arithmetic whenever the
 cells, the prior and ``theta`` are rational, so they never depend on
-``alpha``: only the soft-max needs an integer ``alpha`` to stay exact.
+``alpha``: only the soft-max needs an integer ``alpha`` to stay exact.  The
+exact checks and decisions run on Python ints, not Fractions: each row of
+cells is written once as numerators over its common denominator ``D``
+(`core.integer_rows`), and the prior as numerators over one denominator;
+a row is valid when ``0 <= n <= D`` and ``sum(n) == D``, and
+`semantics.bool_matrix_exact` decides it by cross-multiplying.  The
+integers are dropped after construction; ``cells`` and ``prior`` hold
+Fractions, each input Fraction kept and each int cast.
 The engine, the analyses and the runner read only these arrays.  Hand-built
 scenarios lower their `State` objects with `from_states`; sampled contexts
 never hold one, and the ``states`` and ``weights`` views are rebuilt from
@@ -39,10 +46,14 @@ from .core import (
     JointTable,
     Scalar,
     State,
+    integer_rows,
     is_rational,
     sums_to_one,
 )
 from .utterances import Utterance
+
+#: an ``object`` array's ints as Fractions, each Fraction kept as it is
+_as_fraction = np.frompyfunc(lambda x: x if type(x) is Fraction else Fraction(x), 1, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,24 +111,36 @@ class ScenarioContext:
         )
         exact = rational and is_rational(alpha) and Fraction(alpha).denominator == 1
         if rational:
-            cells, prior = (np.frompyfunc(Fraction, 1, 1)(a) for a in (cells, prior))
+            # checked and decided on Python ints over common denominators
+            cells, prior = (_as_fraction(a) for a in (cells, prior))
+            numerators, denominators = integer_rows(cells)
+            weights, total = integer_rows(prior)
+            cells_valid = (
+                ((numerators >= 0) & (numerators <= denominators[:, None])).all()
+                and (numerators.sum(axis=1) == denominators).all()
+            )
+            negative, normalised = (weights < 0).any(), weights.sum() == total
         else:
             cells = np.array(cells, dtype=float)
             prior = np.array(prior, dtype=float)
             theta = float(theta)
-        in_range = ((cells >= 0) & (cells <= 1)).all()
-        if not (in_range and np.all(sums_to_one(cells.sum(axis=1), rational))):
+            cells_valid = ((cells >= 0) & (cells <= 1)).all() and np.all(
+                sums_to_one(cells.sum(axis=1), False)
+            )
+            negative, normalised = (prior < 0).any(), sums_to_one(prior.sum(), False)
+        if not cells_valid:
             raise ContextError("the cells of each state must lie in [0, 1] and sum to 1")
-        if (prior < 0).any():
+        if negative:
             raise ContextError(f"prior weights must be nonnegative, got {prior.min()}")
-        total = prior.sum()
-        if not sums_to_one(total, rational):
-            raise ContextError(f"prior weights must sum to 1, got {total}")
+        if not normalised:
+            raise ContextError(f"prior weights must sum to 1, got {prior.sum()}")
 
         from . import semantics  # deferred: semantics has no context dependency
 
-        decide = semantics.bool_matrix_exact if rational else semantics.bool_matrix_float
-        matrix = decide(cells, utterances, theta)
+        if rational:
+            matrix = semantics.bool_matrix_exact(numerators, denominators, utterances, theta)
+        else:
+            matrix = semantics.bool_matrix_float(cells, utterances, theta)
         unsupported = np.flatnonzero(~matrix.any(axis=1))
         if unsupported.size:
             i = int(unsupported[0])

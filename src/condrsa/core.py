@@ -13,7 +13,9 @@ gets Fractions out.
 
 Event probabilities are read off cells in one place: `query` for one
 table and `event_column` for an (n, 4) array of them, both adding an
-event's cells in `World` order.
+event's cells in `World` order.  `integer_rows` writes exact cells as
+Python ints over each row's common denominator, so that exact checks and
+decisions compare integers instead of Fractions.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
+from operator import attrgetter
 from typing import Union
 
 import numpy as np
@@ -265,6 +268,21 @@ def event_column(cells: np.ndarray, event: Event) -> np.ndarray:
     """P(``event``) in every row of an (n, 4) array of cells, in its dtype:
     the vector twin of `query`, adding the cells in the same order."""
     return sum((cells[:, w] for w in sorted(event.worlds)), np.zeros(len(cells), cells.dtype))
+
+
+_numerators = np.frompyfunc(attrgetter("numerator"), 1, 1)
+_denominators = np.frompyfunc(attrgetter("denominator"), 1, 1)
+
+
+def integer_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An ``object`` array of ints and Fractions as Python ints over common
+    denominators, one per row of its last axis: ``(numerators,
+    denominators)`` with ``values == numerators / denominators[..., None]``
+    and each denominator the least common one of its row.  A 1-D array is
+    one row, and its denominator a 0-d array."""
+    denominators = _denominators(values)
+    common = np.lcm.reduce(denominators, axis=-1, keepdims=True)
+    return _numerators(values) * (common // denominators), common[..., 0]
 
 
 def product_cells(pa: Scalar, pc: Scalar) -> tuple[Scalar, Scalar, Scalar, Scalar]:

@@ -32,11 +32,14 @@ and runs dense float64 kernels on the per-state gather ``rows[inverse]``,
 ``prior @ ...`` in the BLAS summation order that the sampled output
 digests pin.  An exact context (all ints and Fractions, integer alpha)
 scores ``(1 / mass(u)) ** alpha`` and does Fraction arithmetic once per
-distinct row and only on the support: its masses and surprise add only
-the cells where an utterance is assertable or produced, and its listener
-matrices divide only those cells and hold ``Fraction(0)`` everywhere
-else.  A zero-prior state whose assertable utterances have no mass gets a
-zero speaker row.
+distinct row and only on the support: its speaker scores, adds and
+divides only the valid cells of each pattern row, its masses and surprise
+add only the cells where an utterance is assertable or produced, and its
+listener matrices divide only those cells; every other cell holds the one
+shared ``Fraction(0)``.  A zero-prior state whose assertable utterances
+have no mass gets a zero speaker row.  An exact `expectation` likewise
+adds only the posterior's nonzero weights: an exact sum does not depend
+on its order, while the float sums keep their state order.
 
 Each context memoises the grouping, the utterance masses and, per speaker
 rule, the speaker's pattern rows and the surprise vector, as read-only
@@ -196,15 +199,22 @@ def _best(valid: np.ndarray, mass: np.ndarray) -> np.ndarray:
 def _compute_speaker(ctx: ScenarioContext, rule: SpeakerRule) -> np.ndarray:
     mass = utterance_masses(ctx)
     valid = _patterns(ctx)[0] & (mass > 0)
-    zero, one = (Fraction(0), Fraction(1)) if ctx.exact else (0.0, 1.0)
-    if isinstance(rule, Argmax):
-        scores = np.where(_best(valid, mass), one, zero)
-    elif ctx.exact:
+    if ctx.exact:
         # the per-state prior factor of the literal listener cancels
-        # row-wise, leaving (1 / mass) ** alpha
-        alpha = _integer_alpha(rule.alpha)
-        power = np.array([(1 / m) ** alpha if m > 0 else zero for m in mass], dtype=object)
-        scores = np.where(valid, power, zero)
+        # row-wise, leaving (1 / mass) ** alpha, scored on valid cells only
+        if isinstance(rule, Argmax):
+            valid, power = _best(valid, mass), np.full(len(mass), Fraction(1), dtype=object)
+        else:
+            alpha = _integer_alpha(rule.alpha)
+            power = np.array(
+                [(1 / m) ** alpha if m > 0 else Fraction(0) for m in mass], dtype=object
+            )
+        row, utterance = np.nonzero(valid)
+        scores = power[utterance]
+        totals = _sums(scores, row, len(valid))
+        return _on_support(valid.shape, (row, utterance), scores / totals[row])
+    if isinstance(rule, Argmax):
+        scores = np.where(_best(valid, mass), 1.0, 0.0)
     else:
         # the soft-max in log space: -alpha * log(mass)
         alpha = float(rule.alpha)
@@ -403,6 +413,10 @@ def utterance_surprise(
 def expectation(post: Posterior, values: np.ndarray) -> Scalar:
     """Posterior expectation of a per-state quantity, given as one value per
     state (such as a column of ``ctx.cells``)."""
+    if post.context.exact:
+        # an exact sum does not depend on order: add the nonzero weights only
+        (support,) = np.nonzero(post.column)
+        return sum((post.column[support] * values[support]).tolist(), Fraction(0))
     # a running sum adds in state order, so floats match a state-by-state loop
     return np.cumsum(post.column * values)[-1:].tolist()[0]
 

@@ -9,9 +9,13 @@ a list of Python values, a read-only 1-D numpy array of numbers, or
 `Labels`, integer codes into a tuple of repeated strings.  Columns become
 Python values only at the edge: in `ResultTable.rows` and in rendering.
 A write renders each table it needs once, one typed pass per column (a
-column of one type goes through one C-level formatter; a `Labels` column
-renders its names once and gathers them by code), and JSON, CSV and plot
-data share that rendering.  A table of more than ``_CHUNK_ROWS`` rows is
+column of one type, bools included, goes through one C-level formatter; a
+`Labels` column renders its names once and gathers them by code), and
+JSON, CSV and plot data share that rendering.  An exact value column
+converts each distinct object to its text and decimal once, and each
+distinct integer, numerator or denominator, to digits once: most of its
+cells are the engine's one shared ``Fraction(0)``, and its large values
+share a few denominators.  A table of more than ``_CHUNK_ROWS`` rows is
 rendered, turned into row texts, written and dropped one chunk of rows at
 a time, with the bytes of a whole-table write: with ``indent=2`` each JSON
 row's text stands alone, and CSV quoting is decided field by field.  A
@@ -43,7 +47,7 @@ from contextlib import ExitStack, nullcontext, suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence, TextIO
@@ -104,21 +108,54 @@ def _render_cell(value: Any, mode: str) -> str:
     return str(value)
 
 
-def _render_column(values: Sequence, mode: str) -> Sequence[str]:
-    """``[_render_cell(v, mode) for v in values]``, in one C-level pass when
-    every value has the same type."""
-    types = set(map(type, values))
-    if types <= {str}:
-        return values
-    if types <= {float} and mode == FLOAT:
-        return list(map(_G12, values))
-    if types <= {int, Fraction}:
-        return _exact_strings(values) if mode == RATIONAL else list(map(_G12, map(float, values)))
-    return [_render_cell(v, mode) for v in values]
+_BOOL_TEXT = {True: "true", False: "false"}
 
 
 def _decimals(values: Sequence) -> list[str]:
     return list(map(_G12, map(float, values)))
+
+
+def _render_column(values: Sequence) -> Sequence[str]:
+    """``[_render_cell(v, FLOAT) for v in values]``, in one C-level pass when
+    every value has the same type.  Rational-mode value columns go through
+    `_rational_columns` instead."""
+    types = set(map(type, values))
+    if types <= {str}:
+        return values
+    if types <= {bool}:
+        return list(map(_BOOL_TEXT.__getitem__, values))
+    if types <= {float}:
+        return list(map(_G12, values))
+    if types <= {int, Fraction}:
+        return _decimals(values)
+    return [_render_cell(v, FLOAT) for v in values]
+
+
+def _exact_texts(values: Sequence[int | Fraction]) -> tuple[list[str], list[str]]:
+    """``str`` and ``{:.12g}`` of each int or Fraction, with each distinct
+    object converted once and each distinct integer, numerator or
+    denominator, turned into text once.  An exact column mostly repeats a
+    few objects (the engine's one ``Fraction(0)`` above all), and its large
+    values share their denominators."""
+    objects = dict(zip(map(id, values), values))
+    ratios = [(v.numerator, v.denominator) for v in objects.values()]
+    integers = list(dict.fromkeys(chain.from_iterable(ratios)))
+    digits = dict(zip(integers, _exact_strings(integers)))
+    texts = [digits[n] if d == 1 else f"{digits[n]}/{digits[d]}" for n, d in ratios]
+    decimals = _decimals(objects.values())
+    codes = list(map(id, values))
+    return (
+        list(map(dict(zip(objects, texts)).__getitem__, codes)),
+        list(map(dict(zip(objects, decimals)).__getitem__, codes)),
+    )
+
+
+def _rational_columns(values: Sequence) -> tuple[Sequence[str], list[str]]:
+    """A value column's texts and their decimal companions in rational
+    mode."""
+    if set(map(type, values)) <= {int, Fraction}:
+        return _exact_texts(values)
+    return [_render_cell(v, RATIONAL) for v in values], _decimals(values)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -212,10 +249,11 @@ class ResultTable:
             numeric = col in self.value_columns
             column = column[rows]
             header.append(col)
-            columns.append(_map_values(column, _render_column, mode if numeric else FLOAT))
             if numeric and mode == RATIONAL:
                 header.append(f"{col}_decimal")
-                columns.append(_map_values(column, _decimals))
+                columns.extend(_rational_columns(_values(column)))
+            else:
+                columns.append(_map_values(column, _render_column))
         return header, columns
 
 

@@ -71,14 +71,17 @@ COMMANDS = ("run-scenario", "run-default-context", "sweep")
 FORMATS = ("csv", "json", "plotdata")
 
 
-def parse_parameter(text: str | None) -> Scalar | None:
-    """Parse an alpha/theta override as an exact rational: ``0.95`` is 19/20."""
+def parse_parameter(text: str | None, option: str) -> Scalar | None:
+    """Parse an alpha/theta override as an exact rational: ``0.95`` is 19/20.
+    A text that is not a number raises a `ModelError` naming ``option``."""
     if text is None:
         return None
     try:
         value = Fraction(text)
     except ZeroDivisionError:
         raise ModelError(f"parameter {text!r} divides by zero") from None
+    except ValueError:
+        raise ModelError(f"{option} {text!r} is not a number") from None
     return int(value) if value.denominator == 1 else value
 
 

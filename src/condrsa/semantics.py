@@ -15,9 +15,14 @@ likely literal  P(literal)           > 1/2
 A conditional whose antecedent has probability zero is not assertable
 (rather than an error), so speakers stay well-defined on degenerate
 sampled states.  The probabilities come from `core.query` for one state
-and from `core.event_column` for a context's (n, 4) cells; a negated
-literal's probability, a negated antecedent's included, is ``1 - p`` on
-both paths, so the two agree bit for bit on float cells too.
+and from `core.event_column` for a context's (n, 4) float cells
+(`bool_matrix_float`); a negated literal's probability, a negated
+antecedent's included, is ``1 - p`` on both paths, so the two agree bit
+for bit on float cells too.  Exact contexts are decided on Python ints
+(`bool_matrix_exact`): each row's `core.integer_rows` numerators ``k``
+over its denominator ``D``, cross-multiplied with ``theta = a / b``, with
+``D - k`` for a negated literal and ``j * b >= a * k`` for a conditional
+whose joint numerator is ``j``.
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ from .utterances import (
 
 
 def _literal_probability(table, lit: Lit) -> Scalar:
-    # a negated literal is 1 - p, as in `_assertability_columns`
+    # a negated literal is 1 - p, as in `bool_matrix_float` (D - k in
+    # `bool_matrix_exact`)
     p = query(table, Lit(lit.var).event())
     return p if lit.positive else 1 - p
 
@@ -98,12 +104,11 @@ def default_utterances(include_reverse_conditionals: bool = True) -> tuple[Utter
     return tuple(utterances)
 
 
-def _assertability_columns(
-    tables: np.ndarray, utterances: Sequence[Utterance], theta: Scalar
+def bool_matrix_float(
+    tables: np.ndarray, utterances: Sequence[Utterance], theta: float
 ) -> np.ndarray:
-    """The `assertable` formulas over the rows of an (n, 4) table of cells,
-    float64 or ``object`` (Fractions compare exactly), one column per
-    utterance."""
+    """The `assertable` formulas over the rows of an (n, 4) float64 table of
+    cells, one column per utterance."""
     # a negated literal is 1 - p, not the sum of its two cells: the two can
     # differ in floats, and with them a decision at theta
     lit_probs = {}
@@ -130,16 +135,38 @@ def _assertability_columns(
     return np.stack(columns, axis=1)
 
 
-def bool_matrix_float(
-    tables: np.ndarray, utterances: Sequence[Utterance], theta: float
-) -> np.ndarray:
-    """Vectorized assertability for float tables, one column per utterance."""
-    return _assertability_columns(tables, utterances, theta)
-
-
 def bool_matrix_exact(
-    cells: np.ndarray, utterances: Sequence[Utterance], theta: Scalar
+    numerators: np.ndarray,
+    denominators: np.ndarray,
+    utterances: Sequence[Utterance],
+    theta: Scalar,
 ) -> np.ndarray:
-    """Assertability decided in exact arithmetic, on an (n, 4) ``object``
-    array of Fraction cells such as a context's `cells`."""
-    return _assertability_columns(cells, utterances, theta)
+    """The `assertable` formulas decided on Python ints, one column per
+    utterance, for exact cells given as `core.integer_rows`: an (n, 4)
+    ``object`` array of numerators over each row's denominator ``D``.
+
+    A probability ``k / D`` clears ``theta = a / b`` when ``k * b >= a * D``,
+    a negated literal's ``k`` is ``D - k`` (``1 - p``), ``likely`` holds when
+    ``2 * k > D``, and a conditional with antecedent ``k > 0`` compares its
+    joint numerator ``j`` as ``j * b >= a * k``: ``D`` cancels."""
+    a, b = theta.numerator, theta.denominator
+    bar = a * denominators
+    lits = {}
+    for var, event in ((Var.A, A), (Var.C, C)):
+        k = event_column(numerators, event)
+        lits[Lit(var)], lits[Lit(var, False)] = k, denominators - k
+    columns = []
+    for u in utterances:
+        if isinstance(u, Literal):
+            columns.append(lits[u.lit] * b >= bar)
+        elif isinstance(u, Likely):
+            columns.append(2 * lits[u.lit] > denominators)
+        elif isinstance(u, Conjunction):
+            columns.append(event_column(numerators, u.first.event() & u.second.event()) * b >= bar)
+        elif isinstance(u, Conditional):
+            joint = event_column(numerators, u.antecedent.event() & u.consequent.event())
+            k = lits[u.antecedent]
+            columns.append((k > 0) & (joint * b >= a * k))
+        else:
+            raise TypeError(f"not an utterance: {u!r}")
+    return np.stack(columns, axis=1)

@@ -110,6 +110,17 @@ class TestRunScenario:
         }
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("option", ["--alpha", "--theta"])
+    def test_non_number_parameter_names_its_option(self, runner, tmp_path, option):
+        result = runner.invoke(main, [
+            "run-scenario", "--scenario", "toy", option, "abc", "--out", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr) == {
+            "error": "ModelError", "message": f"{option} 'abc' is not a number",
+        }
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", [
         ["run-scenario", "--scenario", "toy"],
         ["run-default-context", "--seed", "1", "--n-states", "100"],

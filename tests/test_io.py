@@ -259,6 +259,19 @@ class TestColumnwiseWriting:
             lambda: _cell_rendering(table, mode)
         )
 
+    def test_exact_column_renders_each_value_as_its_cell(self):
+        """An exact column's texts and decimals, converted once per distinct
+        value, are each cell's ``str`` and ``{:.12g}``."""
+        big = F(3**700, 7**500)
+        values = [F(0), F(0), F(1, 3), F(1, 3), 1, 1, F(2), 2, big,
+                  F(big.numerator, big.denominator), -F(5, 6), 0, F(0), 10**20]
+        values = values + values[::-1]
+        table = ResultTable("t", ("x",), (values,), value_columns=("x",))
+        header, (texts, decimals) = table.rendered("rational")
+        assert header == ["x", "x_decimal"]
+        assert texts == [str(v) for v in values]
+        assert decimals == [f"{float(v):.12g}" for v in values]
+
     @settings(max_examples=300, deadline=None)
     @given(
         metadata=st.dictionaries(

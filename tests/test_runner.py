@@ -229,9 +229,9 @@ class TestOneArithmetic:
                     assert list(rendered_column) == [f"{float(v):.12g}" for v in values], name
 
     def test_overrides_parse_exactly(self):
-        assert parse_parameter("0.95") == Fraction(19, 20)
-        assert type(parse_parameter("3")) is int
-        assert parse_parameter(None) is None
+        assert parse_parameter("0.95", "--theta") == Fraction(19, 20)
+        assert type(parse_parameter("3", "--alpha")) is int
+        assert parse_parameter(None, "--alpha") is None
 
     def test_non_integer_alpha_runs_in_floats(self):
         bundle = scenario_bundle(

@@ -18,7 +18,7 @@ from condrsa import (
     parse_utterance,
 )
 from condrsa.analysis import relation_array
-from condrsa.core import RELATION_ORDER
+from condrsa.core import RELATION_ORDER, integer_rows
 from condrsa.semantics import bool_matrix_exact
 
 THETA = F(9, 10)
@@ -66,6 +66,21 @@ def boundary_tables(draw, theta):
         cells[lit[0]], cells[lit[1]] = q / 2, (1 - q) / 2
         cells[other[0]], cells[other[1]] = r / 2, (1 - r) / 2
     return tuple(cells)
+
+
+@st.composite
+def exact_tables(draw, theta):
+    """`boundary_tables`, some written with Python ints for their integral
+    cells, and one-hot tables of ints."""
+    kind = draw(st.sampled_from(["fractions", "ints", "one-hot"]))
+    if kind == "one-hot":
+        cells = [0] * 4
+        cells[draw(st.integers(0, 3))] = 1
+        return tuple(cells)
+    cells = draw(boundary_tables(theta))
+    if kind == "ints":
+        return tuple(int(c) if c.denominator == 1 else c for c in cells)
+    return cells
 
 
 class TestAssertable:
@@ -174,8 +189,10 @@ class TestAssertabilityMatrix:
             )
 
     def test_float_and_exact_paths_agree(self, small_ctx):
+        # the exact decisions on the exact values of the float cells and theta
+        cells = np.frompyfunc(F, 1, 1)(small_ctx.cells.astype(object))
         exact = bool_matrix_exact(
-            cell_array(small_ctx.states), small_ctx.utterances, small_ctx.theta
+            *integer_rows(cells), small_ctx.utterances, F(small_ctx.theta)
         )
         assert (exact == small_ctx.assertability).all()
 
@@ -190,7 +207,54 @@ class TestAssertabilityMatrix:
         states = [state(cells) for cells in tables]
         utterances = default_utterances()
         oracle = [[assertable(u, s, theta) for u in utterances] for s in states]
-        assert bool_matrix_exact(cell_array(states), utterances, theta).tolist() == oracle
+        matrix = bool_matrix_exact(*integer_rows(cell_array(states)), utterances, theta)
+        assert matrix.tolist() == oracle
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_integer_decisions_match_fraction_oracle(self, data):
+        """The context's integer decisions equal `assertable` in Fraction
+        arithmetic on rows of different denominators, int cells included."""
+        theta = data.draw(st.sampled_from([F(51, 100), F(3, 4), F(9, 10), F(19, 20), F(1), 1]))
+        tables = data.draw(st.lists(exact_tables(theta), min_size=1, max_size=6))
+        states = [state(cells) for cells in tables]
+        utterances = default_utterances()
+        oracle = [[assertable(u, s, theta) for u in utterances] for s in states]
+        matrix = bool_matrix_exact(*integer_rows(cell_array(states)), utterances, theta)
+        assert matrix.tolist() == oracle
+        weights = [F(1, len(states))] * len(states)
+        try:
+            ctx = ScenarioContext.from_states(states, weights, utterances, 1, theta)
+        except ContextError:  # some state can assert nothing
+            assert not all(map(any, oracle))
+        else:
+            assert ctx.assertability.tolist() == oracle
+
+    @pytest.mark.parametrize("cells, weights, message", [
+        *(
+            (cells, [1], "the cells of each state must lie in [0, 1] and sum to 1")
+            for cells in (
+                [[F(-1, 10), F(5, 10), F(3, 10), F(3, 10)]],
+                [[F(11, 10), F(-1, 10), 0, 0]],
+                [[F(1, 2), F(1, 5), F(1, 10), F(1, 10)]],
+                [[1, 0, 0, F(1, 10)]],
+            )
+        ),
+        ([[1, 0, 0, 0], [0, 0, 0, 1]], [F(3, 2), F(-1, 2)],
+         "prior weights must be nonnegative, got -1/2"),
+        ([[1, 0, 0, 0], [0, 0, 0, 1]], [F(1, 2), F(2, 5)], "prior weights must sum to 1, got 9/10"),
+        ([[1, 0, 0, 0], [0, 0, 0, 1]], [1, 1], "prior weights must sum to 1, got 2"),
+        ([[F(1, 4)] * 4], [1], "state #0 has no assertable utterance; every state must support "
+         "at least one utterance (1 offending state(s))"),
+    ])
+    def test_invalid_exact_inputs_name_their_fault(self, cells, weights, message):
+        with pytest.raises(ContextError) as error:
+            ScenarioContext(
+                cells=np.array(cells, dtype=object), prior=np.array(weights, dtype=object),
+                relations=[0] * len(cells), utterances=default_utterances(),
+                alpha=1, theta=THETA,
+            )
+        assert str(error.value) == message
 
 
 @st.composite
