@@ -3,10 +3,14 @@ listener concludes.
 
 Everything here is computed from the engine's arrays and the context's
 cells and is pure; an event probability that adds cells, such as a
-marginal, comes from `core.event_column`.  The speaker analyses read the
-engine's memoised pattern rows (one per distinct assertability row), sum
-or test them once per pattern, and gather the results per state; no
-(states x utterances) speaker matrix is built.
+marginal, comes from `core.event_column`.  The A and C marginals and the
+certainty cells are memoised in the context as read-only 1-D arrays.  The
+speaker analyses read the engine's memoised pattern rows (one per
+distinct assertability row), sum or test them once per pattern, and
+gather the sums per state; no (states x utterances) speaker matrix is
+built.  A group mean is one ordered pass over the states: the group's
+running sum in state order by `np.bincount` (`engine._group_sums`) over
+its count, with the bits of a mean over the group's gathered rows.
 `context_analyses` computes, once per context, the record of analyses that
 a default-context bundle lays out.  Its relation beliefs and CP metrics
 read the same three interpretations of "A -> C" (prior, literal and
@@ -80,19 +84,27 @@ def classify_certainty(
 
 
 def marginal_arrays(ctx: ScenarioContext) -> tuple[np.ndarray, np.ndarray]:
-    """Marginals (P(a), P(c)) across all states, in the context's arithmetic."""
-    return event_column(ctx.cells, A), event_column(ctx.cells, C)
+    """Marginals (P(a), P(c)) across all states, in the context's arithmetic.
+    Read-only, memoised per context."""
+    return engine._memoised(
+        ctx, "marginals", lambda: (event_column(ctx.cells, A), event_column(ctx.cells, C))
+    )
 
 
 def certainty_cell_array(ctx: ScenarioContext) -> np.ndarray:
-    """Certainty cell of every state, as indices into list(CertaintyCell)."""
-    p_a, p_c = marginal_arrays(ctx)
-    unc_a = (p_a >= 1 - ctx.theta) & (p_a <= ctx.theta)
-    unc_c = (p_c >= 1 - ctx.theta) & (p_c <= ctx.theta)
-    cells = np.full(ctx.n_states, list(CertaintyCell).index(CertaintyCell.MIXED))
-    cells[~unc_a & ~unc_c] = list(CertaintyCell).index(CertaintyCell.CERTAIN_BOTH)
-    cells[unc_a & unc_c] = list(CertaintyCell).index(CertaintyCell.UNCERTAIN_BOTH)
-    return cells
+    """Certainty cell of every state, as indices into list(CertaintyCell).
+    Read-only, memoised per context."""
+
+    def compute():
+        p_a, p_c = marginal_arrays(ctx)
+        unc_a = (p_a >= 1 - ctx.theta) & (p_a <= ctx.theta)
+        unc_c = (p_c >= 1 - ctx.theta) & (p_c <= ctx.theta)
+        cells = np.full(ctx.n_states, list(CertaintyCell).index(CertaintyCell.MIXED))
+        cells[~unc_a & ~unc_c] = list(CertaintyCell).index(CertaintyCell.CERTAIN_BOTH)
+        cells[unc_a & unc_c] = list(CertaintyCell).index(CertaintyCell.UNCERTAIN_BOTH)
+        return cells
+
+    return engine._memoised(ctx, "certainty_cells", compute)
 
 
 def relation_array(ctx: ScenarioContext) -> np.ndarray:
@@ -100,9 +112,12 @@ def relation_array(ctx: ScenarioContext) -> np.ndarray:
     return ctx.relations
 
 
-def _groups(ctx: ScenarioContext, group_by: str) -> list[tuple[str, np.ndarray]]:
-    """Each relation group's label and state mask, in order of first
-    appearance; grouped on the relation codes."""
+def _groups(
+    ctx: ScenarioContext, group_by: str
+) -> tuple[np.ndarray, list[int], list[tuple[int, str]]]:
+    """Each state's relation-group code, the number of states of each code,
+    and each group's code and label in order of first appearance; grouped
+    on the relation codes."""
     relations = relation_array(ctx)
     if group_by == "relation":
         codes, labels = relations, RELATION_NAMES
@@ -112,8 +127,9 @@ def _groups(ctx: ScenarioContext, group_by: str) -> list[tuple[str, np.ndarray]]
         codes, labels = np.zeros(ctx.n_states, np.int8), ("all",)
     else:
         raise ValueError(f"unknown grouping {group_by!r}")
-    _, firsts = np.unique(codes, return_index=True)
-    return [(labels[codes[i]], codes == codes[i]) for i in sorted(firsts)]
+    counts = np.bincount(codes, minlength=len(labels)).tolist()
+    firsts = sorted((int(np.argmax(codes == code)), code) for code, n in enumerate(counts) if n)
+    return codes, counts, [(code, labels[code]) for _, code in firsts]
 
 
 def _type_columns(ctx: ScenarioContext) -> dict[UtteranceType, list[int]]:
@@ -158,23 +174,26 @@ def best_utterance_frequencies(
     absent from the result rather than reported as zeros.
     """
     type_mass = _type_mass_matrix(ctx, Argmax())
-    cells = certainty_cell_array(ctx)
-    groups = _groups(ctx, group_by)
+    codes, code_counts, groups = _groups(ctx, group_by)
+    n_codes = len(code_counts)
+    key = certainty_cell_array(ctx) * n_codes + codes
+    n_keys = len(CertaintyCell) * n_codes
+    counts = np.bincount(key, minlength=n_keys).tolist()
+    sums = engine._group_sums(type_mass, key, n_keys)
+    positive = np.stack(
+        [np.bincount(key[column > 0], minlength=n_keys) for column in type_mass.T], axis=1
+    )
 
     out: dict[tuple[CertaintyCell, str], FrequencyCell] = {}
     for ci, cell in enumerate(CertaintyCell):
-        for group, in_group in groups:
-            mask = (cells == ci) & in_group
-            count = int(mask.sum())
-            if count == 0:
+        for code, group in groups:
+            k = ci * n_codes + code
+            if counts[k] == 0:
                 continue
-            masses = type_mass[mask]
-            means = masses.mean(axis=0)
-            positive = (masses > 0).sum(axis=0).tolist()
             out[(cell, group)] = FrequencyCell(
-                count=count,
-                frequencies={t: float(m) for t, m in zip(UtteranceType, means)},
-                positive=dict(zip(UtteranceType, positive)),
+                count=counts[k],
+                frequencies={t: float(m) for t, m in zip(UtteranceType, sums[k] / counts[k])},
+                positive=dict(zip(UtteranceType, positive[k].tolist())),
             )
     return out
 
@@ -308,12 +327,12 @@ def expected_choice_probabilities(
 
     Every row sums to one (each state's speaker distribution does).
     """
-    type_mass = _type_mass_matrix(ctx, rule)
-    out: dict[str, dict[UtteranceType, float]] = {}
-    for group, in_group in _groups(ctx, group_by):
-        means = type_mass[in_group].mean(axis=0)
-        out[group] = {t: float(m) for t, m in zip(UtteranceType, means)}
-    return out
+    codes, counts, groups = _groups(ctx, group_by)
+    sums = engine._group_sums(_type_mass_matrix(ctx, rule), codes, len(counts))
+    return {
+        group: {t: float(m) for t, m in zip(UtteranceType, sums[code] / counts[code])}
+        for code, group in groups
+    }
 
 
 def relation_beliefs(

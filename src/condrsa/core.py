@@ -240,9 +240,6 @@ class JointTable:
     def cell(self, world: World) -> Scalar:
         return self.cells[world]
 
-    def as_floats(self) -> tuple[float, float, float, float]:
-        return tuple(float(c) for c in self.cells)  # type: ignore[return-value]
-
 
 def query(table: JointTable, event: Event, given: Event | None = None) -> Scalar:
     """Marginal or conditional probability of ``event`` under ``table``.

@@ -276,6 +276,24 @@ def _sums(values: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
     return _on_support(n, present, np.add.reduceat(values, starts))
 
 
+def _group_sums(values: np.ndarray, key: np.ndarray, n: int) -> np.ndarray:
+    """The sum of the rows of ``values`` (one per state, 1-D or 2-D) per
+    ``key`` in ``range(n)``; a key without rows sums to zero.
+
+    Floats are one `np.bincount` per column, which adds each group's values
+    one at a time in state order, as a state-by-state loop or a running sum
+    does.  An exact (``object``) array is added exactly, each sum a
+    Fraction; `np.bincount` takes only float weights.
+    """
+    if values.dtype != object:
+        if values.ndim == 1:
+            return np.bincount(key, weights=values, minlength=n)
+        return np.stack([np.bincount(key, weights=c, minlength=n) for c in values.T], axis=1)
+    sums = np.full((n, *values.shape[1:]), Fraction(0), dtype=object)
+    np.add.at(sums, key, values)
+    return sums
+
+
 def _on_support(shape, cells, values) -> np.ndarray:
     """An ``object`` array holding ``values`` at ``cells`` and ``Fraction(0)``
     everywhere else."""
@@ -423,11 +441,5 @@ def expectation(post: Posterior, values: np.ndarray) -> Scalar:
 
 def relation_posterior(post: Posterior) -> dict[CausalStructure, Scalar]:
     """Posterior mass per causal structure (all five variants listed)."""
-    ctx = post.context
-    zero = Fraction(0) if ctx.exact else 0.0
-    # the last running sum adds a structure's weights one at a time in state
-    # order, so float masses equal those of a state-by-state loop
-    return {
-        relation: sum(np.cumsum(post.column[ctx.relations == code])[-1:].tolist(), zero)
-        for code, relation in enumerate(RELATION_ORDER)
-    }
+    masses = _group_sums(post.column, post.context.relations, len(RELATION_ORDER))
+    return dict(zip(RELATION_ORDER, masses.tolist()))

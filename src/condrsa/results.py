@@ -110,6 +110,10 @@ def _render_cell(value: Any, mode: str) -> str:
 
 _BOOL_TEXT = {True: "true", False: "false"}
 
+#: an int of fewer than 13 digits is exact as a float and its ``str`` is its
+#: ``{:.12g}`` text; 10**12 renders as ``1e+12``
+_INT_TEXT_BOUND = 10**12
+
 
 def _decimals(values: Sequence) -> list[str]:
     return list(map(_G12, map(float, values)))
@@ -126,6 +130,8 @@ def _render_column(values: Sequence) -> Sequence[str]:
         return list(map(_BOOL_TEXT.__getitem__, values))
     if types <= {float}:
         return list(map(_G12, values))
+    if types <= {int} and -_INT_TEXT_BOUND < min(values) and max(values) < _INT_TEXT_BOUND:
+        return list(map(str, values))
     if types <= {int, Fraction}:
         return _decimals(values)
     return [_render_cell(v, FLOAT) for v in values]

@@ -10,7 +10,8 @@ candidate world model on the observation through that link.
 
 All built-in numbers are exact rationals, so the published fractions
 reproduce bit-for-bit.  The belief read-outs take each state's event
-probabilities from `core.event_column`.
+probabilities from `core.event_column`; an exact read-out and the
+observation update add them only on the posterior's support.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+
+import numpy as np
 
 from . import engine
 from .context import ScenarioContext
@@ -291,7 +294,13 @@ def antecedent_belief(post: Posterior, which: str = "posterior") -> Scalar:
 
 def joint_event_belief(post: Posterior, event: Event) -> Scalar:
     """Expected probability of an arbitrary event over the two variables."""
-    return engine.expectation(post, event_column(post.context.cells, event))
+    ctx = post.context
+    if not ctx.exact:
+        return engine.expectation(post, event_column(ctx.cells, event))
+    # an exact expectation reads only the nonzero weights: add the cells there
+    (support,) = np.nonzero(post.column)
+    column = event_column(ctx.cells[support], event)
+    return engine.expectation(post, engine._on_support(ctx.n_states, support, column))
 
 
 def observation_update(post: Posterior, link: ObservationLink) -> Scalar:
@@ -315,17 +324,19 @@ def observation_update(post: Posterior, link: ObservationLink) -> Scalar:
         )
 
     mediator = event_for(link.mediator)
-    # per state: P(m), P(~m), P(a, m) and P(a, ~m), with `query`'s sums
+    # per state of the posterior's support (a state of zero weight adds
+    # nothing): P(m), P(~m), P(a, m) and P(a, ~m), with `query`'s sums
+    (support,) = np.nonzero(post.column)
+    cells = post.context.cells[support]
     columns = zip(*(
-        event_column(post.context.cells, event).tolist()
+        event_column(cells, event).tolist()
         for event in (mediator, ~mediator, A & mediator, A & ~mediator)
     ))
     total = 0
-    for weight, label, (p_med, p_not_med, a_med, a_not_med) in zip(
-        post.column.tolist(), post.context.labels, columns
+    for weight, state, (p_med, p_not_med, a_med, a_not_med) in zip(
+        post.column[support].tolist(), support.tolist(), columns
     ):
-        if weight == 0:
-            continue
+        label = post.context.labels[state]
         evidence = p_true * p_med + p_false * (1 - p_med)
         if evidence == 0:
             raise ImpossibleObservationError(

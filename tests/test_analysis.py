@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +23,12 @@ from condrsa import (
     parse_utterance,
     query,
 )
+from condrsa import analysis, engine
 from condrsa.analysis import certainty_cell_array
+from condrsa.core import RELATION_NAMES, RELATION_ORDER
 from condrsa.engine import Argmax, Softmax
+from condrsa.runner import RunConfig, default_context_bundle
+from condrsa.scenario_io import parse_scenario_file
 
 
 def istate(pa, pc, label=None):
@@ -288,6 +293,127 @@ class TestRelationBeliefs:
         assert beliefs["prior"][CausalStructure.AC_POS] == F(1, 2)
         assert beliefs["literal"][CausalStructure.AC_POS] == F(1, 2)
         assert beliefs["pragmatic"][CausalStructure.AC_POS] == F(5, 6)
+
+
+def _masked_groups(ctx, group_by):
+    """Each relation group's label and state mask in order of first
+    appearance, as the group-by-group analyses built them."""
+    relations = ctx.relations
+    codes, labels = {
+        "relation": (relations, RELATION_NAMES),
+        "independence": ((relations != 0).view(np.int8), ("independent", "dependent")),
+        "none": (np.zeros(ctx.n_states, np.int8), ("all",)),
+    }[group_by]
+    _, firsts = np.unique(codes, return_index=True)
+    return [(labels[codes[i]], codes == codes[i]) for i in sorted(firsts)]
+
+
+def masked_analyses(ctx):
+    """The grouped fields of `context_analyses` by the masked formulas that
+    the grouped running sums replaced: a mean over each group's gathered
+    rows, and a running sum over each relation's masked weights."""
+    zero = F(0) if ctx.exact else 0.0
+    beliefs = {
+        stage: {
+            relation: sum(np.cumsum(post.column[ctx.relations == code])[-1:].tolist(), zero)
+            for code, relation in enumerate(RELATION_ORDER)
+        }
+        for stage, post in engine.interpretations(ctx, analysis.A_IMPLIES_C).items()
+    }
+    argmax_mass = analysis._type_mass_matrix(ctx, Argmax())
+    cells = certainty_cell_array(ctx)
+    frequencies = {}
+    for group_by in ("independence", "none"):
+        table = frequencies[group_by] = {}
+        for ci, cell in enumerate(CertaintyCell):
+            for group, in_group in _masked_groups(ctx, group_by):
+                mask = (cells == ci) & in_group
+                if not mask.any():
+                    continue
+                masses = argmax_mass[mask]
+                table[(cell, group)] = analysis.FrequencyCell(
+                    count=int(mask.sum()),
+                    frequencies={t: float(m) for t, m in zip(cr.UtteranceType, masses.mean(axis=0))},
+                    positive=dict(zip(cr.UtteranceType, (masses > 0).sum(axis=0).tolist())),
+                )
+    choice = {}
+    for name, rule in (("softmax", Softmax(ctx.alpha)), ("argmax", Argmax())):
+        type_mass = analysis._type_mass_matrix(ctx, rule)
+        choice[name] = {
+            group: {t: float(m) for t, m in zip(cr.UtteranceType, type_mass[in_group].mean(axis=0))}
+            for group, in_group in _masked_groups(ctx, "relation")
+        }
+    return frequencies, beliefs, choice
+
+
+class TestContextAnalysesReference:
+    """`context_analyses` sums each group in one ordered pass; its fields
+    equal those of the masked group-by-group formulas, float bits and key
+    order included."""
+
+    @staticmethod
+    def assert_matches_masked(ctx):
+        got = analysis.context_analyses(ctx)
+        frequencies, beliefs, choice = masked_analyses(ctx)
+        assert got.frequencies == frequencies
+        assert [list(table) for table in got.frequencies.values()] == [
+            list(table) for table in frequencies.values()
+        ]
+        assert got.beliefs == beliefs
+        assert got.choice == choice
+        assert [list(table) for table in got.choice.values()] == [
+            list(table) for table in choice.values()
+        ]
+        for table in (got.beliefs, beliefs):
+            kinds = {type(v) for masses in table.values() for v in masses.values()}
+            assert kinds == ({F} if ctx.exact else {float})
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sampled(self, seed):
+        self.assert_matches_masked(cr.build_default_context(seed=seed, n_states=2000))
+
+    def test_exact(self):
+        path = Path(__file__).with_name("riverbank_scenario.json")
+        ctx = parse_scenario_file(path).to_context()
+        assert ctx.exact
+        self.assert_matches_masked(ctx)
+
+    def test_relation_grouping(self, small_ctx):
+        ctx = small_ctx.with_params()
+        argmax_mass = analysis._type_mass_matrix(ctx, Argmax())
+        cells = certainty_cell_array(ctx)
+        expected = {}
+        for ci, cell in enumerate(CertaintyCell):
+            for group, in_group in _masked_groups(ctx, "relation"):
+                mask = (cells == ci) & in_group
+                if mask.any():
+                    expected[(cell, group)] = dict(
+                        zip(cr.UtteranceType, argmax_mass[mask].mean(axis=0).tolist())
+                    )
+        got = cr.best_utterance_frequencies(ctx, group_by="relation")
+        assert {key: freq.frequencies for key, freq in got.items()} == expected
+        assert list(got) == list(expected)
+
+    def test_bundle_computes_marginals_once(self, small_ctx, monkeypatch):
+        """A default-context bundle reads the A and C marginals of its
+        context from one memoised pair of columns."""
+        calls = []
+        original = analysis.event_column
+
+        def counted(cells, event):
+            calls.append(event)
+            return original(cells, event)
+
+        monkeypatch.setattr(analysis, "event_column", counted)
+        ctx = small_ctx.with_params()
+        config = RunConfig("run-default-context", seed=7, n_states=ctx.n_states)
+        default_context_bundle(ctx, config)
+        default_context_bundle(ctx, config, check_level="qualitative")
+        assert calls == [cr.A, cr.C]
+        marginals = analysis.marginal_arrays(ctx)
+        assert all(m.ndim == 1 and not m.flags.writeable for m in marginals)
+        cells = certainty_cell_array(ctx)
+        assert cells.ndim == 1 and not cells.flags.writeable
 
 
 class TestCheckSuite:

@@ -177,7 +177,7 @@ class TestJointFromNoisyOr:
     def test_hand_evaluated_example(self):
         t = joint_from_noisy_or(CausalStructure.AC_POS, 0.5, 0.9, 0.1)
         assert query(t, C, given=A) == pytest.approx(0.91)
-        assert np.allclose(t.as_floats(), (0.455, 0.045, 0.05, 0.45))
+        assert np.allclose(tuple(map(float, t.cells)), (0.455, 0.045, 0.05, 0.45))
 
     def test_independent_rejected(self):
         with pytest.raises(ProbabilityError):

@@ -488,7 +488,7 @@ class TestSampledTableProfile:
         independent samples spread evenly."""
         by_relation = {}
         for s in default_ctx.states:
-            by_relation.setdefault(s.relation, []).append(s.table.as_floats())
+            by_relation.setdefault(s.relation, []).append(tuple(map(float, s.table.cells)))
 
         ac_pos = np.array(by_relation[CausalStructure.AC_POS]).mean(axis=0)
         assert ac_pos[0] > 0.4 and ac_pos[3] > 0.4   # both / neither dominate

@@ -886,6 +886,66 @@ class TestRelationPosterior:
             assert [type(v) for v in got.values()] == [type(v) for v in expected.values()]
 
 
+#: float64 values for grouped sums: zeros, subnormals, and magnitudes from
+#: 1e-300 to 1e300 side by side; no -0.0: no weight or mass is negative
+#: zero, and a sum that starts at +0.0 turns a lone -0.0 into +0.0
+SUMMANDS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1e300]),
+    st.floats(-1e300, 1e300, allow_subnormal=True),
+).map(lambda x: x + 0.0)
+
+
+@st.composite
+def grouped_values(draw, exact=False):
+    """Values with one row per state of a context (1-D, or 2-D with up to
+    four columns), a key per state and a number of groups, some of them
+    empty."""
+    n_states = draw(st.integers(1, 40))
+    n_groups = draw(st.integers(1, 6))
+    key = np.array(draw(st.lists(st.integers(0, n_groups - 1), min_size=n_states,
+                                 max_size=n_states)), dtype=draw(st.sampled_from([np.int8, np.int64])))
+    shape = (n_states,) if draw(st.booleans()) else (n_states, draw(st.integers(1, 4)))
+    if exact:
+        elements = st.fractions(-3, 3, max_denominator=50) | st.integers(-2, 2)
+        cells = draw(st.lists(elements, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+        values = np.empty(int(np.prod(shape)), dtype=object)
+        values[:] = cells
+        return values.reshape(shape), key, n_groups
+    return draw(arrays(np.float64, shape, elements=SUMMANDS)), key, n_groups
+
+
+class TestGroupSums:
+    """`engine._group_sums` adds each group's rows in state order: its float
+    sums are those of a state-by-state loop, bit for bit, and its exact sums
+    are exact Fractions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=grouped_values())
+    def test_float_sums_add_in_state_order(self, case):
+        values, key, n = case
+        got = engine._group_sums(values, key, n)
+        assert got.shape == (n, *values.shape[1:]) and got.dtype == np.float64
+        loop = [np.zeros(values.shape[1:]) for _ in range(n)]
+        for k, row in zip(key.tolist(), values):
+            loop[k] = loop[k] + row
+        assert got.tobytes() == np.array(loop).reshape(got.shape).tobytes()
+        if values.ndim == 2 and values.shape[1] > 1:
+            # the masked mean's sum: an axis-0 reduction over two or more
+            # columns adds rows in order (a 1-D sum is pairwise)
+            masked = np.array([values[key == k].sum(axis=0) for k in range(n)])
+            assert got.tobytes() == masked.reshape(got.shape).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=grouped_values(exact=True))
+    def test_exact_sums(self, case):
+        values, key, n = case
+        got = engine._group_sums(values, key, n)
+        assert got.shape == (n, *values.shape[1:]) and got.dtype == object
+        for k in range(n):
+            assert np.all(got[k] == values[key == k].sum(axis=0))
+        assert {type(v) for v in got.flat} <= {F}
+
+
 def test_negative_softmax_alpha_rejected():
     with pytest.raises(ValueError):
         Softmax(-1)

@@ -172,6 +172,20 @@ class TestRendering:
         with pytest.raises(cr.ModelError):
             render_scalar(0.5, "rational")
 
+    @pytest.mark.parametrize("value", [
+        0, 7, -7, 10**12 - 1, -(10**12 - 1), 10**12, -(10**12), 2**53, -(2**53), 2**53 + 1,
+    ])
+    def test_int_column_renders_as_twelve_digit_floats(self, value):
+        """An all-int column takes the ``str`` pass below 10**12 and the
+        float formatter from there on: both give ``{:.12g}`` of the float."""
+        for column in ([value], [0, value], [value, -3]):
+            assert results._render_column(column) == [f"{float(v):.12g}" for v in column]
+        assert results._render_column([10**12]) == ["1e+12"]
+
+    def test_bool_column_is_not_an_int_column(self):
+        assert results._render_column([True, False]) == ["true", "false"]
+        assert results._render_column([True, 2]) == ["true", "2"]
+
 
 def _outcome(render):
     """What a rendering call gives: its columns as lists, or its error type."""

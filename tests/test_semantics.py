@@ -498,7 +498,7 @@ class TestContextArrays:
 
     def test_float_context_reads_cells_and_weights(self, small_ctx):
         assert not hasattr(small_ctx, "tables")
-        assert small_ctx.cells.tolist() == [list(s.table.as_floats()) for s in small_ctx.states]
+        assert small_ctx.cells.tolist() == [list(map(float, s.table.cells)) for s in small_ctx.states]
         assert small_ctx.cells.dtype == np.float64
         assert small_ctx.prior.dtype == np.float64
         assert small_ctx.prior.tolist() == list(small_ctx.weights)
