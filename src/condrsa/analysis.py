@@ -220,29 +220,24 @@ class CPMetrics:
 def cp_metrics(post: Posterior) -> CPMetrics:
     """`CPMetrics` of a posterior, in its context's arithmetic: Fractions
     (or ints) on exact contexts, Python floats otherwise."""
-    ctx = post.context
-    tables = ctx.cells
+    tables = post.context.cells
     weights = post.column
-    scalar = _unchanged if ctx.exact else float
-    p_a, p_c = marginal_arrays(ctx)
+    p_a, p_c = marginal_arrays(post.context)
 
     def conditional_expectation(num, den):
+        # one-element sums, read out as Python scalars by `tolist`
         ok = den > 0
-        included = weights[ok].sum()
-        if included == 0:
+        included = weights[ok].sum(keepdims=True)
+        if included[0] == 0:
             raise ZeroProbabilityEventError(
                 "conditioning event has probability zero in every supported state"
             )
-        value = (weights[ok] * (num[ok] / den[ok])).sum() / included
-        return scalar(value), scalar(weights[~ok].sum())
+        value = (weights[ok] * (num[ok] / den[ok])).sum(keepdims=True) / included
+        return value.tolist()[0], weights[~ok].sum(keepdims=True).tolist()[0]
 
     ncna, excl_a = conditional_expectation(tables[:, 3], 1 - p_a)
     ac, excl_c = conditional_expectation(tables[:, 0], p_c)
     return CPMetrics(ncna, ac, excl_a, excl_c)
-
-
-def _unchanged(x: Scalar) -> Scalar:
-    return x
 
 
 def delta_p_star(table: JointTable) -> Scalar:

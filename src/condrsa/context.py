@@ -13,14 +13,14 @@ it to the other arithmetic.  It validates once, vectorised, keeps read-only
 copies, and adds the bool ``assertability`` matrix.  Validation and
 assertability are decided before any cast, in exact arithmetic whenever the
 cells, the prior and ``theta`` are rational, so they never depend on
-``alpha``: only the soft-max needs an integer ``alpha`` to stay exact.  The
-exact checks and decisions run on Python ints, not Fractions: each row of
-cells is written once as numerators over its common denominator ``D``
-(`core.integer_rows`), and the prior as numerators over one denominator;
-a row is valid when ``0 <= n <= D`` and ``sum(n) == D``, and
-`semantics.bool_matrix_exact` decides it by cross-multiplying.  The
-integers are dropped after construction; ``cells`` and ``prior`` hold
-Fractions, each input Fraction kept and each int cast.
+``alpha``: only the soft-max needs an integer ``alpha`` to stay exact.  Both
+arithmetics check and decide one pair of counts and totals: exact cells
+as Python-int numerators over each row's common denominator
+(`core.integer_rows`) and the prior over one, float cells and prior over
+a total of 1.  Counts lie in ``[0, total]`` and sum to their totals
+(`core.sums_to`), and `semantics` decides each row.  The integers are
+dropped after construction; ``cells`` and ``prior`` hold Fractions, each
+input Fraction kept and each int cast.
 The engine, the analyses and the runner read only these arrays.  Hand-built
 scenarios lower their `State` objects with `from_states`; sampled contexts
 never hold one, and the ``states`` and ``weights`` views are rebuilt from
@@ -48,7 +48,7 @@ from .core import (
     State,
     integer_rows,
     is_rational,
-    sums_to_one,
+    sums_to,
 )
 from .utterances import Utterance
 
@@ -113,32 +113,23 @@ class ScenarioContext:
         if rational:
             # checked and decided on Python ints over common denominators
             cells, prior = (_as_fraction(a) for a in (cells, prior))
-            numerators, denominators = integer_rows(cells)
-            weights, total = integer_rows(prior)
-            cells_valid = (
-                ((numerators >= 0) & (numerators <= denominators[:, None])).all()
-                and (numerators.sum(axis=1) == denominators).all()
-            )
-            negative, normalised = (weights < 0).any(), weights.sum() == total
+            (counts, totals), (weights, weight_total) = map(integer_rows, (cells, prior))
         else:
-            cells = np.array(cells, dtype=float)
-            prior = np.array(prior, dtype=float)
+            cells, prior = np.array(cells, dtype=float), np.array(prior, dtype=float)
             theta = float(theta)
-            cells_valid = ((cells >= 0) & (cells <= 1)).all() and np.all(
-                sums_to_one(cells.sum(axis=1), False)
-            )
-            negative, normalised = (prior < 0).any(), sums_to_one(prior.sum(), False)
-        if not cells_valid:
+            counts, totals, weights, weight_total = cells, 1.0, prior, 1.0
+        inside = ((0 <= counts.T) & (counts.T <= totals)).all()
+        if not (inside and np.all(sums_to(counts.sum(axis=1), totals, rational))):
             raise ContextError("the cells of each state must lie in [0, 1] and sum to 1")
-        if negative:
+        if (weights < 0).any():
             raise ContextError(f"prior weights must be nonnegative, got {prior.min()}")
-        if not normalised:
+        if not sums_to(weights.sum(), weight_total, rational):
             raise ContextError(f"prior weights must sum to 1, got {prior.sum()}")
 
         from . import semantics  # deferred: semantics has no context dependency
 
         if rational:
-            matrix = semantics.bool_matrix_exact(numerators, denominators, utterances, theta)
+            matrix = semantics.bool_matrix_exact(counts, totals, utterances, theta)
         else:
             matrix = semantics.bool_matrix_float(cells, utterances, theta)
         unsupported = np.flatnonzero(~matrix.any(axis=1))

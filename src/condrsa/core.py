@@ -67,9 +67,10 @@ def is_rational(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
-def sums_to_one(total: Scalar, exact: bool) -> bool:
-    """Whether ``total`` is 1: exactly for rationals, within `SUM_TOL` for floats."""
-    return total == 1 if exact else abs(total - 1) <= SUM_TOL
+def sums_to(total: Scalar | np.ndarray, target: Scalar | np.ndarray, exact: bool):
+    """Whether ``total`` is ``target``: exactly for rationals, within
+    `SUM_TOL` for floats; element-wise for arrays."""
+    return total == target if exact else abs(total - target) <= SUM_TOL
 
 
 def check_probability(x: Scalar | np.ndarray, name: str) -> None:
@@ -230,7 +231,7 @@ class JointTable:
         for world, cell in zip(World, self.cells):
             check_probability(cell, f"cell {world.name}")
         total = sum(self.cells)
-        if not sums_to_one(total, self.exact):
+        if not sums_to(total, 1, self.exact):
             raise ProbabilityError(f"table cells must sum to 1, got {total}")
 
     @property

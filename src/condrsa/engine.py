@@ -36,10 +36,10 @@ distinct row and only on the support: its speaker scores, adds and
 divides only the valid cells of each pattern row, its masses and surprise
 add only the cells where an utterance is assertable or produced, and its
 listener matrices divide only those cells; every other cell holds the one
-shared ``Fraction(0)``.  A zero-prior state whose assertable utterances
-have no mass gets a zero speaker row.  An exact `expectation` likewise
-adds only the posterior's nonzero weights: an exact sum does not depend
-on its order, while the float sums keep their state order.
+shared ``Fraction(0)``.  Its sums are `_group_sums`, as are the float
+grouped sums and both backends' `expectation`, which adds only nonzero
+weights.  A zero-prior state whose assertable utterances have no mass gets
+a zero speaker row.
 
 Each context memoises the grouping, the utterance masses and, per speaker
 rule, the speaker's pattern rows and the surprise vector, as read-only
@@ -82,7 +82,7 @@ class Softmax:
     """Soft-max utterance choice with rationality ``alpha``.
 
     ``Softmax(0)`` is uniform over assertable utterances; increasing
-    ``alpha`` approaches `Argmax`.
+    ``alpha`` approaches `Argmax`; a float ``alpha`` whose ``-alpha * log(mass)`` overflows raises.
     """
 
     alpha: Scalar
@@ -211,7 +211,7 @@ def _compute_speaker(ctx: ScenarioContext, rule: SpeakerRule) -> np.ndarray:
             )
         row, utterance = np.nonzero(valid)
         scores = power[utterance]
-        totals = _sums(scores, row, len(valid))
+        totals = _group_sums(scores, row, len(valid))
         return _on_support(valid.shape, (row, utterance), scores / totals[row])
     if isinstance(rule, Argmax):
         scores = np.where(_best(valid, mass), 1.0, 0.0)
@@ -220,7 +220,11 @@ def _compute_speaker(ctx: ScenarioContext, rule: SpeakerRule) -> np.ndarray:
         alpha = float(rule.alpha)
         utility = np.zeros_like(mass)
         np.log(mass, where=mass > 0, out=utility)
-        logits = np.where(valid, -alpha * utility[None, :], -np.inf)
+        with np.errstate(over="ignore"):
+            utility *= -alpha
+        if not np.isfinite(utility).all():
+            raise ContextError(f"alpha {rule.alpha!r} overflows the float soft-max; use Argmax")
+        logits = np.where(valid, utility[None, :], -np.inf)
         logits -= np.nan_to_num(logits.max(axis=1, keepdims=True), neginf=0.0)
         scores = np.exp(logits, where=np.isfinite(logits), out=np.zeros_like(logits))
     return _bayes(scores, scores.sum(axis=1, keepdims=True))
@@ -246,10 +250,9 @@ def _prior_dot(ctx: ScenarioContext, rows: np.ndarray) -> np.ndarray:
     _, first, inverse = _patterns(ctx)
     if not ctx.exact:
         return ctx.prior @ rows[inverse]
-    order = np.argsort(inverse, kind="stable")
-    row_prior = _sums(ctx.prior[order], inverse[order], len(first))
-    utterance, row = np.nonzero(rows.T)
-    return _sums(row_prior[row] * rows[row, utterance], utterance, rows.shape[1])
+    row_prior = _group_sums(ctx.prior, inverse, len(first))
+    row, utterance = np.nonzero(rows)
+    return _group_sums(row_prior[row] * rows[row, utterance], utterance, rows.shape[1])
 
 
 def _listener(ctx: ScenarioContext, rows: np.ndarray, totals: np.ndarray) -> np.ndarray:
@@ -269,13 +272,6 @@ def _listener(ctx: ScenarioContext, rows: np.ndarray, totals: np.ndarray) -> np.
     )
 
 
-def _sums(values: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
-    """Exact sum of ``values`` per ``index`` in ``range(n)``, ``index``
-    sorted; an index without values sums to ``Fraction(0)``."""
-    present, starts = np.unique(index, return_index=True)
-    return _on_support(n, present, np.add.reduceat(values, starts))
-
-
 def _group_sums(values: np.ndarray, key: np.ndarray, n: int) -> np.ndarray:
     """The sum of the rows of ``values`` (one per state, 1-D or 2-D) per
     ``key`` in ``range(n)``; a key without rows sums to zero.
@@ -285,10 +281,10 @@ def _group_sums(values: np.ndarray, key: np.ndarray, n: int) -> np.ndarray:
     does.  An exact (``object``) array is added exactly, each sum a
     Fraction; `np.bincount` takes only float weights.
     """
-    if values.dtype != object:
-        if values.ndim == 1:
-            return np.bincount(key, weights=values, minlength=n)
-        return np.stack([np.bincount(key, weights=c, minlength=n) for c in values.T], axis=1)
+    if values.dtype != object:  # cast: `np.bincount` of no rows gives ints
+        columns = values.T if values.ndim == 2 else values[None]
+        sums = np.stack([np.bincount(key, weights=c, minlength=n) for c in columns], axis=-1)
+        return sums.astype(float, copy=False).reshape(n, *values.shape[1:])
     sums = np.full((n, *values.shape[1:]), Fraction(0), dtype=object)
     np.add.at(sums, key, values)
     return sums
@@ -430,13 +426,11 @@ def utterance_surprise(
 
 def expectation(post: Posterior, values: np.ndarray) -> Scalar:
     """Posterior expectation of a per-state quantity, given as one value per
-    state (such as a column of ``ctx.cells``)."""
-    if post.context.exact:
-        # an exact sum does not depend on order: add the nonzero weights only
-        (support,) = np.nonzero(post.column)
-        return sum((post.column[support] * values[support]).tolist(), Fraction(0))
-    # a running sum adds in state order, so floats match a state-by-state loop
-    return np.cumsum(post.column * values)[-1:].tolist()[0]
+    state (such as a column of ``ctx.cells``), added in state order over the
+    posterior's support: a state of zero weight adds nothing, whatever its value."""
+    (support,) = np.nonzero(post.column)
+    terms = post.column[support] * np.take(values, support)
+    return _group_sums(terms, np.zeros(len(support), np.intp), 1).tolist()[0]
 
 
 def relation_posterior(post: Posterior) -> dict[CausalStructure, Scalar]:

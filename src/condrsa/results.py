@@ -43,7 +43,7 @@ import io
 import json
 import sys
 from collections import Counter
-from contextlib import ExitStack, nullcontext, suppress
+from contextlib import ExitStack, contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -315,6 +315,22 @@ def _csv_column(values: Sequence[str]) -> Sequence[str]:
     return values
 
 
+@contextmanager
+def _undone_on_failure(directory: Path, written: list[Path]) -> Iterator[None]:
+    """If the body raises, remove the files in ``written``, which the body may
+    extend, then each directory up to ``directory`` that it made, while empty."""
+    made = [d for d in (directory, *directory.parents) if not d.exists()]  # innermost first
+    try:
+        yield
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        for d in made:  # rmdir keeps one that is missing or not empty
+            with suppress(OSError):
+                d.rmdir()
+        raise
+
+
 def _new_file(path: Path) -> TextIO:
     path.parent.mkdir(parents=True, exist_ok=True)
     return path.open("w", encoding="utf-8")
@@ -475,9 +491,6 @@ def write_bundle(
     mode)``, and a key's text is built on first use."""
     specs = [_figure_spec(bundle, figure_id) for figure_id in figures]
     outdir = Path(outdir)
-    # the directories this call makes, innermost first, removed if it fails
-    made = [d for d in (outdir / "plotdata", outdir, *outdir.parents) if not d.exists()]
-    outdir.mkdir(parents=True, exist_ok=True)
     mode = bundle.numeric_mode
     config = _json_string(bundle.fingerprint)
     sep = _csv_field(bundle.fingerprint) + "\n"
@@ -485,7 +498,8 @@ def write_bundle(
     csv_paths: list[Path] = []
     plot_paths: list = [None] * len(specs)  # in the order of figures
     written = [json_path] if "json" in formats else []  # removed if the write fails
-    try:
+    with _undone_on_failure(outdir / "plotdata", written):
+        outdir.mkdir(parents=True, exist_ok=True)
         json_file = json_path.open("w", encoding="utf-8") if written else nullcontext()
         with json_file as json_fh:
             if json_fh is not None:
@@ -501,7 +515,7 @@ def write_bundle(
                     if spec.table == name:
                         plot_paths[k] = outdir / "plotdata" / f"{spec.figure_id}.csv"
                         outputs.append((plot_paths[k], _plot_preamble(bundle, spec), spec))
-                written += [path for path, _, _ in outputs]
+                written.extend(path for path, _, _ in outputs)
                 with ExitStack() as files:
                     handles = [files.enter_context(_new_file(path)) for path, _, _ in outputs]
                     opened = False
@@ -518,13 +532,6 @@ def write_bundle(
                     json_fh.write(_json_table_tail(config, opened))
             if json_fh is not None:
                 json_fh.write(_json_tail(len(names)))
-    except BaseException:
-        for path in written:  # a failed write leaves no partial output
-            path.unlink(missing_ok=True)
-        for directory in made:  # rmdir keeps one that is missing or not empty
-            with suppress(OSError):
-                directory.rmdir()
-        raise
     return ([json_path] if "json" in formats else []) + csv_paths + plot_paths
 
 
@@ -694,12 +701,13 @@ def emit_plot_data(
     bundle: ResultBundle, figure_id: str, outdir: str | Path
 ) -> Path:
     """Write one self-describing columnar file for a figure, chunk by
-    chunk."""
+    chunk; a write that fails removes the file and every directory it
+    made, while empty."""
     spec = _figure_spec(bundle, figure_id)
     path = Path(outdir) / f"{spec.figure_id}.csv"
     sep = _csv_field(bundle.fingerprint) + "\n"
     texts = _table_texts(bundle.tables[spec.table], bundle.numeric_mode, None)
-    with _new_file(path) as fh:
+    with _undone_on_failure(path.parent, [path]), _new_file(path) as fh:
         for n, text in enumerate(texts):
             if n == 0:
                 fh.write(_plot_preamble(bundle, spec) + _csv_head(text.header))

@@ -504,6 +504,11 @@ def run(config: RunConfig) -> ResultBundle:
             figures = (config.figure,)
         elif "plotdata" in config.formats:
             figures = applicable_figures(bundle)
+        if not figures and not {"csv", "json"} & set(config.formats):
+            raise ModelError(
+                f"nothing to write to {str(out)!r}: no csv or json format is requested, "
+                "and no figure applies to this bundle"
+            )
         write_bundles(
             [(bundle, out)] + [
                 (sub, out / _combo_dirname(alpha, theta)) for (alpha, theta), sub in subs.items()

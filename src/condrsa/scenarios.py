@@ -10,8 +10,8 @@ candidate world model on the observation through that link.
 
 All built-in numbers are exact rationals, so the published fractions
 reproduce bit-for-bit.  The belief read-outs take each state's event
-probabilities from `core.event_column`; an exact read-out and the
-observation update add them only on the posterior's support.
+probabilities from `core.event_column`, in both arithmetics only on the
+posterior's support, the states that `engine.expectation` reads.
 """
 
 from __future__ import annotations
@@ -294,13 +294,12 @@ def antecedent_belief(post: Posterior, which: str = "posterior") -> Scalar:
 
 def joint_event_belief(post: Posterior, event: Event) -> Scalar:
     """Expected probability of an arbitrary event over the two variables."""
-    ctx = post.context
-    if not ctx.exact:
-        return engine.expectation(post, event_column(ctx.cells, event))
-    # an exact expectation reads only the nonzero weights: add the cells there
+    # `expectation` reads only the nonzero weights: add the cells there
+    cells = post.context.cells
     (support,) = np.nonzero(post.column)
-    column = event_column(ctx.cells[support], event)
-    return engine.expectation(post, engine._on_support(ctx.n_states, support, column))
+    column = np.zeros(len(cells), cells.dtype)
+    column[support] = event_column(cells[support], event)
+    return engine.expectation(post, column)
 
 
 def observation_update(post: Posterior, link: ObservationLink) -> Scalar:

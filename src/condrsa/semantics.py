@@ -14,15 +14,16 @@ likely literal  P(literal)           > 1/2
 
 A conditional whose antecedent has probability zero is not assertable
 (rather than an error), so speakers stay well-defined on degenerate
-sampled states.  The probabilities come from `core.query` for one state
-and from `core.event_column` for a context's (n, 4) float cells
-(`bool_matrix_float`); a negated literal's probability, a negated
-antecedent's included, is ``1 - p`` on both paths, so the two agree bit
-for bit on float cells too.  Exact contexts are decided on Python ints
-(`bool_matrix_exact`): each row's `core.integer_rows` numerators ``k``
-over its denominator ``D``, cross-multiplied with ``theta = a / b``, with
-``D - k`` for a negated literal and ``j * b >= a * k`` for a conditional
-whose joint numerator is ``j``.
+sampled states.  `assertable` decides one state through `core.query`; a
+context's matrix has one body, `_assertability`, over (n, 4) counts and
+their totals, with `core.event_column` adding each event's count ``k``.
+A negated literal's count is ``total - k`` (``1 - p`` on both paths, so
+the two agree bit for bit on float cells), ``likely`` needs
+``2 * k > total``, and a conditional needs an antecedent count ``k > 0``.
+Only the test against theta takes the arithmetic: `bool_matrix_float`
+divides float cells over a total of 1, and `bool_matrix_exact`
+cross-multiplies `core.integer_rows` numerators and denominators with
+``theta = a / b``.
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ from .utterances import (
 
 
 def _literal_probability(table, lit: Lit) -> Scalar:
-    # a negated literal is 1 - p, as in `bool_matrix_float` (D - k in
-    # `bool_matrix_exact`)
+    # a negated literal is 1 - p, as in `_assertability`
     p = query(table, Lit(lit.var).event())
     return p if lit.positive else 1 - p
 
@@ -108,31 +108,12 @@ def bool_matrix_float(
     tables: np.ndarray, utterances: Sequence[Utterance], theta: float
 ) -> np.ndarray:
     """The `assertable` formulas over the rows of an (n, 4) float64 table of
-    cells, one column per utterance."""
-    # a negated literal is 1 - p, not the sum of its two cells: the two can
-    # differ in floats, and with them a decision at theta
-    lit_probs = {}
-    for var, event in ((Var.A, A), (Var.C, C)):
-        p = event_column(tables, event)
-        lit_probs[Lit(var)], lit_probs[Lit(var, False)] = p, 1 - p
-    columns = []
-    for u in utterances:
-        if isinstance(u, Literal):
-            columns.append(lit_probs[u.lit] >= theta)
-        elif isinstance(u, Likely):
-            columns.append(lit_probs[u.lit] > 0.5)
-        elif isinstance(u, Conjunction):
-            columns.append(event_column(tables, u.first.event() & u.second.event()) >= theta)
-        elif isinstance(u, Conditional):
-            num = event_column(tables, u.antecedent.event() & u.consequent.event())
-            den = lit_probs[u.antecedent]
-            ok = den > 0
-            col = np.zeros(len(tables), dtype=bool)
-            col[ok] = num[ok] / den[ok] >= theta
-            columns.append(col)
-        else:
-            raise TypeError(f"not an utterance: {u!r}")
-    return np.stack(columns, axis=1)
+    cells, one column per utterance; the cells are counts over a total of 1."""
+
+    def clears(num, den):  # divides only where den > 0: no floating-point warning
+        return np.divide(num, den, out=np.zeros_like(num), where=den > 0) >= theta
+
+    return _assertability(tables, 1.0, utterances, clears)
 
 
 def bool_matrix_exact(
@@ -142,31 +123,32 @@ def bool_matrix_exact(
     theta: Scalar,
 ) -> np.ndarray:
     """The `assertable` formulas decided on Python ints, one column per
-    utterance, for exact cells given as `core.integer_rows`: an (n, 4)
-    ``object`` array of numerators over each row's denominator ``D``.
-
-    A probability ``k / D`` clears ``theta = a / b`` when ``k * b >= a * D``,
-    a negated literal's ``k`` is ``D - k`` (``1 - p``), ``likely`` holds when
-    ``2 * k > D``, and a conditional with antecedent ``k > 0`` compares its
-    joint numerator ``j`` as ``j * b >= a * k``: ``D`` cancels."""
+    utterance, for exact cells given as `core.integer_rows` numerators over
+    each row's denominator: ``k / d`` clears ``theta = a / b`` when ``k * b >= a * d``."""
     a, b = theta.numerator, theta.denominator
-    bar = a * denominators
+    return _assertability(numerators, denominators, utterances, lambda k, d: k * b >= a * d)
+
+
+def _assertability(counts, totals, utterances: Sequence[Utterance], clears) -> np.ndarray:
+    """The `assertable` formulas on (n, 4) ``counts`` over their ``totals``,
+    one column per utterance; ``clears(num, den)`` tells whether ``num /
+    den >= theta`` (see the module docstring)."""
     lits = {}
     for var, event in ((Var.A, A), (Var.C, C)):
-        k = event_column(numerators, event)
-        lits[Lit(var)], lits[Lit(var, False)] = k, denominators - k
+        k = event_column(counts, event)
+        lits[Lit(var)], lits[Lit(var, False)] = k, totals - k
     columns = []
     for u in utterances:
         if isinstance(u, Literal):
-            columns.append(lits[u.lit] * b >= bar)
+            columns.append(clears(lits[u.lit], totals))
         elif isinstance(u, Likely):
-            columns.append(2 * lits[u.lit] > denominators)
+            columns.append(2 * lits[u.lit] > totals)
         elif isinstance(u, Conjunction):
-            columns.append(event_column(numerators, u.first.event() & u.second.event()) * b >= bar)
+            columns.append(clears(event_column(counts, u.first.event() & u.second.event()), totals))
         elif isinstance(u, Conditional):
-            joint = event_column(numerators, u.antecedent.event() & u.consequent.event())
+            joint = event_column(counts, u.antecedent.event() & u.consequent.event())
             k = lits[u.antecedent]
-            columns.append((k > 0) & (joint * b >= a * k))
+            columns.append((k > 0) & clears(joint, k))
         else:
             raise TypeError(f"not an utterance: {u!r}")
     return np.stack(columns, axis=1)

@@ -132,6 +132,19 @@ class TestRunScenario:
         assert record["error"] == "FigureError"
         assert record["message"].startswith("unknown figure 'nope'")
 
+    def test_plotdata_without_a_figure_writes_nothing(self, runner, tmp_path):
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["run-scenario", "--scenario", "toy", "--format", "plotdata", "--out", str(out)]
+        )
+        assert result.exit_code == 1
+        assert json.loads(result.stderr) == {
+            "error": "ModelError",
+            "message": f"nothing to write to {str(out)!r}: no csv or json format is "
+                       "requested, and no figure applies to this bundle",
+        }
+        assert list(tmp_path.iterdir()) == []
+
     def test_figure_flag(self, runner, tmp_path):
         result = runner.invoke(
             main,
@@ -189,6 +202,33 @@ class TestRunDefaultContext:
         record = json.loads(result.stderr)
         assert record["error"] == "ContextError"
         assert "finite and nonnegative" in record["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_format_writes_nothing(self, runner, tmp_path):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "run-default-context", "--seed", "1", "--n-states", "100", "--format", ",",
+            "--out", str(out),
+        ])
+        assert result.exit_code == 1
+        record = json.loads(result.stderr)
+        assert record["error"] == "ModelError"
+        assert record["message"].startswith(f"nothing to write to {str(out)!r}")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [
+        ["run-default-context", "--alpha", "1e308"],
+        ["sweep", "--sweep-grid", "alpha=1e308"],
+    ])
+    def test_an_alpha_that_overflows_the_softmax_is_a_record(self, runner, tmp_path, command):
+        result = runner.invoke(main, [
+            *command, "--seed", "1", "--n-states", "2000", "--out", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr) == {
+            "error": "ContextError",
+            "message": "alpha 1e+308 overflows the float soft-max; use Argmax",
+        }
         assert list(tmp_path.iterdir()) == []
 
     def test_zero_states_rejected(self, runner, tmp_path):

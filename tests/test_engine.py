@@ -899,8 +899,8 @@ SUMMANDS = st.one_of(
 def grouped_values(draw, exact=False):
     """Values with one row per state of a context (1-D, or 2-D with up to
     four columns), a key per state and a number of groups, some of them
-    empty."""
-    n_states = draw(st.integers(1, 40))
+    empty; as in the support of a posterior, there may be no rows."""
+    n_states = draw(st.integers(0, 40))
     n_groups = draw(st.integers(1, 6))
     key = np.array(draw(st.lists(st.integers(0, n_groups - 1), min_size=n_states,
                                  max_size=n_states)), dtype=draw(st.sampled_from([np.int8, np.int64])))
@@ -944,6 +944,65 @@ class TestGroupSums:
         for k in range(n):
             assert np.all(got[k] == values[key == k].sum(axis=0))
         assert {type(v) for v in got.flat} <= {F}
+
+
+def certain_float_context(n_states):
+    """A float context of ``n_states`` identical states, each certain of A."""
+    return ScenarioContext(
+        cells=np.tile([1.0, 0.0, 0.0, 0.0], (n_states, 1)),
+        prior=np.full(n_states, 1 / n_states), relations=[0] * n_states,
+        utterances=default_utterances(), alpha=1.0, theta=0.9,
+    )
+
+
+class TestExpectation:
+    """`expectation` adds weight times value over the posterior's support in
+    state order, in the context's arithmetic; a state of zero weight adds
+    nothing."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_float_expectation_is_a_state_order_loop(self, data):
+        n = data.draw(st.integers(1, 40))
+        weights = data.draw(st.lists(
+            st.sampled_from([0.0, 1.0]) | st.floats(0, 1, allow_subnormal=True),
+            min_size=n, max_size=n,
+        ))
+        values = data.draw(st.lists(SUMMANDS, min_size=n, max_size=n))
+        # values may be a list, one per state
+        got = cr.expectation(engine.Posterior(certain_float_context(n), weights), values)
+        loop = 0.0
+        for w, v in zip(weights, values):
+            if w != 0:
+                loop = loop + w * v
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(loop).tobytes()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_a_zero_weight_state_adds_nothing(self, bad):
+        post = engine.Posterior(certain_float_context(3), [0.25, 0.0, 0.75])
+        assert cr.expectation(post, np.array([2.0, bad, 4.0])) == 3.5
+
+    def test_exact_expectation_is_an_exact_fraction(self, toy_ctx):
+        post = cr.pragmatic_listener(toy_ctx, "A -> C")
+        assert post.weights == (F(5, 16), F(11, 16), 0)
+        values = toy_ctx.cells[:, 0]
+        got = cr.expectation(post, values)
+        assert type(got) is F
+        assert got == sum(w * v for w, v in zip(post.weights, values.tolist()))
+        # the zero-weight state's value is never read
+        assert cr.expectation(post, np.array([*values[:2], None], dtype=object)) == got
+
+
+def test_a_float_alpha_that_overflows_the_softmax_is_rejected():
+    ctx = cr.build_default_context(seed=1, n_states=2000)
+    with pytest.raises(ContextError) as error:
+        cr.speaker_matrix(ctx, Softmax(1e308))
+    assert str(error.value) == "alpha 1e+308 overflows the float soft-max; use Argmax"
+    # -alpha * log(mass) is still finite at 1e300, and the soft-max there
+    # is already the argmax limit
+    huge = cr.speaker_matrix(ctx, Softmax(1e300))
+    assert huge.tobytes() == cr.speaker_matrix(ctx, Argmax()).tobytes()
 
 
 def test_negative_softmax_alpha_rejected():

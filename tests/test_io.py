@@ -349,7 +349,8 @@ class TestColumnwiseWriting:
     def test_a_failed_write_leaves_no_file(self, tmp_path):
         """The second table cannot be rendered rationally after the first
         table's CSV, plot data and JSON entry are written: none of them is
-        left behind, and the error still reaches the caller."""
+        left behind, and the error still reaches the caller.  Nor does
+        `emit_plot_data` leave its file or the directories it made."""
         bundle = ResultBundle(metadata={
             "fingerprint": "f", "numeric": "rational", "command": "run-default-context",
         })
@@ -361,6 +362,10 @@ class TestColumnwiseWriting:
         with pytest.raises(cr.ModelError, match="non-rational value 0.5"):
             write_bundle(bundle, tmp_path / "new" / "out", ("csv", "json"), ("fig7",))
         assert list(tmp_path.rglob("*")) == []
+        for outdir in (tmp_path, tmp_path / "a" / "b"):
+            with pytest.raises(cr.ModelError, match="non-rational value 0.5"):
+                emit_plot_data(bundle, "fig5", outdir)
+            assert list(tmp_path.rglob("*")) == []
 
 
 @st.composite

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import condrsa as cr
@@ -269,6 +269,16 @@ def float_tables(draw, theta):
     return tuple(x / sum(raw) for x in raw)
 
 
+@st.composite
+def float_cases(draw):
+    """A rational theta and one to six `float_tables` for it."""
+    theta = draw(st.one_of(
+        st.sampled_from([F(3, 5), F(3, 4), F(9, 10), F(1)]),
+        st.fractions(min_value="11/20", max_value=1, max_denominator=20),
+    ))
+    return theta, draw(st.lists(float_tables(theta), min_size=1, max_size=6))
+
+
 class TestFloatOracle:
     """On float cells the scalar oracle reads a negated literal, and a
     negated antecedent's denominator, as ``1 - p``, as the vector path does."""
@@ -285,21 +295,26 @@ class TestFloatOracle:
         assert ctx.assertability[0, u]
 
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_oracle_matches_the_context_bit_for_bit(self, data):
-        theta = data.draw(st.one_of(
-            st.sampled_from([F(3, 5), F(3, 4), F(9, 10), F(1)]),
-            st.fractions(min_value="11/20", max_value=1, max_denominator=20),
-        ))
-        tables = data.draw(st.lists(float_tables(theta), min_size=1, max_size=6))
-        try:
-            ctx = ScenarioContext(
-                cells=np.array(tables), prior=np.full(len(tables), 1 / len(tables)),
-                relations=[0] * len(tables), utterances=default_utterances(),
-                alpha=3.0, theta=float(theta),
-            )
-        except ContextError:  # some state can assert nothing
-            assume(False)
+    # degenerate rows: P(a) = 0, P(a) = 1, and P(a) = 0.75 + (0.25 - 2**-55),
+    # which is 1.0 in floats, so that 1 - P(a) is 0 while P(~a) has a
+    # nonzero cell
+    @example(case=(F(9, 10), [(0.0, 0.0, 0.5, 0.5)]))
+    @example(case=(F(9, 10), [(0.5, 0.5, 0.0, 0.0)]))
+    @example(case=(F(3, 4), [(0.75, 0.25 - 2**-55, 2**-55, 0.0)]))
+    @given(case=float_cases())
+    def test_oracle_matches_the_context_bit_for_bit(self, case):
+        theta, tables = case
+        # every float operation of the build raises; underflow is left
+        # alone, as numpy's default never reports it
+        with np.errstate(all="raise", under="ignore"):
+            try:
+                ctx = ScenarioContext(
+                    cells=np.array(tables), prior=np.full(len(tables), 1 / len(tables)),
+                    relations=[0] * len(tables), utterances=default_utterances(),
+                    alpha=3.0, theta=float(theta),
+                )
+            except ContextError:  # some state can assert nothing
+                assume(False)
         oracle = [[assertable(u, state(cells), ctx.theta) for u in ctx.utterances]
                   for cells in tables]
         assert ctx.assertability.tolist() == oracle
