@@ -223,7 +223,10 @@ def _compute_speaker(ctx: ScenarioContext, rule: SpeakerRule) -> np.ndarray:
         with np.errstate(over="ignore"):
             utility *= -alpha
         if not np.isfinite(utility).all():
-            raise ContextError(f"alpha {rule.alpha!r} overflows the float soft-max; use Argmax")
+            raise ContextError(
+                f"alpha {rule.alpha!r} overflows the float soft-max; use a smaller alpha "
+                "(at 1e300 it is already the argmax), or Argmax from the Python API"
+            )
         logits = np.where(valid, utility[None, :], -np.inf)
         logits -= np.nan_to_num(logits.max(axis=1, keepdims=True), neginf=0.0)
         scores = np.exp(logits, where=np.isfinite(logits), out=np.zeros_like(logits))

@@ -29,11 +29,13 @@ with the quoting of ``csv.writer(fh, lineterminator="\\n")``: a field is
 quoted only when it holds ``,``, ``"`` or ``\\n`` (a ``\\r`` alone is not),
 and only a column holding such a field is quoted field by field.
 
-`write_bundles` writes several bundles in one call: a table object held
-by more than one of them (a sweep's ``world_probabilities``) is rendered
-once, whole, and its texts live until the call returns, while every
-other table is rendered, written and dropped one chunk at a time.  Each
-figure's scenario and row filters live in one `FigureSpec`.
+A table may be built `of_parts`: tables of its name and columns, laid end
+to end, each written in turn.  `write_bundles` writes several bundles in
+one call: a part held by more than one of them (a sweep's
+``world_probabilities``, and the prior cohort of its ``delta_p_cohorts``)
+is rendered once, whole, and its texts live until the call returns, while
+every other part is rendered, written and dropped one chunk at a time.
+Each figure's scenario and row filters live in one `FigureSpec`.
 """
 
 from __future__ import annotations
@@ -207,6 +209,17 @@ def _values(column) -> list:
     return column
 
 
+def _joined(columns: Sequence) -> Sequence:
+    """One column of parts' columns laid end to end: `Labels` of one set of
+    names stay codes, arrays of one dtype stay an array, and any other mix
+    becomes a list of Python values."""
+    if all(isinstance(c, Labels) for c in columns) and len({c.names for c in columns}) == 1:
+        return Labels(np.concatenate([c.codes for c in columns]), columns[0].names)
+    if all(isinstance(c, np.ndarray) for c in columns) and len({c.dtype for c in columns}) == 1:
+        return np.concatenate(columns)
+    return list(chain.from_iterable(map(_values, columns)))
+
+
 def _map_values(column, render, *args) -> Sequence[str]:
     """``render(values, *args)`` of a column's values; a `Labels` column
     renders its names once and gathers them by code."""
@@ -222,7 +235,10 @@ class ResultTable:
     as a read-only view); ``value_columns`` get numeric rendering.  Given
     ``rows``, the columns are lists built from those row tuples instead of
     ``data``, so that ``dataclasses.replace(table, rows=...)`` swaps a
-    table's rows."""
+    table's rows.  A table built `of_parts` holds its parts' columns laid
+    end to end and is written part by part; any other table is its own one
+    part.  Two tables are equal when their names, columns, value columns
+    and column values are, whatever kind holds the values."""
 
     name: str
     columns: tuple[str, ...]
@@ -233,7 +249,40 @@ class ResultTable:
         if rows is not None:
             data = tuple(map(list, zip(*rows))) or tuple([] for _ in columns)
         data = tuple(_read_only(c) if isinstance(c, np.ndarray) else c for c in data)
-        self.__dict__.update(name=name, columns=columns, data=data, value_columns=value_columns)
+        self.__dict__.update(
+            name=name, columns=columns, data=data, value_columns=value_columns, _parts=None,
+        )
+
+    @classmethod
+    def of_parts(cls, parts: Sequence[ResultTable]) -> ResultTable:
+        """The table of ``parts`` laid end to end, which share its name,
+        columns and value columns."""
+        first = parts[0]
+        if any(
+            (part.name, part.columns, part.value_columns)
+            != (first.name, first.columns, first.value_columns)
+            for part in parts
+        ):
+            raise ValueError("the parts of a table share its name, columns and value columns")
+        table = cls(
+            first.name, first.columns,
+            tuple(map(_joined, zip(*(part.data for part in parts)))), first.value_columns,
+        )
+        table.__dict__["_parts"] = tuple(chain.from_iterable(part.parts for part in parts))
+        return table
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, ResultTable)
+            and (self.name, self.columns, self.value_columns)
+            == (other.name, other.columns, other.value_columns)
+            and list(map(_values, self.data)) == list(map(_values, other.data))
+        )
+
+    @property
+    def parts(self) -> tuple[ResultTable, ...]:
+        """The tables whose rows this one writes, in order."""
+        return self._parts or (self,)
 
     @property
     def n_rows(self) -> int:
@@ -458,17 +507,18 @@ def _table_names(bundle: ResultBundle, formats: Sequence[str], figures: Sequence
 
 
 def _table_texts(table: ResultTable, mode: str, shared: dict | None) -> Iterator[_TableText]:
-    """The table's text in chunks of ``_CHUNK_ROWS`` rows, at least one; for
-    a key of ``shared``, one whole text built once per `write_bundles`
-    call."""
-    key = (id(table), mode)
-    if shared is not None and key in shared:
-        if shared[key] is None:
-            shared[key] = _TableText(*table.rendered(mode), keep=True)
-        yield shared[key]
-        return
-    for start in range(0, max(table.n_rows, 1), _CHUNK_ROWS):
-        yield _TableText(*table.rendered(mode, slice(start, start + _CHUNK_ROWS)))
+    """The text of each of the table's parts in turn: in chunks of
+    ``_CHUNK_ROWS`` rows, at least one; for a part whose key is in
+    ``shared``, one whole text built once per `write_bundles` call."""
+    for part in table.parts:
+        key = (id(part), mode)
+        if shared is not None and key in shared:
+            if shared[key] is None:
+                shared[key] = _TableText(*part.rendered(mode), keep=True)
+            yield shared[key]
+            continue
+        for start in range(0, max(part.n_rows, 1), _CHUNK_ROWS):
+            yield _TableText(*part.rendered(mode, slice(start, start + _CHUNK_ROWS)))
 
 
 def write_bundle(
@@ -484,11 +534,11 @@ def write_bundle(
     plot data in the order of ``figures``.  Every figure is checked before
     anything is written, and a write that fails removes every file it
     wrote and every directory it made, while empty.  The tables are written
-    one after another, each chunk of ``_CHUNK_ROWS`` rows rendered once for
-    JSON, CSV and plot data and dropped after it is written, unless
-    ``shared`` keeps a whole table for the other bundles of a
-    `write_bundles` call that hold it: its keys are ``(id(table), numeric
-    mode)``, and a key's text is built on first use."""
+    one after another and each table part by part, each chunk of
+    ``_CHUNK_ROWS`` rows rendered once for JSON, CSV and plot data and
+    dropped after it is written, unless ``shared`` keeps a whole part for
+    the other bundles of a `write_bundles` call that hold it: its keys are
+    ``(id(part), numeric mode)``, and a key's text is built on first use."""
     specs = [_figure_spec(bundle, figure_id) for figure_id in figures]
     outdir = Path(outdir)
     mode = bundle.numeric_mode
@@ -542,18 +592,19 @@ def write_bundles(
 ) -> list[Path]:
     """Write each ``(bundle, outdir)`` with `write_bundle`, in order, and
     return every created path; ``figures`` are checked against every
-    bundle before anything is written.  A table object that more than one
-    of the bundles renders, such as a sweep's ``world_probabilities``, is
-    rendered once, whole, and its rendering and row texts are kept until
-    this call returns; every other table is dropped chunk by chunk as it is
-    written."""
+    bundle before anything is written.  A table part that more than one of
+    the bundles renders, such as a sweep's ``world_probabilities`` or the
+    prior cohort of its ``delta_p_cohorts``, is rendered once, whole, and
+    its rendering and row texts are kept until this call returns; every
+    other part is dropped chunk by chunk as it is written."""
     for bundle, _ in items:
         for figure_id in figures:
             _figure_spec(bundle, figure_id)
     held = Counter(
-        (id(bundle.tables[name]), bundle.numeric_mode)
+        (id(part), bundle.numeric_mode)
         for bundle, _ in items
         for name in _table_names(bundle, formats, figures)
+        for part in bundle.tables[name].parts
     )
     shared = {key: None for key, count in held.items() if count > 1}
     return [

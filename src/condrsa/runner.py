@@ -18,9 +18,10 @@ per-row Python object: their numbers are numpy arrays (a probability
 column is a view of the context's cells) and their repeated names are
 `Labels` codes, so a bundle's tables become Python values only as they are
 rendered, chunk by chunk, or read through ``rows``.  A sweep's
-sub-bundles hold one shared ``world_probabilities`` table, which does not
-depend on alpha or theta.  One `write_bundles` call writes a run's bundles,
-their files and plot data, rendering that shared table once.
+sub-bundles hold one shared ``world_probabilities`` table and one shared
+prior-cohort part of ``delta_p_cohorts``, neither of which depends on
+alpha or theta.  One `write_bundles` call writes a run's bundles, their
+files and plot data, rendering each shared part once.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -112,6 +114,13 @@ def parse_grid(spec: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return alphas, thetas
 
 
+def _nothing_to_write(output_dir: Path) -> ModelError:
+    return ModelError(
+        f"nothing to write to {str(Path(output_dir))!r}: no csv or json format is requested, "
+        "and no figure applies to this bundle"
+    )
+
+
 class GridCollisionError(ModelError):
     """Two values of one sweep grid axis would write the same sub-bundle."""
 
@@ -136,6 +145,8 @@ class RunConfig:
         for fmt in self.formats:
             if fmt not in FORMATS:
                 raise ModelError(f"unknown format {fmt!r} (known: {', '.join(FORMATS)})")
+        if self.output_dir is not None and not self.formats and self.figure is None:
+            raise _nothing_to_write(self.output_dir)
         if self.numeric not in (None, RATIONAL, FLOAT):
             raise ModelError(f"numeric mode must be 'rational' or 'float', got {self.numeric!r}")
         if self.command in ("run-default-context", "sweep"):
@@ -345,14 +356,38 @@ def world_probabilities_table(ctx: ScenarioContext) -> ResultTable:
     )
 
 
+_COHORT_NAMES = ("prior", "assertable", "best_choice")
+
+
+def delta_p_table(ctx: ScenarioContext, cohorts: Sequence[analysis.DeltaPCohort]) -> ResultTable:
+    """The ``delta_p_cohorts`` rows of ``cohorts``, in order; each cohort
+    name is a code into all three, so that any of these tables can be the
+    part of another."""
+    indices = np.concatenate([cohort.indices for cohort in cohorts])
+    codes = np.array([_COHORT_NAMES.index(cohort.name) for cohort in cohorts], dtype=np.int8)
+    return ResultTable(
+        "delta_p_cohorts", ("cohort", "state", "relation", "value"),
+        (
+            Labels(np.repeat(codes, [len(cohort.indices) for cohort in cohorts]), _COHORT_NAMES),
+            indices,
+            Labels(ctx.relations[indices], RELATION_NAMES),
+            np.concatenate([cohort.values for cohort in cohorts]),
+        ),
+        value_columns=("value",),
+    )
+
+
 def default_context_bundle(
     ctx: ScenarioContext,
     config: RunConfig,
     check_level: str = "strict",
     world: ResultTable | None = None,
+    prior: ResultTable | None = None,
 ) -> ResultBundle:
-    """The default-context bundle of ``ctx``; ``world`` is its
-    `world_probabilities_table`, when the caller already holds it."""
+    """The default-context bundle of ``ctx``.  ``world`` is its
+    `world_probabilities_table` and ``prior`` the `delta_p_table` of its
+    prior cohort, when the caller already holds them; given ``prior``,
+    ``delta_p_cohorts`` is written in two parts, that one and the rest."""
     # computed before any table is laid out, so that the tables reuse the
     # heap that the analyses' short-lived arrays freed
     analyses = analysis.context_analyses(ctx)
@@ -386,22 +421,13 @@ def default_context_bundle(
         for metric in ("not_c_given_not_a", "a_given_c", "excluded_mass_not_a", "excluded_mass_c")
     }))
 
-    cohorts = (analyses.cohorts.prior, analyses.cohorts.assertable, analyses.cohorts.best_choice)
-    indices = np.concatenate([cohort.indices for cohort in cohorts])
-    sizes = [len(cohort.indices) for cohort in cohorts]
-    bundle.add(ResultTable(
-        "delta_p_cohorts", ("cohort", "state", "relation", "value"),
-        (
-            Labels(
-                np.repeat(np.arange(len(cohorts), dtype=np.int8), sizes),
-                [cohort.name for cohort in cohorts],
-            ),
-            indices,
-            Labels(ctx.relations[indices], RELATION_NAMES),
-            np.concatenate([cohort.values for cohort in cohorts]),
-        ),
-        value_columns=("value",),
-    ))
+    cohorts = analyses.cohorts
+    if prior is None:
+        bundle.add(delta_p_table(ctx, (cohorts.prior, cohorts.assertable, cohorts.best_choice)))
+    else:
+        bundle.add(ResultTable.of_parts(
+            (prior, delta_p_table(ctx, (cohorts.assertable, cohorts.best_choice)))
+        ))
 
     bundle.add(_labelled_table(
         "expected_choice", ("speaker_rule", "relation", "utterance_type", "mass"),
@@ -438,6 +464,8 @@ def sweep_bundles(config: RunConfig) -> tuple[ResultBundle, dict[tuple[float, fl
     )
     master = make_bundle(_config_dict(config, numeric=FLOAT, grid={
         "alpha": list(alphas), "theta": list(thetas)}))
+    # the prior cohort reads only the cells, which every combination shares
+    prior = delta_p_table(ctx, (analysis.context_analyses(ctx).cohorts.prior,))
     world = world_probabilities_table(ctx)
     combos: dict[tuple[float, float], ResultBundle] = {}
     summary: tuple[list, ...] = ([], [], [], [], [], [])
@@ -452,7 +480,7 @@ def sweep_bundles(config: RunConfig) -> tuple[ResultBundle, dict[tuple[float, fl
             )
             if (alpha, theta) != (ctx.alpha, ctx.theta):  # one build per combination
                 ctx = ctx.with_params(alpha=alpha, theta=theta)
-            sub = default_context_bundle(ctx, sub_config, "qualitative", world)
+            sub = default_context_bundle(ctx, sub_config, "qualitative", world, prior)
             combos[(alpha, theta)] = sub
             name, _, passed, observed, requirement = sub.tables["checks"].data
             for column, values in zip(summary, (
@@ -505,10 +533,7 @@ def run(config: RunConfig) -> ResultBundle:
         elif "plotdata" in config.formats:
             figures = applicable_figures(bundle)
         if not figures and not {"csv", "json"} & set(config.formats):
-            raise ModelError(
-                f"nothing to write to {str(out)!r}: no csv or json format is requested, "
-                "and no figure applies to this bundle"
-            )
+            raise _nothing_to_write(out)
         write_bundles(
             [(bundle, out)] + [
                 (sub, out / _combo_dirname(alpha, theta)) for (alpha, theta), sub in subs.items()

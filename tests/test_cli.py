@@ -227,7 +227,8 @@ class TestRunDefaultContext:
         assert result.exit_code == 1
         assert json.loads(result.stderr) == {
             "error": "ContextError",
-            "message": "alpha 1e+308 overflows the float soft-max; use Argmax",
+            "message": "alpha 1e+308 overflows the float soft-max; use a smaller alpha "
+                       "(at 1e300 it is already the argmax), or Argmax from the Python API",
         }
         assert list(tmp_path.iterdir()) == []
 

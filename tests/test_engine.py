@@ -998,7 +998,10 @@ def test_a_float_alpha_that_overflows_the_softmax_is_rejected():
     ctx = cr.build_default_context(seed=1, n_states=2000)
     with pytest.raises(ContextError) as error:
         cr.speaker_matrix(ctx, Softmax(1e308))
-    assert str(error.value) == "alpha 1e+308 overflows the float soft-max; use Argmax"
+    assert str(error.value) == (
+        "alpha 1e+308 overflows the float soft-max; use a smaller alpha "
+        "(at 1e300 it is already the argmax), or Argmax from the Python API"
+    )
     # -alpha * log(mass) is still finite at 1e300, and the soft-max there
     # is already the argmax limit
     huge = cr.speaker_matrix(ctx, Softmax(1e300))

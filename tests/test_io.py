@@ -456,6 +456,76 @@ class TestColumnKinds:
                 assert write(f"chunks-{rows}") == whole
 
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        whole=array_tables("delta_p_cohorts", ("cohort", "value", "state")),
+        cuts=st.lists(st.integers(0, 12), max_size=3),
+        as_lists=st.booleans(),
+        fingerprint=CSV_HOSTILE,
+    )
+    def test_a_table_in_parts_writes_as_one_part(
+        self, whole, cuts, as_lists, fingerprint, tmp_path_factory
+    ):
+        """A table laid out in parts, empty first and last parts included,
+        has the rows of the one-part table and writes its JSON, CSV and fig9
+        plot data, alone and in two bundles that share the first part and
+        stream the others, at chunks of 1, 2 and 7 rows and whole."""
+        n = whole.n_rows
+        out = tmp_path_factory.mktemp("parts")
+
+        def parts(bounds):
+            sliced = [
+                ResultTable(whole.name, whole.columns, tuple(c[a:b] for c in whole.data),
+                            whole.value_columns)
+                for a, b in zip(bounds, bounds[1:])
+            ]
+            return [_as_lists(p) for p in sliced] if as_lists else sliced
+
+        def write(where, tables):
+            bundles = []
+            for f, table in zip((fingerprint, fingerprint + "2"), tables):
+                bundles.append(ResultBundle(metadata={"fingerprint": f, "command": "run-default-context"}))
+                bundles[-1].add(table)
+            write_bundle(bundles[0], out / where / "alone", ("csv", "json"), ("fig9",))
+            write_bundles([(b, out / where / str(i)) for i, b in enumerate(bundles)],
+                          ("csv", "json"), ("fig9",))
+            return _tree(out / where)
+
+        expected = write("whole", (whole, whole))
+        for k, cut in enumerate((sorted(min(c, n) for c in cuts), [0], [n], [0, n])):
+            bounds = [0, *cut, n]
+            first = parts(bounds)[0]
+            tables = [ResultTable.of_parts([first, *parts(bounds)[1:]]) for _ in range(2)]
+            assert tables[0].parts[0] is tables[1].parts[0]
+            assert len(tables[0].parts) == len(bounds) - 1
+            assert tables[0].n_rows == n
+            assert repr(tables[0].rows) == repr(whole.rows)  # NaN cells included
+            if not np.isnan(whole.data[1]).any():
+                assert tables[0] == whole and tables[0].rows == whole.rows
+            for rows in (1, 2, 7, results._CHUNK_ROWS):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(results, "_CHUNK_ROWS", rows)
+                    assert write(f"parts-{k}-{rows}", tables) == expected
+
+    def test_parts_share_a_name_and_columns(self):
+        table = ResultTable("t", ("a",), ([1],))
+        assert table.parts == (table,)
+        for other in (
+            ResultTable("u", ("a",), ([2],)),
+            ResultTable("t", ("b",), ([2],)),
+            ResultTable("t", ("a",), ([2],), value_columns=("a",)),
+        ):
+            with pytest.raises(ValueError, match="share its name, columns and value columns"):
+                ResultTable.of_parts([table, other])
+        joined = ResultTable.of_parts([table, ResultTable("t", ("a",), (np.array([2]),))])
+        assert joined.data == ([1, 2],) and joined.rows == ((1,), (2,))
+        # equality reads the values, whatever kind of column holds them
+        assert joined == ResultTable("t", ("a",), (np.array([1, 2]),))
+        assert joined != ResultTable("t", ("a",), (np.array([1, 3]),))
+        assert joined != ResultTable("t", ("a",), ([1],))
+        assert ResultTable.of_parts([joined, table]).parts == (table, joined.parts[1], table)
+
+
 class TestBundles:
     def test_byte_reproducibility_scenario(self, tmp_path):
         def run_once(where: Path) -> dict[str, bytes]:

@@ -24,7 +24,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import condrsa as cr
-from condrsa import analysis, engine, results
+from condrsa import analysis, engine, results, runner
 from condrsa.context import ScenarioContext
 from condrsa.core import RELATION_ORDER, WORLD_NAMES, ModelError, ZeroSupportError
 from condrsa.results import FIGURES, applicable_figures
@@ -33,6 +33,7 @@ from condrsa.runner import (
     RunConfig,
     _combo_dirname,
     default_context_bundle,
+    delta_p_table,
     parse_grid,
     parse_parameter,
     run,
@@ -426,6 +427,22 @@ def test_parse_grid_rejects_an_axis_given_twice(spec, axis):
         parse_grid(spec)
 
 
+def test_a_write_of_nothing_is_refused_before_any_work(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a write of nothing sampled the default context")
+
+    monkeypatch.setattr(runner, "build_default_context", refuse)
+    for command in ("run-default-context", "sweep"):
+        with pytest.raises(ModelError, match=re.escape(f"nothing to write to {str(tmp_path)!r}")):
+            run(RunConfig(command=command, seed=1, output_dir=tmp_path, formats=()))
+    # plot data alone needs the bundle to learn which figures apply, and a
+    # write without a directory writes nothing by design
+    RunConfig(command="run-default-context", seed=1, output_dir=tmp_path, formats=("plotdata",))
+    RunConfig(command="run-default-context", seed=1, output_dir=tmp_path, formats=(), figure="fig9")
+    RunConfig(command="run-default-context", seed=1, formats=())
+    assert list(tmp_path.iterdir()) == []
+
+
 def _counted_renders(monkeypatch) -> Counter[str]:
     rendered: Counter[str] = Counter()
     original = results.ResultTable.rendered
@@ -471,10 +488,23 @@ class TestOneRenderingPerWrite:
         worlds = [sub.tables["world_probabilities"] for sub in subs.values()]
         assert len(worlds) == 4
         assert all(world is worlds[0] for world in worlds)
+        # the prior cohort is one part that every sub-bundle's delta_p_cohorts
+        # holds; each table equals the one-part table of its own combination
+        priors = [sub.tables["delta_p_cohorts"].parts[0] for sub in subs.values()]
+        assert all(prior is priors[0] for prior in priors)
+        assert {len(sub.tables["delta_p_cohorts"].parts) for sub in subs.values()} == {2}
+        for (alpha, theta), sub in subs.items():
+            ctx = cr.build_default_context(config.seed, config.n_states, alpha=alpha, theta=theta)
+            cohorts = analysis.context_analyses(ctx).cohorts
+            own = delta_p_table(ctx, (cohorts.prior, cohorts.assertable, cohorts.best_choice))
+            assert own.parts == (own,)
+            assert sub.tables["delta_p_cohorts"] == own
+            assert sub.tables["delta_p_cohorts"].rows == own.rows
 
         rendered = _counted_renders(monkeypatch)
         run(dataclasses.replace(config, output_dir=tmp_path / "shared"))
         assert rendered["world_probabilities"] == 1
+        assert rendered["delta_p_cohorts"] == 1 + len(subs)  # the prior once, the rest per bundle
         assert rendered["checks"] == len(subs)
 
         # sharing changes no byte: each bundle written alone gives the same files
