@@ -180,9 +180,7 @@ def best_utterance_frequencies(
     n_keys = len(CertaintyCell) * n_codes
     counts = np.bincount(key, minlength=n_keys).tolist()
     sums = engine._group_sums(type_mass, key, n_keys)
-    positive = np.stack(
-        [np.bincount(key[column > 0], minlength=n_keys) for column in type_mass.T], axis=1
-    )
+    positive = engine._group_sums(type_mass > 0, key, n_keys).astype(int)
 
     out: dict[tuple[CertaintyCell, str], FrequencyCell] = {}
     for ci, cell in enumerate(CertaintyCell):

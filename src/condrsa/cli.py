@@ -2,7 +2,9 @@
 
 Every flag can also be set through an environment variable with the
 ``CONDRSA_`` prefix (e.g. ``CONDRSA_SEED=7``).  Errors print a
-machine-readable JSON record on stderr and exit nonzero.  Seeds are never
+machine-readable JSON record on stderr and exit nonzero; so does a write
+that fails, such as an ``--out`` that is a file or lies under one
+(``cannot write <path>: <OS error>``).  Seeds are never
 defaulted from the clock: sampling commands require ``--seed``.
 """
 

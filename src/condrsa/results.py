@@ -16,18 +16,24 @@ converts each distinct object to its text and decimal once, and each
 distinct integer, numerator or denominator, to digits once: most of its
 cells are the engine's one shared ``Fraction(0)``, and its large values
 share a few denominators.  A table of more than ``_CHUNK_ROWS`` rows is
-rendered, turned into row texts, written and dropped one chunk of rows at
-a time, with the bytes of a whole-table write: with ``indent=2`` each JSON
-row's text stands alone, and CSV quoting is decided field by field.  A
-row's text without its ``config`` cell is the same in every bundle, so
-each table's row texts are built once from one template and the
-fingerprint is joined in between them at write time.  In JSON each
-column's strings are escaped by the C-level JSON string encoder, giving
-the bytes of ``json.dumps(payload, indent=2, sort_keys=True)`` without its
-per-value Python walk.  CSV is filled into one ``%``-template per table,
-with the quoting of ``csv.writer(fh, lineterminator="\\n")``: a field is
-quoted only when it holds ``,``, ``"`` or ``\\n`` (a ``\\r`` alone is not),
-and only a column holding such a field is quoted field by field.
+rendered, turned into text, written and dropped one chunk of rows at a
+time, with the bytes of a whole-table write: with ``indent=2`` each JSON
+row's text stands alone, and CSV quoting is decided field by field.
+
+Each rendered column is one of three kinds of text.  Plain text (`_Plain`:
+the texts of numbers and bools, and exact ``n/d`` texts) never needs JSON
+escaping or CSV quoting, so it goes in as it is, with its JSON quotes in
+the text around it.  A `Labels` column (`_Coded`) escapes and quotes each
+name once and gathers the results by code.  Any other string, one in a
+rational value column included, is escaped cell by cell by the C-level
+JSON string encoder, giving the bytes of ``json.dumps(payload, indent=2,
+sort_keys=True)`` without its per-value Python walk; a column of them is
+quoted as ``csv.writer(fh, lineterminator="\\n")`` quotes: a field only
+when it holds ``,``, ``"`` or ``\\n`` (a ``\\r`` alone is not), and only a
+column holding such a field field by field.  A chunk's JSON rows and its
+CSV rows are each one ``"".join`` over a flat list, a row of separators
+repeated (the fingerprint in its last slot) and filled one column at a
+time by strided slice assignment.
 
 A table may be built `of_parts`: tables of its name and columns, laid end
 to end, each written in turn.  `write_bundles` writes several bundles in
@@ -35,6 +41,9 @@ one call: a part held by more than one of them (a sweep's
 ``world_probabilities``, and the prior cohort of its ``delta_p_cohorts``)
 is rendered once, whole, and its texts live until the call returns, while
 every other part is rendered, written and dropped one chunk at a time.
+A kept part holds each row's text up to its ``config`` cell, the same in
+every bundle, and joins those with each bundle's fingerprint, two pieces
+a row where a flat join per bundle would walk every cell again.
 Each figure's scenario and row filters live in one `FigureSpec`.
 """
 
@@ -70,6 +79,11 @@ _G12 = "{:.12g}".format
 #: a table of more rows than this is rendered and written in chunks of
 #: this many rows
 _CHUNK_ROWS = 65536
+
+#: a part kept for several bundles joins its row texts with each bundle's
+#: fingerprint this many rows at a time, so that no text of the whole part
+#: and its encoded copy are held at once
+_BLOCK_ROWS = 2048
 
 
 class FigureError(ModelError):
@@ -117,29 +131,37 @@ _BOOL_TEXT = {True: "true", False: "false"}
 _INT_TEXT_BOUND = 10**12
 
 
-def _decimals(values: Sequence) -> list[str]:
-    return list(map(_G12, map(float, values)))
+class _Plain(list):
+    """Rendered texts that JSON never escapes and CSV never quotes: the
+    ``{:.12g}``, ``str`` and ``true``/``false`` texts of numbers and bools,
+    and exact ``n/d`` texts."""
+
+    __slots__ = ()
+
+
+def _decimals(values: Sequence) -> _Plain:
+    return _Plain(map(_G12, map(float, values)))
 
 
 def _render_column(values: Sequence) -> Sequence[str]:
     """``[_render_cell(v, FLOAT) for v in values]``, in one C-level pass when
-    every value has the same type.  Rational-mode value columns go through
-    `_rational_columns` instead."""
+    every value has the same type; a column of numbers or bools is `_Plain`.
+    Rational-mode value columns go through `_rational_columns` instead."""
     types = set(map(type, values))
     if types <= {str}:
         return values
     if types <= {bool}:
-        return list(map(_BOOL_TEXT.__getitem__, values))
+        return _Plain(map(_BOOL_TEXT.__getitem__, values))
     if types <= {float}:
-        return list(map(_G12, values))
+        return _Plain(map(_G12, values))
     if types <= {int} and -_INT_TEXT_BOUND < min(values) and max(values) < _INT_TEXT_BOUND:
-        return list(map(str, values))
+        return _Plain(map(str, values))
     if types <= {int, Fraction}:
         return _decimals(values)
     return [_render_cell(v, FLOAT) for v in values]
 
 
-def _exact_texts(values: Sequence[int | Fraction]) -> tuple[list[str], list[str]]:
+def _exact_texts(values: Sequence[int | Fraction]) -> tuple[_Plain, _Plain]:
     """``str`` and ``{:.12g}`` of each int or Fraction, with each distinct
     object converted once and each distinct integer, numerator or
     denominator, turned into text once.  An exact column mostly repeats a
@@ -153,14 +175,15 @@ def _exact_texts(values: Sequence[int | Fraction]) -> tuple[list[str], list[str]
     decimals = _decimals(objects.values())
     codes = list(map(id, values))
     return (
-        list(map(dict(zip(objects, texts)).__getitem__, codes)),
-        list(map(dict(zip(objects, decimals)).__getitem__, codes)),
+        _Plain(map(dict(zip(objects, texts)).__getitem__, codes)),
+        _Plain(map(dict(zip(objects, decimals)).__getitem__, codes)),
     )
 
 
-def _rational_columns(values: Sequence) -> tuple[Sequence[str], list[str]]:
+def _rational_columns(values: Sequence) -> tuple[Sequence[str], _Plain]:
     """A value column's texts and their decimal companions in rational
-    mode."""
+    mode; texts that are not all exact (a ``str`` among them) are escaped
+    cell by cell when written."""
     if set(map(type, values)) <= {int, Fraction}:
         return _exact_texts(values)
     return [_render_cell(v, RATIONAL) for v in values], _decimals(values)
@@ -220,12 +243,16 @@ def _joined(columns: Sequence) -> Sequence:
     return list(chain.from_iterable(map(_values, columns)))
 
 
-def _map_values(column, render, *args) -> Sequence[str]:
-    """``render(values, *args)`` of a column's values; a `Labels` column
-    renders its names once and gathers them by code."""
-    if isinstance(column, Labels):
-        return _gather(render(column.names, *args), column.codes)
-    return render(_values(column), *args)
+class _Coded(list):
+    """A rendered `Labels` column: each row's text, and the rendered names
+    and codes it was gathered from, so that each name is escaped for JSON
+    and quoted for CSV once."""
+
+    __slots__ = ("names", "codes")
+
+    def __init__(self, names: Sequence[str], codes: np.ndarray) -> None:
+        super().__init__(_gather(names, codes))
+        self.names, self.codes = names, codes
 
 
 @dataclass(frozen=True, init=False)
@@ -297,7 +324,8 @@ class ResultTable:
     def rendered(self, mode: str, rows: slice = slice(None)) -> Rendered:
         """Header and string columns of the table's ``rows``, rendered one
         column at a time, with decimal companions for fractions in rational
-        mode."""
+        mode; each column is `_Plain`, `_Coded` (from `Labels`) or any other
+        strings."""
         header: list[str] = []
         columns: list[Sequence[str]] = []
         for col, column in zip(self.columns, self.data):
@@ -307,8 +335,10 @@ class ResultTable:
             if numeric and mode == RATIONAL:
                 header.append(f"{col}_decimal")
                 columns.extend(_rational_columns(_values(column)))
+            elif isinstance(column, Labels):
+                columns.append(_Coded(_render_column(column.names), column.codes))
             else:
-                columns.append(_map_values(column, _render_column))
+                columns.append(_render_column(_values(column)))
         return header, columns
 
 
@@ -346,37 +376,100 @@ def make_bundle(config: dict[str, Any]) -> ResultBundle:
 # --------------------------------------------------------------------------
 
 
+def _quotable(text: str) -> bool:
+    """Whether CSV quotes a field that holds ``text``."""
+    return "," in text or '"' in text or "\n" in text
+
+
 def _csv_field(text: str) -> str:
     """One field as ``csv.writer(fh, lineterminator="\\n")`` writes it:
     quoted, its quotes doubled, only when it holds ``,``, ``"`` or ``\\n``.
     A ``\\r`` alone is not quoted."""
-    if "," in text or '"' in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
+    return '"' + text.replace('"', '""') + '"' if _quotable(text) else text
 
 
-def _csv_column(values: Sequence[str]) -> Sequence[str]:
-    """A rendered column as CSV fields; only a column holding a field that
-    needs quoting is passed over field by field."""
-    joined = "".join(values)
-    if "," in joined or '"' in joined or "\n" in joined:
-        return list(map(_csv_field, values))
-    return values
+def _escaped(column: Sequence[str], escape) -> list[str]:
+    """``escape`` of each text of a rendered column; `Labels` names once
+    each, gathered by code."""
+    if isinstance(column, _Coded):
+        return _gather(list(map(escape, column.names)), column.codes)
+    return list(map(escape, column))
+
+
+def _csv_cells(columns: Sequence[Sequence[str]]) -> tuple[list[Sequence[str]], list[str]]:
+    """Each rendered column's CSV fields, and the texts of a row around them
+    up to its ``config`` field.  Only a column that is not plain and whose
+    joined texts hold a character that needs quoting is quoted."""
+    fields = [
+        _escaped(c, _csv_field) if not isinstance(c, _Plain) and _quotable("".join(c)) else c
+        for c in columns
+    ]
+    return fields, ["", *[","] * len(fields)]
+
+
+def _json_cells(columns: Sequence[Sequence[str]]) -> tuple[list[Sequence[str]], list[str]]:
+    """Each rendered column's JSON cells, and the texts of a row around them
+    up to its ``config`` cell.  Plain texts go in as they are, their quotes
+    in the texts around them; any other text is escaped, quotes included."""
+    cells, bounds = [], ["        [\n          "]
+    for column in columns:
+        quote = '"' if isinstance(column, _Plain) else ""
+        cells.append(column if quote else _escaped(column, _json_string))
+        bounds[-1] += quote
+        bounds.append(quote + ",\n          ")
+    return cells, bounds
+
+
+def _row_prefixes(cells: Sequence[Sequence[str]], bounds: Sequence[str]) -> list[str]:
+    """Each row's ``bounds[0] + cells[0][k] + bounds[1] + ... + cells[-1][k]
+    + bounds[-1]``, from one template."""
+    return list(map("%s".join(bounds).__mod__, zip(*cells)))
+
+
+def _kept_rows(prefixes: list[str], sep: str, last: str) -> Iterator[str]:
+    """The texts of the rows ``prefixes``, each followed by ``sep`` and the
+    last by ``last``, one text per `_BLOCK_ROWS` rows."""
+    for start in range(0, len(prefixes), _BLOCK_ROWS):
+        yield sep.join(prefixes[start:start + _BLOCK_ROWS])
+        yield sep if start + _BLOCK_ROWS < len(prefixes) else last
+
+
+def _joined_rows(cells: Sequence[Sequence[str]], bounds: Sequence[str], end: str, last: str) -> str:
+    """The rows of `_row_prefixes`, each followed by ``end`` and the last by
+    ``last``, in one ``"".join``.  The pieces sit in one flat list: a row of
+    bounds repeated, its cells' slots filled one column at a time by
+    strided slice assignment."""
+    if not cells or not cells[0]:
+        return ""
+    row = [bounds[0]]
+    for bound in bounds[1:]:
+        row += [None, bound]
+    row[-1] += end
+    flat = row * len(cells[0])
+    for j, column in enumerate(cells):
+        flat[2 * j + 1::len(row)] = column
+    flat[-1] = bounds[-1] + last
+    return "".join(flat)
 
 
 @contextmanager
-def _undone_on_failure(directory: Path, written: list[Path]) -> Iterator[None]:
+def _undone_on_failure(target: Path, directory: Path, written: list[Path]) -> Iterator[None]:
     """If the body raises, remove the files in ``written``, which the body may
-    extend, then each directory up to ``directory`` that it made, while empty."""
+    extend, then each directory up to ``directory`` that it made, while empty;
+    a cleanup that fails never replaces the body's error.  An `OSError` of
+    the body is raised as a `ModelError` that names ``target``."""
     made = [d for d in (directory, *directory.parents) if not d.exists()]  # innermost first
     try:
         yield
-    except BaseException:
+    except BaseException as exc:
         for path in written:
-            path.unlink(missing_ok=True)
+            with suppress(OSError):
+                path.unlink(missing_ok=True)
         for d in made:  # rmdir keeps one that is missing or not empty
             with suppress(OSError):
                 d.rmdir()
+        if isinstance(exc, OSError):
+            raise ModelError(f"cannot write {target}: {exc}") from None
         raise
 
 
@@ -390,40 +483,43 @@ def _csv_head(header: Sequence[str]) -> str:
 
 
 class _TableText:
-    """A rendered table, or a chunk of its rows, and the texts of its rows
-    up to the ``config`` cell, which are the same in every bundle; each is
-    built on first use.  A table that ``keep``s its texts serves several
-    bundles whole: its JSON row texts outlive a bundle's write, and its CSV
-    rows are joined from stored row texts instead of being streamed."""
+    """A rendered table, or a chunk of its rows, and its JSON and CSV rows.
+    A chunk's rows are joined once from column slices, with the ``config``
+    cell joined in, and its pieces dropped at once.  A table that ``keep``s
+    its texts serves several bundles whole: it builds, once, each row's text
+    up to the ``config`` cell, which is the same in every bundle, and joins
+    those with each bundle's fingerprint."""
 
     def __init__(self, header: list[str], columns: list[Sequence[str]], keep: bool = False) -> None:
         self.header, self.columns, self.keep = header, columns, keep
 
     @cached_property
     def json_prefixes(self) -> list[str]:
-        template = "        [\n" + "          %s,\n" * len(self.columns) + "          "
-        return list(map(template.__mod__, zip(*(map(_json_string, c) for c in self.columns))))
-
-    @cached_property
-    def csv_fields(self) -> list[Sequence[str]]:
-        return [_csv_column(c) for c in self.columns]
+        return _row_prefixes(*_json_cells(self.columns))
 
     @cached_property
     def csv_prefixes(self) -> list[str]:
-        return list(map(("%s," * len(self.columns)).__mod__, zip(*self.csv_fields)))
+        return _row_prefixes(*_csv_cells(self.columns))
+
+    def json_rows(self, sep: str) -> Iterable[str]:
+        """The texts of the rows up to the last ``config`` cell, joined by
+        ``sep``, the escaped fingerprint and the end of a row."""
+        if self.keep:
+            return _kept_rows(self.json_prefixes, sep, "")
+        return (_joined_rows(*_json_cells(self.columns), sep, ""),)
 
     def csv_lines(self, sep: str) -> Iterable[str]:
         """The CSV rows of a bundle whose ``sep`` is its quoted fingerprint
-        and the line end: streamed from one template, or joined from the
-        kept row texts."""
+        and the line end: joined from column slices, or from the kept row
+        texts."""
         if self.keep:
-            return (sep.join(self.csv_prefixes), sep) if self.csv_prefixes else ()
-        template = "%s," * len(self.columns) + sep.replace("%", "%%")
-        return map(template.__mod__, zip(*self.csv_fields))
+            return _kept_rows(self.csv_prefixes, sep, sep)
+        return (_joined_rows(*_csv_cells(self.columns), sep, sep),)
 
     def plotted(self, spec: FigureSpec | None) -> _TableText:
         """The rows that pass the figure's row filters, read from the
-        rendered columns; all of them without a spec or a filter."""
+        rendered columns, each column of its kind; all of them without a
+        spec or a filter."""
         if spec is None or not spec.row_filters:
             return self
         tested = [self.columns[self.header.index(column)] for column, _ in spec.row_filters]
@@ -431,7 +527,11 @@ class _TableText:
             all(cell in allowed for cell, (_, allowed) in zip(cells, spec.row_filters))
             for cells in zip(*tested)
         ]
-        return _TableText(self.header, [list(compress(c, keep)) for c in self.columns])
+        return _TableText(self.header, [
+            _Coded(c.names, c.codes[np.array(keep, dtype=bool)]) if isinstance(c, _Coded)
+            else (_Plain if isinstance(c, _Plain) else list)(compress(c, keep))
+            for c in self.columns
+        ])
 
 
 def _metadata_comment(bundle: "ResultBundle") -> str:
@@ -459,13 +559,11 @@ def _write_json_rows(fh: TextIO, text: _TableText, config: str, opened: bool) ->
     fingerprint ``config`` joined in after each row's prefix; ``opened``
     when an earlier chunk of the table wrote rows.  Returns whether the
     table has rows so far."""
-    if not text.json_prefixes:
+    if not text.columns or not text.columns[0]:
         return opened
     sep = config + "\n        ],\n"
-    rows = sep.join(text.json_prefixes)
-    if not text.keep:
-        del text.json_prefixes  # a chunk written once drops its row texts before the write
-    fh.writelines((sep if opened else "[\n", rows))
+    fh.write(sep if opened else "[\n")
+    fh.writelines(text.json_rows(sep))
     return True
 
 
@@ -533,7 +631,8 @@ def write_bundle(
     returns the created paths: ``bundle.json``, the CSV files, then the
     plot data in the order of ``figures``.  Every figure is checked before
     anything is written, and a write that fails removes every file it
-    wrote and every directory it made, while empty.  The tables are written
+    wrote and every directory it made, while empty; an OS error is raised
+    as a `ModelError`, "cannot write <outdir>: ...".  The tables are written
     one after another and each table part by part, each chunk of
     ``_CHUNK_ROWS`` rows rendered once for JSON, CSV and plot data and
     dropped after it is written, unless ``shared`` keeps a whole part for
@@ -548,7 +647,7 @@ def write_bundle(
     csv_paths: list[Path] = []
     plot_paths: list = [None] * len(specs)  # in the order of figures
     written = [json_path] if "json" in formats else []  # removed if the write fails
-    with _undone_on_failure(outdir / "plotdata", written):
+    with _undone_on_failure(outdir, outdir / "plotdata", written):
         outdir.mkdir(parents=True, exist_ok=True)
         json_file = json_path.open("w", encoding="utf-8") if written else nullcontext()
         with json_file as json_fh:
@@ -753,12 +852,12 @@ def emit_plot_data(
 ) -> Path:
     """Write one self-describing columnar file for a figure, chunk by
     chunk; a write that fails removes the file and every directory it
-    made, while empty."""
+    made, while empty, and an OS error is raised as a `ModelError`."""
     spec = _figure_spec(bundle, figure_id)
     path = Path(outdir) / f"{spec.figure_id}.csv"
     sep = _csv_field(bundle.fingerprint) + "\n"
     texts = _table_texts(bundle.tables[spec.table], bundle.numeric_mode, None)
-    with _undone_on_failure(path.parent, [path]), _new_file(path) as fh:
+    with _undone_on_failure(path, path.parent, [path]), _new_file(path) as fh:
         for n, text in enumerate(texts):
             if n == 0:
                 fh.write(_plot_preamble(bundle, spec) + _csv_head(text.header))

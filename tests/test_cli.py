@@ -62,6 +62,22 @@ class TestRunScenario:
         assert result.exit_code == 1
         assert list(tmp_path.rglob("*")) == [tmp_path / "kept"]
 
+    def test_an_unwritable_out_is_a_record(self, runner, tmp_path):
+        """An ``--out`` that is a file, or lies under one, exits 1 with one
+        JSON record naming the write, leaves the file as it was and makes
+        nothing."""
+        blocker = tmp_path / "F"
+        blocker.write_text("kept\n")
+        for out in (blocker, blocker / "sub"):
+            result = runner.invoke(main, ["run-scenario", "--scenario", "toy", "--out", str(out)])
+            assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+            [line] = result.stderr.splitlines()
+            record = json.loads(line)
+            assert record["error"] == "ModelError"
+            assert record["message"].startswith(f"cannot write {out}: [Errno ")
+            assert blocker.read_text() == "kept\n"
+            assert list(tmp_path.iterdir()) == [blocker]
+
     def test_unknown_scenario_is_machine_readable_error(self, runner):
         result = runner.invoke(main, ["run-scenario", "--scenario", "nope"])
         assert result.exit_code == 1

@@ -526,6 +526,174 @@ class TestColumnKinds:
         assert ResultTable.of_parts([joined, table]).parts == (table, joined.parts[1], table)
 
 
+#: text that JSON escapes or CSV quotes, control characters and astral text
+#: included
+ESCAPED_TEXT = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", ",", "\n", "\r", "\t", "é",
+                     "\u2028", "\U0001f600", "%", " ", "a"]),
+    max_size=5,
+)
+
+#: floats whose ``{:.12g}`` text is unusual
+SPECIAL_FLOATS = st.sampled_from([
+    float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e12, -1e12, 5e-324, 1e-310, 0.1,
+])
+
+#: text that ``float`` reads, so that it renders in a rational value column,
+#: but that JSON escapes or CSV quotes
+NUMERIC_TEXT = st.sampled_from([" 1\n", "\t2", "\u0661", "-3\r\n", "\u2028 4", "nan", "1_0", "5e-324"])
+
+#: Fractions with many digits, and negative ones
+BIG_FRACTIONS = st.sampled_from([F(3**200, 7**100), -F(3**200, 7**100), F(-5, 6), F(10**40 + 1, 3)])
+
+FIG8_METRICS = ("not_c_given_not_a", "a_given_c")
+
+
+@st.composite
+def typed_tables(draw):
+    """A numeric mode and a ``cp_metrics`` table of every column type that
+    rendering tells apart: `Labels`, ``str`` lists, float and int arrays,
+    bools and a value column (exact or a ``str`` in rational mode; any
+    number, or a ``str``, in float mode)."""
+    mode = draw(st.sampled_from(["float", "rational"]))
+    n = draw(st.integers(0, 9))
+
+    def rows(strategy):
+        return draw(st.lists(strategy, min_size=n, max_size=n))
+
+    def labels_of(names):
+        names = draw(st.lists(names, min_size=1, max_size=3))
+        return Labels(np.array(rows(st.integers(0, len(names) - 1)), dtype=np.int8), names)
+
+    metric_names = st.sampled_from(FIG8_METRICS) | ESCAPED_TEXT
+    metric = labels_of(metric_names) if draw(st.booleans()) else rows(metric_names)
+    if mode == "rational":
+        value = rows(st.integers(-(10**30), 10**30) | st.fractions() | BIG_FRACTIONS | NUMERIC_TEXT)
+    else:
+        value = rows(st.floats() | SPECIAL_FLOATS | st.integers(-(10**13), 10**13)
+                     | st.fractions() | BIG_FRACTIONS | st.booleans() | ESCAPED_TEXT)
+    near_12 = st.integers(10**12 - 3, 10**12 + 3) | st.integers(-(10**12) - 3, -(10**12) + 3)
+    return mode, ResultTable(
+        "cp_metrics", ("metric", "label", "text", "x", "n", "flag", "value"),
+        (
+            metric,
+            labels_of(ESCAPED_TEXT),
+            rows(ESCAPED_TEXT),
+            np.array(rows(st.floats() | SPECIAL_FLOATS), dtype=float),
+            np.array(rows(near_12 | st.integers(-5, 5)), dtype=np.int64),
+            rows(st.booleans()),
+            value,
+        ),
+        value_columns=("value",),
+    )
+
+
+def _csv_writer_text(header, rows):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+class TestTextKinds:
+    """Plain, `Labels` and free text, each written through its own path,
+    give what a cell-by-cell rendering gives to ``json.dumps`` and
+    ``csv.writer``, whole, in chunks and in kept blocks."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=typed_tables(), cut=st.integers(0, 9), fingerprint=ESCAPED_TEXT)
+    @example(
+        drawn=("rational", ResultTable(
+            "cp_metrics", ("metric", "value"),
+            (["a_given_c", "a_given_c"], [F(1, 2), " 1\n"]), value_columns=("value",),
+        )),
+        cut=1, fingerprint="f",
+    )
+    def test_writes_equal_json_dumps_and_csv_writer(self, drawn, cut, fingerprint, tmp_path_factory):
+        """``bundle.json``, the table's CSV and fig8's plot data (filtered
+        rows), of `write_bundle`, of `write_bundles` with two bundles that
+        share a first part and of `emit_plot_data`, at chunks and kept
+        blocks of 1, 2, 7 and 65,536 rows.  The explicit example holds a
+        ``str`` in a rational value column that JSON escapes and CSV
+        quotes: it fails if that column is taken for plain text."""
+        mode, table = drawn
+        header, columns = _cell_rendering(_as_lists(table), mode)
+        texts = list(zip(*columns))
+        cut = min(cut, table.n_rows)
+        shared = ResultTable(table.name, table.columns, tuple(c[:cut] for c in table.data),
+                             table.value_columns)
+
+        def bundle(f, t):
+            b = ResultBundle(metadata={"fingerprint": f, "numeric": mode,
+                                       "command": "run-default-context"})
+            b.add(t)
+            return b
+
+        def own_part():
+            return ResultTable(table.name, table.columns, tuple(c[cut:] for c in table.data),
+                               table.value_columns)
+
+        alone = bundle(fingerprint, table)
+        pair = [bundle(f, ResultTable.of_parts([shared, own_part()]))
+                for f in (fingerprint, fingerprint + "2")]
+        spec = results.FIGURES["fig8"]
+        metric = header.index("metric")
+        out = tmp_path_factory.mktemp("kinds")
+        for size in (1, 2, 7, 65536):
+            where = out / str(size)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(results, "_CHUNK_ROWS", size)
+                patch.setattr(results, "_BLOCK_ROWS", size)
+                write_bundle(alone, where / "alone", ("csv", "json"), ("fig8",))
+                write_bundles([(b, where / str(i)) for i, b in enumerate(pair)],
+                              ("csv", "json"), ("fig8",))
+                emit_plot_data(alone, "fig8", where / "emitted")
+            for b, d in ((alone, "alone"), (pair[0], "0"), (pair[1], "1")):
+                f = b.fingerprint
+                payload = {"metadata": b.metadata, "tables": {"cp_metrics": {
+                    "columns": [*header, "config"], "rows": [[*row, f] for row in texts],
+                }}}
+                assert (where / d / "bundle.json").read_bytes().decode() == (
+                    json.dumps(payload, indent=2, sort_keys=True) + "\n"
+                )
+                assert (where / d / "cp_metrics.csv").read_bytes().decode() == (
+                    results._metadata_comment(b)
+                    + _csv_writer_text([*header, "config"], [[*row, f] for row in texts])
+                )
+            plotted = _csv_writer_text([*header, "config"], [
+                [*row, fingerprint] for row in texts if row[metric] in FIG8_METRICS
+            ])
+            for d, b in (("alone/plotdata", alone), ("0/plotdata", pair[0]), ("emitted", alone)):
+                assert (where / d / "fig8.csv").read_bytes().decode() == (
+                    results._plot_preamble(b, spec) + plotted
+                )
+
+    def test_filtered_rows_keep_their_kinds(self):
+        table = ResultTable("cp_metrics", ("metric", "text", "value"), (
+            Labels(np.array([0, 1, 0]), FIG8_METRICS + ("x",)), ["a", ",", '"'], [0.5, 1.0, 2.0],
+        ), value_columns=("value",))
+        text = results._TableText(*table.rendered("float"))
+        kept = text.plotted(results.FIGURES["fig8"])
+        assert [type(c) for c in kept.columns] == [type(c) for c in text.columns]
+        assert [list(c) for c in kept.columns] == [list(c) for c in text.columns]
+
+    def test_an_unwritable_directory_is_a_model_error(self, tmp_path):
+        """A write under a file raises `ModelError` naming the target and
+        leaves the file as it was."""
+        blocker = tmp_path / "F"
+        blocker.write_text("kept\n")
+        bundle = ResultBundle(metadata={"fingerprint": "f", "command": "run-default-context"})
+        bundle.add(ResultTable("world_probabilities", ("v",), ([0.5],), ("v",)))
+        for outdir in (blocker, blocker / "sub"):
+            with pytest.raises(cr.ModelError, match=f"^cannot write {outdir}"):
+                write_bundle(bundle, outdir, ("csv", "json"))
+            with pytest.raises(cr.ModelError, match=f"^cannot write {outdir / 'fig5.csv'}"):
+                emit_plot_data(bundle, "fig5", outdir)
+        assert blocker.read_text() == "kept\n"
+        assert list(tmp_path.iterdir()) == [blocker]
+
+
 class TestBundles:
     def test_byte_reproducibility_scenario(self, tmp_path):
         def run_once(where: Path) -> dict[str, bytes]:
