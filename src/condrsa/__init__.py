@@ -78,13 +78,11 @@ from .engine import (
     utterance_masses,
     utterance_surprise,
 )
+from .scenario_io import BUILTIN_NAMES, SKIING_UNCERTAIN_TRIP_VARIANT, builtin
 from .scenarios import (
-    BUILTIN_NAMES,
-    SKIING_UNCERTAIN_TRIP_VARIANT,
     ObservationLink,
     ScenarioDefinition,
     antecedent_belief,
-    builtin,
     joint_event_belief,
     observation_update,
 )

@@ -143,15 +143,24 @@ def _type_mass_matrix(ctx: ScenarioContext, rule: SpeakerRule | None) -> np.ndar
     """Each state's speaker mass per utterance type under ``rule``.
 
     Returns (n_states, len(UtteranceType)) in UtteranceType order.  Each
-    speaker pattern row is summed once and the sums are gathered per state.
+    speaker pattern row is summed once, and those sums are read-only and
+    memoised per context and rule, like the speaker rows; each call gathers
+    them per state afresh.
     """
-    rows = engine._speaker_rows(ctx, rule)
-    cols = _type_columns(ctx)
-    return np.stack(
-        [rows[:, cols[t]].sum(axis=1) if cols[t] else np.zeros(len(rows))
-         for t in UtteranceType],
-        axis=1,
-    )[engine._patterns(ctx)[2]]
+    rule = engine._resolve_rule(ctx, rule)
+
+    def compute() -> np.ndarray:
+        rows = engine._speaker_rows(ctx, rule)
+        cols = _type_columns(ctx)
+        return np.stack(
+            [rows[:, cols[t]].sum(axis=1) if cols[t] else np.zeros(len(rows))
+             for t in UtteranceType],
+            axis=1,
+        )
+
+    sums = engine._memoised(ctx, ("type_mass", rule), compute)
+    # `np.take` gathers whole rows several times faster than indexing
+    return np.take(sums, engine._patterns(ctx)[2], axis=0)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from . import __version__
 from .core import ModelError
 from .results import FLOAT, RATIONAL
 from .runner import RunConfig, parse_grid, parse_parameter, run
-from .scenarios import BUILTIN_NAMES
+from .scenario_io import BUILTIN_NAMES
 from .tolerances import TOLERANCES
 
 

@@ -98,9 +98,9 @@ class ScenarioContext:
             if isinstance(value, (bool, np.bool_)):  # True would pass as 1
                 raise ContextError(f"{name} must be a number, not a bool, got {value!r}")
         if not 0.5 < self.theta <= 1:
-            raise ContextError(f"theta must lie in (0.5, 1], got {self.theta!r}")
+            raise ContextError(f"theta must lie in (0.5, 1], got {self.theta}")
         if not 0 <= self.alpha < math.inf:
-            raise ContextError(f"alpha must be finite and nonnegative, got {self.alpha!r}")
+            raise ContextError(f"alpha must be finite and nonnegative, got {self.alpha}")
 
         # the semantics is exact when the cells, the prior and theta are
         # rational, and the soft-max when alpha is also an integer: a

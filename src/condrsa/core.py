@@ -76,7 +76,7 @@ def sums_to(total: Scalar | np.ndarray, target: Scalar | np.ndarray, exact: bool
 def check_probability(x: Scalar | np.ndarray, name: str) -> None:
     inside = ((0 <= x) & (x <= 1)).all() if isinstance(x, np.ndarray) else 0 <= x <= 1
     if not inside:
-        raise ProbabilityError(f"{name} must lie in [0, 1], got {x!r}")
+        raise ProbabilityError(f"{name} must lie in [0, 1], got {x}")
 
 
 class Var(Enum):

@@ -172,7 +172,7 @@ def _exact_texts(values: Sequence[int | Fraction]) -> tuple[_Plain, _Plain]:
     integers = list(dict.fromkeys(chain.from_iterable(ratios)))
     digits = dict(zip(integers, _exact_strings(integers)))
     texts = [digits[n] if d == 1 else f"{digits[n]}/{digits[d]}" for n, d in ratios]
-    decimals = _decimals(objects.values())
+    decimals = [_G12(n / d) for n, d in ratios]
     codes = list(map(id, values))
     return (
         _Plain(map(dict(zip(objects, texts)).__getitem__, codes)),

@@ -57,12 +57,10 @@ from .results import (
     make_bundle,
     write_bundles,
 )
-from .scenario_io import parse_scenario_file
+from .scenario_io import BUILTIN_NAMES, builtin, parse_scenario_file
 from .scenarios import (
-    BUILTIN_NAMES,
     ScenarioDefinition,
     antecedent_belief,
-    builtin,
     joint_event_belief,
     observation_update,
 )

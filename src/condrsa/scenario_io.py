@@ -8,12 +8,17 @@ string and integer inputs evaluate in exact arithmetic end to end.
 Every state gives its joint distribution in exactly one of three ways: an
 explicit four-cell ``table``, independent ``marginals``, or a ``noisy_or``
 parameter triple together with a dependent ``relation``.
+
+The built-in scenarios are such files, shipped in ``scenario_files`` and
+read by `builtin`; their numbers are string rationals, so the published
+fractions reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -146,7 +151,7 @@ def _parse_observation(data: Any, path: str, names: dict[str, Var]) -> Observati
     p_false = _as_number(_require(data, "prob_given_false", path), f"{path}.prob_given_false")
     for name, p in (("prob_given_true", p_true), ("prob_given_false", p_false)):
         if not 0 <= p <= 1:
-            raise _fail(f"{path}.{name}", f"must lie in [0, 1], got {p!r}")
+            raise _fail(f"{path}.{name}", f"must lie in [0, 1], got {p}")
     return ObservationLink(
         mediator=names[mediator_name],
         p_obs_given_true=p_true,
@@ -172,10 +177,10 @@ def parse_scenario_dict(data: Any, source: str = "<scenario>") -> ScenarioDefini
 
     alpha = _as_number(_require(data, "alpha", source), "alpha")
     if not 0 <= alpha < math.inf:
-        raise _fail("alpha", f"must be finite and nonnegative, got {alpha!r}")
+        raise _fail("alpha", f"must be finite and nonnegative, got {alpha}")
     theta = _as_number(_require(data, "theta", source), "theta")
     if not 0.5 < theta <= 1:
-        raise _fail("theta", f"must lie in (0.5, 1], got {theta!r}")
+        raise _fail("theta", f"must lie in (0.5, 1], got {theta}")
 
     utt_texts = _require(data, "utterances", source)
     if not isinstance(utt_texts, list) or not utt_texts:
@@ -249,6 +254,31 @@ def parse_scenario_file(path: str | Path) -> ScenarioDefinition:
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
     return parse_scenario_dict(data, source=str(path))
+
+
+BUILTIN_NAMES = ("toy", "skiing", "garden_party", "sundowners")
+
+
+def builtin(name: str) -> ScenarioDefinition:
+    """One of the built-in scenarios, parsed from its file in
+    ``scenario_files``: toy, skiing, garden_party, sundowners."""
+    if name not in BUILTIN_NAMES:
+        known = ", ".join(BUILTIN_NAMES)
+        raise KeyError(f"unknown scenario {name!r} (built-ins: {known})")
+    return parse_scenario_file(Path(__file__).with_name("scenario_files") / f"{name}.json")
+
+
+def _skiing_uncertain_trip() -> ScenarioDefinition:
+    skiing = builtin("skiing")
+    dep, ind = skiing.states
+    ind = replace(ind, table=joint_from_marginals(Fraction(1, 5), Fraction(91, 100)))
+    return replace(skiing, name="skiing_uncertain_trip", states=(dep, ind))
+
+
+#: variant of the skiing scenario whose independent state has P(S) = 0.91
+#: instead of 1; assertability and all reported results are identical at
+#: theta = 0.9, so both fixtures are kept
+SKIING_UNCERTAIN_TRIP_VARIANT = _skiing_uncertain_trip()
 
 
 def _number_to_json(x: Scalar) -> Any:

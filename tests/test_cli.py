@@ -35,6 +35,16 @@ class TestRunScenario:
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["scenario"] == "skiing"
 
+    def test_out_of_range_theta_prints_the_fraction(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "run-scenario", "--scenario", "toy", "--theta", "1/2", "--out", str(tmp_path),
+        ])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr) == {
+            "error": "ContextError", "message": "theta must lie in (0.5, 1], got 1/2",
+        }
+        assert list(tmp_path.iterdir()) == []
+
     def test_exact_value_too_long_to_render_suggests_float(self, runner, tmp_path):
         # at alpha 20000 a rational speaker value has more digits than Python
         # converts to text; the float rendering of the same run works

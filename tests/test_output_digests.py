@@ -25,8 +25,8 @@ from pathlib import Path
 
 import pytest
 
+from condrsa import BUILTIN_NAMES
 from condrsa.runner import RunConfig, parse_grid, run
-from condrsa.scenarios import BUILTIN_NAMES
 
 DIGESTS = Path(__file__).with_name("output_digests.json")
 

@@ -1,4 +1,9 @@
+import json
+import shutil
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +62,35 @@ class TestBuiltins:
         variant = cr.SKIING_UNCERTAIN_TRIP_VARIANT
         ind = variant.states[1]
         assert [float(c) for c in ind.table.cells] == [0.182, 0.018, 0.728, 0.072]
+
+
+class TestShippedFiles:
+    """The built-ins are package data: one file per name, shipped by a build."""
+
+    FILES = Path(cr.__file__).with_name("scenario_files")
+
+    def test_one_file_per_builtin_named_by_its_stem(self):
+        paths = sorted(self.FILES.iterdir())
+        assert [p.name for p in paths] == sorted(f"{n}.json" for n in cr.BUILTIN_NAMES)
+        for path in paths:
+            assert json.loads(path.read_text(encoding="utf-8"))["name"] == path.stem
+
+    def test_build_ships_the_scenario_files(self, tmp_path):
+        # a missing package-data entry breaks only installed copies, never a
+        # run from the source tree, so build the package and look
+        pytest.importorskip("setuptools")
+        root = Path(__file__).resolve().parents[1]
+        shutil.copy(root / "pyproject.toml", tmp_path)
+        shutil.copytree(root / "src", tmp_path / "src",
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        build = tmp_path / "build_lib"
+        subprocess.run(
+            [sys.executable, "-c", "import setuptools; setuptools.setup()",
+             "build_py", "--build-lib", str(build)],
+            cwd=tmp_path, check=True, capture_output=True,
+        )
+        shipped = sorted(p.name for p in (build / "condrsa" / "scenario_files").iterdir())
+        assert shipped == sorted(f"{n}.json" for n in cr.BUILTIN_NAMES)
 
 
 class TestAntecedentBelief:
