@@ -67,6 +67,7 @@ print("  (speakers nearly never pick a conditional for independent variables,")
 print("   which is why such conditionals sound like missing links)")
 
 # -- the reference check suite ------------------------------------------------
-print("\nTolerance-manifest checks:")
+print("\nTolerance-manifest checks and their margins (< 0 fails; 0 holds only if inclusive):")
 for check in default_context_checks(ctx):
-    print(f"  [{'PASS' if check.passed else 'FAIL'}] {check.name}: {check.observed}")
+    print(f"  [{'PASS' if check.passed else 'FAIL'}] {check.name}: {check.observed} "
+          f"(margin {check.margin:+.4g})")

@@ -18,12 +18,18 @@ pragmatic listener), built once; a posterior is a read-only column of
 weights, which both read as it is.  The check suite at the bottom reads that
 record and evaluates the reference claims against the bounds in
 `condrsa.tolerances` (strict form for the default configuration,
-qualitative ordinal/zero-one form for the robustness grid).
+qualitative ordinal/zero-one form for the robustness grid).  Each check is
+made by the helper of its kind of claim: a bound (``>=``, ``>``, ``<=``,
+``<`` or an interval), an ordering (a chain whose steps exceed a gap),
+modal, only or nonempty.  Its verdict, texts and signed ``margin`` come from
+one number: a positive margin passes, a negative one fails, and zero passes
+only where the claim is ``inclusive`` (``>=``, ``<=``, an interval, only).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
@@ -133,10 +139,7 @@ def _groups(
 
 
 def _type_columns(ctx: ScenarioContext) -> dict[UtteranceType, list[int]]:
-    cols: dict[UtteranceType, list[int]] = {t: [] for t in UtteranceType}
-    for j, u in enumerate(ctx.utterances):
-        cols[u.kind].append(j)
-    return cols
+    return {t: [j for j, u in enumerate(ctx.utterances) if u.kind is t] for t in UtteranceType}
 
 
 def _type_mass_matrix(ctx: ScenarioContext, rule: SpeakerRule | None) -> np.ndarray:
@@ -158,9 +161,7 @@ def _type_mass_matrix(ctx: ScenarioContext, rule: SpeakerRule | None) -> np.ndar
             axis=1,
         )
 
-    sums = engine._memoised(ctx, ("type_mass", rule), compute)
-    # `np.take` gathers whole rows several times faster than indexing
-    return np.take(sums, engine._patterns(ctx)[2], axis=0)
+    return engine._per_state(ctx, engine._memoised(ctx, ("type_mass", rule), compute))
 
 
 @dataclass(frozen=True)
@@ -305,8 +306,7 @@ def delta_p_cohorts(ctx: ScenarioContext) -> DeltaPCohorts:
     values, defined = _delta_p_array(ctx)
     j = ctx.index_of_utterance(A_IMPLIES_C)
     assertable = ctx.assertability[:, j] & defined
-    produced = engine._speaker_rows(ctx, Argmax())[:, j] > 0
-    best = produced[engine._patterns(ctx)[2]] & assertable
+    best = engine._per_state(ctx, engine._speaker_rows(ctx, Argmax())[:, j] > 0) & assertable
 
     def cohort(name: str, mask: np.ndarray) -> DeltaPCohort:
         idx = np.flatnonzero(mask)
@@ -406,18 +406,66 @@ def context_analyses(ctx: ScenarioContext) -> ContextAnalyses:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """A check's verdict and texts, and the signed margin they come from;
+    equality reads only the four texts of the checks table."""
+
     name: str
     passed: bool
     observed: str
     requirement: str
+    margin: float = field(default=math.nan, compare=False)
+    inclusive: bool = field(default=False, compare=False)
 
 
-def _positive_mass(beliefs: dict[CausalStructure, Scalar]) -> float:
-    return float(beliefs[CausalStructure.AC_POS] + beliefs[CausalStructure.CA_POS])
+def _check(name: str, margin: float, inclusive: bool, observed: str,
+           requirement: str) -> CheckResult:
+    """The one verdict: a positive margin passes, and zero where ``inclusive``."""
+    margin = float(margin)
+    passed = margin > 0 or (inclusive and margin == 0)
+    return CheckResult(name, passed, observed, requirement, margin, inclusive)
 
 
-def _negative_mass(beliefs: dict[CausalStructure, Scalar]) -> float:
-    return float(beliefs[CausalStructure.AC_NEG] + beliefs[CausalStructure.CA_NEG])
+def _bound(name: str, value: float, op: str, limit: float | tuple[float, float],
+           fmt: str = ".6f", requirement: str | None = None) -> CheckResult:
+    """``value op limit``, or ``low <= value <= high`` for ``op="in"``."""
+    if op == "in":
+        low, high = limit
+        margin, requirement = min(value - low, high - value), f"in [{low}, {high}]"
+    else:
+        margin = value - limit if op[0] == ">" else limit - value
+    return _check(name, margin, op in (">=", "<=", "in"), f"{value:{fmt}}",
+                  requirement or f"{op} {limit}")
+
+
+def _ordering(name: str, chain: dict[str, float], requirement: str, gap: float = 0.0,
+              fmt: str = ".4f") -> CheckResult:
+    """Each value of ``chain`` exceeds the one before it by more than ``gap``."""
+    values = list(chain.values())
+    step = min(high - low for low, high in zip(values, values[1:]))
+    observed = " ".join(f"{label}={value:{fmt}}" for label, value in chain.items())
+    return _check(name, step - gap, False, observed, requirement)
+
+
+def _modal(name: str, cell: FrequencyCell, kind: UtteranceType) -> CheckResult:
+    """``kind`` is more frequent in ``cell`` than each other type."""
+    target = cell.frequencies[kind]
+    runner_up = max(f for t, f in cell.frequencies.items() if t is not kind)
+    return _check(name, target - runner_up, False, f"{target:.6f}", "strictly modal")
+
+
+def _only(name: str, cell: FrequencyCell, *kinds: UtteranceType) -> CheckResult:
+    """No state of ``cell`` gives argmax mass to another type; the margin is
+    minus the count of such states, added over the other types.  States are
+    counted: a float sum of mean frequencies can miss 1.0, as rows (0, 1)
+    and (1/3, 2/3) average to 0.1666... + 0.8333... = 0.9999999999999999."""
+    value = sum(cell.frequencies[kind] for kind in kinds)
+    others = sum(n for t, n in cell.positive.items() if t not in kinds)
+    return _check(name, -others, True, f"{value:.6f}", "== 1.0")
+
+
+def _nonempty(name: str, mask: np.ndarray, requirement: str = "nonempty") -> CheckResult:
+    count = int(mask.sum())
+    return _check(name, count, False, f"count={count}", requirement)
 
 
 def default_context_checks(
@@ -428,7 +476,8 @@ def default_context_checks(
     ``level="strict"`` applies the numeric bounds of the tolerance
     manifest and is meant for the default configuration; ``"qualitative"``
     keeps only the ordinal relations and exact zero/one cells, which must
-    hold across the whole robustness grid.
+    hold across the whole robustness grid.  A check whose certainty cell or
+    relation group holds no state is left out.
     """
     if level not in ("strict", "qualitative"):
         raise ValueError(f"unknown check level {level!r}")
@@ -437,163 +486,107 @@ def default_context_checks(
     checks: list[CheckResult] = []
     analyses = context_analyses(ctx)
 
-    def add(name: str, passed: bool, observed: str, requirement: str) -> None:
-        checks.append(CheckResult(name, bool(passed), observed, requirement))
-
-    def modal(cell: FrequencyCell, kind: UtteranceType) -> bool:
-        target = cell.frequencies[kind]
-        return all(target > f for t, f in cell.frequencies.items() if t is not kind)
-
-    def only(cell: FrequencyCell, *kinds: UtteranceType) -> bool:
-        """Whether no state of ``cell`` gives argmax mass to another type: a
-        float sum of mean frequencies can miss 1.0, as rows (0, 1) and (1/3,
-        2/3) average to 0.1666... + 0.8333... = 0.9999999999999999."""
-        return not any(n for t, n in cell.positive.items() if t not in kinds)
-
     # -- best-utterance frequencies (hyperrational speaker) ----------------
     overall = analyses.frequencies["none"]
     by_dependence = analyses.frequencies["independence"]
-
-    cell = overall.get((CertaintyCell.CERTAIN_BOTH, "all"))
-    if cell is not None:
-        value = (cell.frequencies[UtteranceType.CONJUNCTION]
-                 + cell.frequencies[UtteranceType.LITERAL])
-        add(
-            "certain_both_conjunction_or_literal",
-            only(cell, UtteranceType.CONJUNCTION, UtteranceType.LITERAL),
-            f"{value:.6f}",
-            "== 1.0",
-        )
-
-    cell = overall.get((CertaintyCell.MIXED, "all"))
-    if cell is not None:
-        value = cell.frequencies[UtteranceType.LITERAL]
-        if strict:
-            add("mixed_literal", value >= tol.mixed_literal_min, f"{value:.6f}",
-                f">= {tol.mixed_literal_min}")
-        else:
-            add("mixed_literal_modal", modal(cell, UtteranceType.LITERAL),
-                f"{value:.6f}", "strictly modal")
-
-    cell = by_dependence.get((CertaintyCell.UNCERTAIN_BOTH, "independent"))
-    if cell is not None:
-        value = cell.frequencies[UtteranceType.LIKELY]
-        add("uncertain_independent_likely", only(cell, UtteranceType.LIKELY),
-            f"{value:.6f}", "== 1.0")
-
-    cell = by_dependence.get((CertaintyCell.UNCERTAIN_BOTH, "dependent"))
-    if cell is not None:
+    if cell := overall.get((CertaintyCell.CERTAIN_BOTH, "all")):
+        checks.append(_only("certain_both_conjunction_or_literal", cell,
+                            UtteranceType.CONJUNCTION, UtteranceType.LITERAL))
+    if cell := overall.get((CertaintyCell.MIXED, "all")):
+        checks.append(_bound("mixed_literal", cell.frequencies[UtteranceType.LITERAL], ">=",
+                             tol.mixed_literal_min) if strict
+                      else _modal("mixed_literal_modal", cell, UtteranceType.LITERAL))
+    if cell := by_dependence.get((CertaintyCell.UNCERTAIN_BOTH, "independent")):
+        checks.append(_only("uncertain_independent_likely", cell, UtteranceType.LIKELY))
+    if cell := by_dependence.get((CertaintyCell.UNCERTAIN_BOTH, "dependent")):
         value = cell.frequencies[UtteranceType.CONDITIONAL]
-        if strict:
-            add("uncertain_dependent_conditional",
-                value >= tol.uncertain_dep_conditional_min, f"{value:.6f}",
-                f">= {tol.uncertain_dep_conditional_min}")
-        else:
-            add("uncertain_dependent_conditional_modal",
-                modal(cell, UtteranceType.CONDITIONAL), f"{value:.6f}",
-                "strictly modal")
+        checks.append(_bound("uncertain_dependent_conditional", value, ">=",
+                             tol.uncertain_dep_conditional_min) if strict
+                      else _modal("uncertain_dependent_conditional_modal", cell,
+                                  UtteranceType.CONDITIONAL))
 
     # -- relation beliefs after "A -> C" ------------------------------------
-    beliefs = analyses.beliefs
-    lit_pos = _positive_mass(beliefs["literal"])
-    prag_pos = _positive_mass(beliefs["pragmatic"])
-    prag_neg = _negative_mass(beliefs["pragmatic"])
-    prior_pos = _positive_mass(beliefs["prior"])
+    positive = {stage: float(beliefs[CausalStructure.AC_POS] + beliefs[CausalStructure.CA_POS])
+                for stage, beliefs in analyses.beliefs.items()}
     if strict:
-        low = tol.literal_positive_mass - tol.literal_positive_mass_tol
-        high = tol.literal_positive_mass + tol.literal_positive_mass_tol
-        add("literal_positive_relation_mass", low <= lit_pos <= high,
-            f"{lit_pos:.4f}", f"in [{low}, {high}]")
-        add("pragmatic_positive_relation_mass",
-            prag_pos >= tol.pragmatic_positive_mass_min, f"{prag_pos:.4f}",
-            f">= {tol.pragmatic_positive_mass_min}")
+        mid, width = tol.literal_positive_mass, tol.literal_positive_mass_tol
+        checks += [
+            _bound("literal_positive_relation_mass", positive["literal"], "in",
+                   (mid - width, mid + width), ".4f"),
+            _bound("pragmatic_positive_relation_mass", positive["pragmatic"], ">=",
+                   tol.pragmatic_positive_mass_min, ".4f"),
+        ]
     else:
-        add("positive_relation_mass_ordering", prior_pos < lit_pos < prag_pos,
-            f"prior={prior_pos:.4f} literal={lit_pos:.4f} pragmatic={prag_pos:.4f}",
-            "prior < literal < pragmatic")
-    add("pragmatic_negative_relation_mass",
-        prag_neg <= tol.pragmatic_negative_mass_max, f"{prag_neg:.6f}",
-        f"<= {tol.pragmatic_negative_mass_max}")
+        checks.append(_ordering("positive_relation_mass_ordering", positive,
+                                "prior < literal < pragmatic"))
+    pragmatic = analyses.beliefs["pragmatic"]
+    negative = float(pragmatic[CausalStructure.AC_NEG] + pragmatic[CausalStructure.CA_NEG])
+    checks.append(_bound("pragmatic_negative_relation_mass", negative, "<=",
+                         tol.pragmatic_negative_mass_max))
 
     # -- biconditional-strength metrics --------------------------------------
-    cp = analyses.cp
     gap = tol.cp_gap_min if strict else 0.0
-    for metric in ("not_c_given_not_a", "a_given_c"):
-        prior_v = float(getattr(cp["prior"], metric))
-        lit_v = float(getattr(cp["literal"], metric))
-        prag_v = float(getattr(cp["pragmatic"], metric))
-        add(f"cp_{metric}_ordering",
-            lit_v - prior_v > gap and prag_v - lit_v > gap,
-            f"prior={prior_v:.4f} literal={lit_v:.4f} pragmatic={prag_v:.4f}",
-            f"pragmatic > literal > prior by more than {gap}")
+    checks += [_ordering(f"cp_{metric}_ordering",
+                         {stage: float(getattr(cp, metric)) for stage, cp in analyses.cp.items()},
+                         f"pragmatic > literal > prior by more than {gap}", gap)
+               for metric in ("not_c_given_not_a", "a_given_c")]
 
     # -- contingency cohorts --------------------------------------------------
     cohorts = analyses.cohorts
+    requirement = "median(best) > median(assertable) > median(prior)"
     if len(cohorts.best_choice.values) == 0:
-        add("delta_p_median_ordering", False, "best-choice cohort is empty",
-            "median(best) > median(assertable) > median(prior)")
+        checks.append(_check("delta_p_median_ordering", -math.inf, False,
+                             "best-choice cohort is empty", requirement))
         low_fraction = 0.0
     else:
-        m_prior = cohorts.prior.median()
-        m_assert = cohorts.assertable.median()
-        m_best = cohorts.best_choice.median()
-        add("delta_p_median_ordering", m_best > m_assert > m_prior,
-            f"prior={m_prior:.4f} assertable={m_assert:.4f} best={m_best:.4f}",
-            "median(best) > median(assertable) > median(prior)")
+        checks.append(_ordering("delta_p_median_ordering", {
+            "prior": cohorts.prior.median(), "assertable": cohorts.assertable.median(),
+            "best": cohorts.best_choice.median()}, requirement))
         low_fraction = float((cohorts.best_choice.values < tol.delta_p_high).mean())
-    add("best_choice_low_delta_p",
-        low_fraction < tol.best_choice_low_delta_p_max_fraction,
-        f"{low_fraction:.6f}",
-        f"fraction below {tol.delta_p_high} under {tol.best_choice_low_delta_p_max_fraction}")
+    max_fraction = tol.best_choice_low_delta_p_max_fraction
+    checks.append(_bound("best_choice_low_delta_p", low_fraction, "<", max_fraction,
+                         requirement=f"fraction below {tol.delta_p_high} under {max_fraction}"))
 
     # an argmax choice is assertable, so the best-choice cohort is the set of
     # prior-cohort states whose argmax speaker may say "A -> C"
     prior = cohorts.prior
-    large = ~np.isin(prior.indices, cohorts.best_choice.indices) & (
-        prior.values >= tol.delta_p_large
-    )
-    add("large_delta_p_not_best_nonempty", bool(large.any()),
-        f"count={int(large.sum())}", "nonempty")
+    large = ~np.isin(prior.indices, cohorts.best_choice.indices)
+    large &= prior.values >= tol.delta_p_large
+    checks.append(_nonempty("large_delta_p_not_best_nonempty", large))
 
     # exact in floats: at most two literals, one per variable, are ever
     # assertable, so a state's literal argmax mass is 1, 1/2 + 1/2 or below 1
     argmax = engine._speaker_rows(ctx, Argmax())[:, _type_columns(ctx)[UtteranceType.LITERAL]]
-    literal_argmax = (argmax.sum(axis=1) == 1.0)[engine._patterns(ctx)[2]]
-    ca_dir = np.isin(ctx.relations, [
-        RELATION_ORDER.index(CausalStructure.CA_POS),
-        RELATION_ORDER.index(CausalStructure.CA_NEG),
-    ])
-    extreme = (ca_dir & literal_argmax)[prior.indices] & (
-        prior.values < tol.delta_p_extreme_negative
-    )
-    add("extreme_negative_delta_p_exists", bool(extreme.any()),
-        f"count={int(extreme.sum())}",
-        f"a literal-argmax C-to-A state with value below {tol.delta_p_extreme_negative}")
+    literal_argmax = engine._per_state(ctx, argmax.sum(axis=1) == 1.0)
+    ca_dir = np.isin(ctx.relations, [RELATION_ORDER.index(CausalStructure.CA_POS),
+                                     RELATION_ORDER.index(CausalStructure.CA_NEG)])
+    extreme = (ca_dir & literal_argmax)[prior.indices]
+    extreme &= prior.values < tol.delta_p_extreme_negative
+    checks.append(_nonempty(
+        "extreme_negative_delta_p_exists", extreme,
+        f"a literal-argmax C-to-A state with value below {tol.delta_p_extreme_negative}",
+    ))
 
     # -- conditionals about independent variables (missing links) ------------
-    softmax_table = analyses.choice["softmax"]
-    argmax_table = analyses.choice["argmax"]
+    conditional = {group: table[UtteranceType.CONDITIONAL]
+                   for group, table in analyses.choice["softmax"].items()}
     indep = CausalStructure.INDEPENDENT.value
-    cond_soft = softmax_table[indep][UtteranceType.CONDITIONAL]
-    cond_arg = argmax_table[indep][UtteranceType.CONDITIONAL]
+    if indep not in conditional:  # no independent state
+        return checks
+    others = [mass for group, mass in conditional.items() if group != indep]
     if strict:
-        add("independent_conditional_mass",
-            cond_soft < tol.missing_link_conditional_mass_max,
-            f"{cond_soft:.6f}", f"< {tol.missing_link_conditional_mass_max}")
-    else:
-        others = [
-            softmax_table[r.value][UtteranceType.CONDITIONAL]
-            for r in RELATION_ORDER
-            if r is not CausalStructure.INDEPENDENT and r.value in softmax_table
-        ]
-        add("independent_conditional_mass_least",
-            all(cond_soft < other for other in others),
-            f"independent={cond_soft:.6f} min(dependent)={min(others):.6f}",
-            "smallest conditional mass of all relation groups")
+        checks.append(_bound("independent_conditional_mass", conditional[indep], "<",
+                             tol.missing_link_conditional_mass_max))
+    elif others:
+        checks.append(_ordering(
+            "independent_conditional_mass_least",
+            {"independent": conditional[indep], "min(dependent)": min(others)},
+            "smallest conditional mass of all relation groups", fmt=".6f",
+        ))
     # exact in floats: a mean of nonnegative masses is 0 only when all are 0
-    add("independent_conditional_mass_argmax", cond_arg == 0.0,
-        f"{cond_arg:.8f}", "== 0")
-
+    checks.append(_bound("independent_conditional_mass_argmax",
+                         analyses.choice["argmax"][indep][UtteranceType.CONDITIONAL],
+                         "<=", 0.0, ".8f", "== 0"))
     return checks
 
 

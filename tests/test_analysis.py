@@ -27,7 +27,7 @@ from condrsa import analysis, engine
 from condrsa.analysis import certainty_cell_array
 from condrsa.core import RELATION_NAMES, RELATION_ORDER
 from condrsa.engine import Argmax, Softmax
-from condrsa.runner import RunConfig, default_context_bundle
+from condrsa.runner import RunConfig, default_context_bundle, run, sweep_bundles
 from condrsa.scenario_io import parse_scenario_file
 
 
@@ -423,6 +423,58 @@ class TestCheckSuite:
             names = [c.name for c in checks]
             assert len(names) == len(set(names))
             assert all(isinstance(c.passed, bool) for c in checks)
+            # each verdict is the sign of the check's margin
+            for c in checks:
+                assert isinstance(c.margin, float)
+                assert c.passed == (c.margin > 0 or (c.inclusive and c.margin == 0))
+        margins = {c.name: c.margin for c in cr.default_context_checks(default_ctx)}
+        for name, margin in (
+            ("uncertain_dependent_conditional", 0.0177),  # 0.9677 against >= 0.95
+            ("independent_conditional_mass", 0.0119),     # 0.0381 against < 0.05
+            ("mixed_literal", 0.0100),                    # 1.0 against >= 0.99
+            ("delta_p_median_ordering", -0.0185),         # best 0.9283 < assertable 0.9468
+        ):
+            assert margins[name] == pytest.approx(margin, abs=5e-5)
+
+    # (command, seed, states, grid) of runs whose sample lacks a relation group
+    @pytest.mark.parametrize("command, seed, n_states, grid", [
+        ("run-default-context", 3, 1, None),  # one dependent state
+        ("sweep", 11, 2, None),               # two dependent states
+        ("sweep", 3, 1, None),
+        ("sweep", 20, 1, ((3.0,), (0.9,))),   # one independent state
+    ])
+    def test_checks_without_data_are_left_out(self, default_ctx, command, seed, n_states, grid):
+        """A check whose certainty cell or relation group holds no state is
+        left out of the checks table; every other check is there."""
+        cells = {
+            "certain_both_conjunction_or_literal": ("none", (CertaintyCell.CERTAIN_BOTH, "all")),
+            "mixed_literal": ("none", (CertaintyCell.MIXED, "all")),
+            "uncertain_independent_likely":
+                ("independence", (CertaintyCell.UNCERTAIN_BOTH, "independent")),
+            "uncertain_dependent_conditional":
+                ("independence", (CertaintyCell.UNCERTAIN_BOTH, "dependent")),
+        }
+
+        def has_data(name: str, analyses: analysis.ContextAnalyses) -> bool:
+            groups = analyses.choice["softmax"]
+            if name.startswith("independent_conditional_mass"):
+                return "independent" in groups and (not name.endswith("_least") or len(groups) > 1)
+            grouping, key = cells.get(name.removesuffix("_modal"), ("none", None))
+            return key is None or key in analyses.frequencies[grouping]
+
+        config = RunConfig(command, seed=seed, n_states=n_states, grid=grid)
+        if command == "sweep":
+            level, bundles = "qualitative", sweep_bundles(config)[1]
+        else:
+            level, bundles = "strict", {(config.alpha, config.theta): run(config)}
+        every = [c.name for c in cr.default_context_checks(default_ctx, level)]
+        left_out = set()
+        for (alpha, theta), bundle in bundles.items():
+            ctx = cr.build_default_context(seed, n_states).with_params(alpha, theta)
+            kept = [name for name in every if has_data(name, analysis.context_analyses(ctx))]
+            assert list(bundle.tables["checks"].data[0]) == kept
+            left_out |= set(every) - set(kept)
+        assert any(name.startswith("independent_conditional_mass") for name in left_out)
 
     def test_unknown_level_rejected(self, default_ctx):
         with pytest.raises(ValueError):
