@@ -3,22 +3,24 @@
 Output is byte-reproducible: the same configuration (including the seed)
 writes identical files.  To that end every numeric cell is rendered
 through one formatter (exact fractions like ``5/6`` in rational mode, 12
-significant digits in float mode), and every row carries a fingerprint of
-the configuration.  Tables are held as columns, each of one of three kinds:
-a list of Python values, a read-only 1-D numpy array of numbers, or
-`Labels`, integer codes into a tuple of repeated strings.  Columns become
-Python values only at the edge: in `ResultTable.rows` and in rendering.
-A write renders each table it needs once, one typed pass per column (a
-column of one type, bools included, goes through one C-level formatter; a
-`Labels` column renders its names once and gathers them by code), and
-JSON, CSV and plot data share that rendering.  An exact value column
-converts each distinct object to its text and decimal once, and each
-distinct integer, numerator or denominator, to digits once: most of its
-cells are the engine's one shared ``Fraction(0)``, and its large values
-share a few denominators.  A table of more than ``_CHUNK_ROWS`` rows is
-rendered, turned into text, written and dropped one chunk of rows at a
-time, with the bytes of a whole-table write: with ``indent=2`` each JSON
-row's text stands alone, and CSV quoting is decided field by field.
+significant digits in float mode), and every CSV row ends in a
+fingerprint of the configuration, which ``bundle.json`` (v2,
+`bundle_json_text`) states once, in its metadata.  Tables are held as
+columns, each of one of three kinds: a list of Python values, a read-only
+1-D numpy array of numbers, or `Labels`, integer codes into a tuple of
+repeated strings.  Columns become Python values only at the edge: in
+`ResultTable.rows` and in rendering.  A write renders each table it needs
+once, one typed pass per column (a column of one type, bools included,
+goes through one C-level formatter; a `Labels` column renders its names
+once and gathers them by code), and JSON, CSV and plot data share that
+rendering.  An exact value column converts each distinct object to its
+text and decimal once, and each distinct integer, numerator or
+denominator, to digits once: most of its cells are the engine's one
+shared ``Fraction(0)``, and its large values share a few denominators.  A
+table of more than ``_CHUNK_ROWS`` rows is rendered, turned into text,
+written and dropped one chunk of rows at a time, with the bytes of a
+whole-table write: each JSON row is one line, and CSV quoting is decided
+field by field.
 
 Each rendered column is one of three kinds of text.  Plain text (`_Plain`:
 the texts of numbers and bools, and exact ``n/d`` texts) never needs JSON
@@ -26,14 +28,13 @@ escaping or CSV quoting, so it goes in as it is, with its JSON quotes in
 the text around it.  A `Labels` column (`_Coded`) escapes and quotes each
 name once and gathers the results by code.  Any other string, one in a
 rational value column included, is escaped cell by cell by the C-level
-JSON string encoder, giving the bytes of ``json.dumps(payload, indent=2,
-sort_keys=True)`` without its per-value Python walk; a column of them is
+JSON string encoder, as ``json.dumps`` escapes it; a column of them is
 quoted as ``csv.writer(fh, lineterminator="\\n")`` quotes: a field only
 when it holds ``,``, ``"`` or ``\\n`` (a ``\\r`` alone is not), and only a
 column holding such a field field by field.  A chunk's JSON rows and its
 CSV rows are each one ``"".join`` over a flat list, a row of separators
-repeated (the fingerprint in its last slot) and filled one column at a
-time by strided slice assignment.
+repeated (for CSV, the fingerprint in its last slot) and filled one column
+at a time by strided slice assignment.
 
 A table may be built `of_parts`: tables of its name and columns, laid end
 to end, each written in turn.  `write_bundles` writes several bundles in
@@ -41,10 +42,11 @@ one call: a part held by more than one of them (a sweep's
 ``world_probabilities``, and the prior cohort of its ``delta_p_cohorts``)
 is rendered once, whole, and its texts live until the call returns, while
 every other part is rendered, written and dropped one chunk at a time.
-A kept part holds each row's text up to its ``config`` cell, the same in
-every bundle, and joins those with each bundle's fingerprint, two pieces
-a row where a flat join per bundle would walk every cell again.
-Each figure's scenario and row filters live in one `FigureSpec`.
+A kept part's JSON rows are one text, the same in every bundle; each of
+its CSV rows is held up to its ``config`` field and joined with each
+bundle's fingerprint, two pieces a row where a flat join per bundle would
+walk every cell again.  Each figure's scenario and row filters live in
+one `FigureSpec`.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ RATIONAL = "rational"
 FLOAT = "float"
 
 #: a table rendered for writing: its header and one column of strings per
-#: header entry; writers append the ``config`` column of fingerprints
+#: header entry; CSV writers append the ``config`` column of fingerprints
 Rendered = tuple[list[str], list[Sequence[str]]]
 
 _G12 = "{:.12g}".format
@@ -407,19 +409,6 @@ def _csv_cells(columns: Sequence[Sequence[str]]) -> tuple[list[Sequence[str]], l
     return fields, ["", *[","] * len(fields)]
 
 
-def _json_cells(columns: Sequence[Sequence[str]]) -> tuple[list[Sequence[str]], list[str]]:
-    """Each rendered column's JSON cells, and the texts of a row around them
-    up to its ``config`` cell.  Plain texts go in as they are, their quotes
-    in the texts around them; any other text is escaped, quotes included."""
-    cells, bounds = [], ["        [\n          "]
-    for column in columns:
-        quote = '"' if isinstance(column, _Plain) else ""
-        cells.append(column if quote else _escaped(column, _json_string))
-        bounds[-1] += quote
-        bounds.append(quote + ",\n          ")
-    return cells, bounds
-
-
 def _row_prefixes(cells: Sequence[Sequence[str]], bounds: Sequence[str]) -> list[str]:
     """Each row's ``bounds[0] + cells[0][k] + bounds[1] + ... + cells[-1][k]
     + bounds[-1]``, from one template."""
@@ -450,6 +439,20 @@ def _joined_rows(cells: Sequence[Sequence[str]], bounds: Sequence[str], end: str
         flat[2 * j + 1::len(row)] = column
     flat[-1] = bounds[-1] + last
     return "".join(flat)
+
+
+def _json_rows(columns: Sequence[Sequence[str]]) -> str:
+    """The rows' JSON texts, ``json.dumps`` of each row's cells, joined by
+    ``,\\n``.  Plain texts go in as they are, their quotes in the texts
+    around them; any other text is escaped, quotes included."""
+    cells, bounds = [], ["["]
+    for column in columns:
+        quote = '"' if isinstance(column, _Plain) else ""
+        cells.append(column if quote else _escaped(column, _json_string))
+        bounds[-1] += quote
+        bounds.append(quote + ", ")
+    bounds[-1] = bounds[-1].removesuffix(", ") + "]"
+    return _joined_rows(cells, bounds, ",\n", "")
 
 
 @contextmanager
@@ -483,30 +486,26 @@ def _csv_head(header: Sequence[str]) -> str:
 
 
 class _TableText:
-    """A rendered table, or a chunk of its rows, and its JSON and CSV rows.
-    A chunk's rows are joined once from column slices, with the ``config``
-    cell joined in, and its pieces dropped at once.  A table that ``keep``s
-    its texts serves several bundles whole: it builds, once, each row's text
-    up to the ``config`` cell, which is the same in every bundle, and joins
-    those with each bundle's fingerprint."""
+    """A rendered table, or a chunk of its rows, and its JSON and CSV rows,
+    joined once from column slices and dropped at once.  A table that
+    ``keep``s its texts serves several bundles whole: its JSON rows are one
+    text, and each CSV row is held up to its ``config`` field, joined with
+    each bundle's fingerprint."""
 
     def __init__(self, header: list[str], columns: list[Sequence[str]], keep: bool = False) -> None:
         self.header, self.columns, self.keep = header, columns, keep
 
     @cached_property
-    def json_prefixes(self) -> list[str]:
-        return _row_prefixes(*_json_cells(self.columns))
+    def kept_json(self) -> str:
+        return _json_rows(self.columns)
 
     @cached_property
     def csv_prefixes(self) -> list[str]:
         return _row_prefixes(*_csv_cells(self.columns))
 
-    def json_rows(self, sep: str) -> Iterable[str]:
-        """The texts of the rows up to the last ``config`` cell, joined by
-        ``sep``, the escaped fingerprint and the end of a row."""
-        if self.keep:
-            return _kept_rows(self.json_prefixes, sep, "")
-        return (_joined_rows(*_json_cells(self.columns), sep, ""),)
+    def json_rows(self) -> str:
+        """The rows' JSON texts joined by ``,\\n``, or the kept text."""
+        return self.kept_json if self.keep else _json_rows(self.columns)
 
     def csv_lines(self, sep: str) -> Iterable[str]:
         """The CSV rows of a bundle whose ``sep`` is its quoted fingerprint
@@ -534,65 +533,56 @@ class _TableText:
         ])
 
 
-def _metadata_comment(bundle: "ResultBundle") -> str:
+def _metadata_comment(bundle: ResultBundle) -> str:
     # full config echo on a comment line, so each file can be re-run alone
     return f"# config: {json.dumps(bundle.metadata, sort_keys=True)}\n"
 
 
 def _json_head(bundle: ResultBundle) -> str:
-    # the metadata is dumped alone and indented one level deeper, which is
-    # safe because JSON escapes every newline inside a string
-    metadata = json.dumps(bundle.metadata, indent=2, sort_keys=True).replace("\n", "\n  ")
-    return '{\n  "metadata": ' + metadata + ',\n  "tables": {'
+    return f'{{"metadata": {json.dumps(bundle.metadata, sort_keys=True)}, "tables": {{'
 
 
 def _json_table_head(name: str, header: Sequence[str], first: bool) -> str:
     """A table's entry in ``bundle.json`` up to its rows."""
-    names = ",\n".join(f"        {_json_string(c)}" for c in [*header, "config"])
     return ("\n" if first else ",\n") + (
-        f'    {_json_string(name)}: {{\n      "columns": [\n{names}\n      ],\n      "rows": '
+        f'{_json_string(name)}: {{"columns": {json.dumps(header)}, "rows": ['
     )
 
 
-def _write_json_rows(fh: TextIO, text: _TableText, config: str, opened: bool) -> bool:
-    """Write a chunk's rows into its table's entry, with the escaped
-    fingerprint ``config`` joined in after each row's prefix; ``opened``
-    when an earlier chunk of the table wrote rows.  Returns whether the
-    table has rows so far."""
+def _write_json_rows(fh: TextIO, text: _TableText, opened: bool) -> bool:
+    """Write a chunk's rows into its table's entry; ``opened`` when an
+    earlier chunk of the table wrote rows.  Returns whether the table has
+    rows so far."""
     if not text.columns or not text.columns[0]:
         return opened
-    sep = config + "\n        ],\n"
-    fh.write(sep if opened else "[\n")
-    fh.writelines(text.json_rows(sep))
+    fh.write(",\n" if opened else "\n")
+    fh.write(text.json_rows())
     return True
 
 
-def _json_table_tail(config: str, opened: bool) -> str:
-    return (config + "\n        ]\n      ]" if opened else "[]") + "\n    }"
+def _json_table_tail(opened: bool) -> str:
+    return ("\n]" if opened else "]") + "}"
 
 
 def _json_tail(n_tables: int) -> str:
-    return "\n  }\n}\n" if n_tables else "}\n}\n"
+    return "\n}}\n" if n_tables else "}}\n"
 
 
 def bundle_json_text(bundle: ResultBundle, rendered: dict[str, Rendered]) -> str:
-    """The JSON rendering of a bundle whose tables are already rendered:
-    the text of ``json.dumps({"metadata": ..., "tables": {name: {"columns":
-    ..., "rows": ...}}}, indent=2, sort_keys=True)`` and a newline.
-
-    The skeleton's key order is fixed (``metadata`` < ``tables``, sorted
-    table names, ``columns`` < ``rows``).  Each column is escaped in one
-    pass, each row's text up to its ``config`` cell is filled into one
-    template, and the escaped fingerprint is joined in between the rows, so
-    no cell can forge the skeleton.  `write_bundle` writes the same pieces
-    table by table, and chunk by chunk."""
-    config = _json_string(bundle.fingerprint)
+    """The JSON rendering of a bundle whose tables are already rendered,
+    ``bundle.json`` v2 (``docs/bundle-format.md``): ``json.dumps`` of the
+    metadata, keys sorted, then of each table's header and, one per line,
+    of each of its rows' rendered texts, with no ``config`` column, so the
+    fingerprint is in the metadata only.  Each column is escaped in one
+    pass and the rows are filled into one template, so no cell can forge
+    the skeleton.  `write_bundle` writes the same pieces table by table,
+    and chunk by chunk."""
     out = io.StringIO()
     out.write(_json_head(bundle))
     for i, name in enumerate(sorted(rendered)):
         text = _TableText(*rendered[name])
         out.write(_json_table_head(name, text.header, i == 0))
-        out.write(_json_table_tail(config, _write_json_rows(out, text, config, opened=False)))
+        out.write(_json_table_tail(_write_json_rows(out, text, opened=False)))
     out.write(_json_tail(len(rendered)))
     return out.getvalue()
 
@@ -641,7 +631,6 @@ def write_bundle(
     specs = [_figure_spec(bundle, figure_id) for figure_id in figures]
     outdir = Path(outdir)
     mode = bundle.numeric_mode
-    config = _json_string(bundle.fingerprint)
     sep = _csv_field(bundle.fingerprint) + "\n"
     json_path = outdir / "bundle.json"
     csv_paths: list[Path] = []
@@ -676,9 +665,9 @@ def write_bundle(
                         if json_fh is not None:
                             if n == 0:
                                 json_fh.write(_json_table_head(name, text.header, first=i == 0))
-                            opened = _write_json_rows(json_fh, text, config, opened)
+                            opened = _write_json_rows(json_fh, text, opened)
                 if json_fh is not None:
-                    json_fh.write(_json_table_tail(config, opened))
+                    json_fh.write(_json_table_tail(opened))
             if json_fh is not None:
                 json_fh.write(_json_tail(len(names)))
     return ([json_path] if "json" in formats else []) + csv_paths + plot_paths

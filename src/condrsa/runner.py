@@ -161,6 +161,8 @@ class RunConfig:
             if self.n_states < 1:
                 raise ModelError("n_states must be positive")
         for axis, values in zip(("alpha", "theta"), self.grid or ()):
+            if not values:
+                raise ModelError(f"the sweep grid's {axis} axis is empty")
             # each combination writes to `_combo_dirname`, which names values with :g
             names = [f"{value:g}" for value in values]
             clash = next((name for name in names if names.count(name) > 1), None)
@@ -440,17 +442,23 @@ def default_context_bundle(
 
     checks = analysis.default_context_checks(ctx, check_level)
     bundle.add(ResultTable(
-        "checks", ("check", "level", "passed", "observed", "requirement"),
+        "checks", ("check", "level", "passed", "observed", "requirement", "margin"),
         (
             [c.name for c in checks],
             [check_level] * len(checks),
             [c.passed for c in checks],
             [c.observed for c in checks],
             [c.requirement for c in checks],
+            [c.margin for c in checks],
         ),
     ))
     bundle.metadata["checks_passed"] = analysis.all_passed(checks)
     return bundle
+
+
+#: the columns of a combination's ``checks`` that ``sweep_checks`` repeats,
+#: after its ``alpha`` and ``theta``
+_SWEPT_CHECK_COLUMNS = ("check", "passed", "observed", "requirement", "margin")
 
 
 def sweep_bundles(config: RunConfig) -> tuple[ResultBundle, dict[tuple[float, float], ResultBundle]]:
@@ -466,7 +474,7 @@ def sweep_bundles(config: RunConfig) -> tuple[ResultBundle, dict[tuple[float, fl
     prior = delta_p_table(ctx, (analysis.context_analyses(ctx).cohorts.prior,))
     world = world_probabilities_table(ctx)
     combos: dict[tuple[float, float], ResultBundle] = {}
-    summary: tuple[list, ...] = ([], [], [], [], [], [])
+    summary: dict[str, list] = {name: [] for name in ("alpha", "theta", *_SWEPT_CHECK_COLUMNS)}
     for theta in thetas:
         for alpha in alphas:
             sub_config = RunConfig(
@@ -480,16 +488,13 @@ def sweep_bundles(config: RunConfig) -> tuple[ResultBundle, dict[tuple[float, fl
                 ctx = ctx.with_params(alpha=alpha, theta=theta)
             sub = default_context_bundle(ctx, sub_config, "qualitative", world, prior)
             combos[(alpha, theta)] = sub
-            name, _, passed, observed, requirement = sub.tables["checks"].data
-            for column, values in zip(summary, (
-                [alpha] * len(name), [theta] * len(name), name, passed, observed, requirement,
-            )):
-                column.extend(values)
+            checks = sub.tables["checks"]
+            summary["alpha"] += [alpha] * checks.n_rows
+            summary["theta"] += [theta] * checks.n_rows
+            for name in _SWEPT_CHECK_COLUMNS:
+                summary[name] += checks.data[checks.columns.index(name)]
     master.add(ResultTable(
-        "sweep_checks",
-        ("alpha", "theta", "check", "passed", "observed", "requirement"),
-        summary,
-        value_columns=("alpha", "theta"),
+        "sweep_checks", tuple(summary), tuple(summary.values()), value_columns=("alpha", "theta"),
     ))
     master.metadata["checks_passed"] = all(s.metadata["checks_passed"] for s in combos.values())
     return master, combos

@@ -209,6 +209,36 @@ def _cell_rendering(table, mode):
     return header, columns
 
 
+def v2_json(metadata: dict, tables: dict) -> str:
+    """``bundle.json`` v2 of ``metadata`` and ``{name: (header, rows)}``, the
+    rows each a sequence of rendered texts: one row per line, no ``config``
+    column, the fingerprint in the metadata only."""
+    entries = []
+    for name in sorted(tables):
+        header, rows = tables[name]
+        body = "[\n" + ",\n".join(json.dumps(list(row)) for row in rows) + "\n]" if rows else "[]"
+        entries.append(f'{json.dumps(name)}: {{"columns": {json.dumps(header)}, "rows": {body}}}')
+    body = "{\n" + ",\n".join(entries) + "\n}" if entries else "{}"
+    return f'{{"metadata": {json.dumps(metadata, sort_keys=True)}, "tables": {body}}}\n'
+
+
+def test_the_v2_layout():
+    """The reference layout, spelled out once."""
+    assert v2_json({"fingerprint": "f"}, {
+        "cp_metrics": (["metric", "value"], [("a", "0.5"), ("b", "1")]),
+        "empty": (["a"], []),
+    }) == (
+        '{"metadata": {"fingerprint": "f"}, "tables": {\n'
+        '"cp_metrics": {"columns": ["metric", "value"], "rows": [\n'
+        '["a", "0.5"],\n'
+        '["b", "1"]\n'
+        ']},\n'
+        '"empty": {"columns": ["a"], "rows": []}\n'
+        '}}\n'
+    )
+    assert v2_json({"fingerprint": "f"}, {}) == '{"metadata": {"fingerprint": "f"}, "tables": {}}\n'
+
+
 #: text that JSON must escape or that looks like the skeleton
 NASTY = st.text(
     st.one_of(
@@ -250,7 +280,7 @@ def csv_tables(draw):
 
 class TestColumnwiseWriting:
     """The typed column passes and the column-wise JSON emitter give exactly
-    what a cell-by-cell rendering and ``json.dumps(indent=2)`` give."""
+    what a cell-by-cell rendering and the v2 layout (`v2_json`) give."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -298,18 +328,17 @@ class TestColumnwiseWriting:
     )
     def test_json_text_is_json_dumps(self, metadata, fingerprint, tables):
         bundle = ResultBundle(metadata={**metadata, "fingerprint": fingerprint})
-        payload = {
+        text = bundle_json_text(bundle, tables)
+        assert text == v2_json(bundle.metadata, {
+            name: (header, list(zip(*columns))) for name, (header, columns) in tables.items()
+        })
+        assert json.loads(text) == {
             "metadata": bundle.metadata,
             "tables": {
-                name: {
-                    "columns": [*header, "config"],
-                    "rows": [[*row, fingerprint] for row in zip(*columns)],
-                }
+                name: {"columns": header, "rows": [list(row) for row in zip(*columns)]}
                 for name, (header, columns) in tables.items()
             },
         }
-        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        assert bundle_json_text(bundle, tables) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(table=csv_tables(), fingerprints=st.lists(CSV_HOSTILE, min_size=2, max_size=2))
@@ -342,8 +371,9 @@ class TestColumnwiseWriting:
         bundle = ResultBundle(metadata={"fingerprint": "f"})
         bundle.add(ResultTable("empty", ("a", "b"), ([], [])))
         write_bundle(bundle, tmp_path, ("csv", "json"))
-        payload = json.loads((tmp_path / "bundle.json").read_text())
-        assert payload["tables"]["empty"] == {"columns": ["a", "b", "config"], "rows": []}
+        text = (tmp_path / "bundle.json").read_text()
+        assert text == v2_json(bundle.metadata, {"empty": (["a", "b"], [])})
+        assert json.loads(text)["tables"]["empty"] == {"columns": ["a", "b"], "rows": []}
         assert (tmp_path / "empty.csv").read_text().splitlines()[1:] == ["a,b,config"]
 
     def test_a_failed_write_leaves_no_file(self, tmp_path):
@@ -598,8 +628,8 @@ def _csv_writer_text(header, rows):
 
 class TestTextKinds:
     """Plain, `Labels` and free text, each written through its own path,
-    give what a cell-by-cell rendering gives to ``json.dumps`` and
-    ``csv.writer``, whole, in chunks and in kept blocks."""
+    give what a cell-by-cell rendering gives to the v2 layout (`v2_json`)
+    and ``csv.writer``, whole, in chunks and in kept blocks."""
 
     @settings(max_examples=100, deadline=None)
     @given(drawn=typed_tables(), cut=st.integers(0, 9), fingerprint=ESCAPED_TEXT)
@@ -651,11 +681,8 @@ class TestTextKinds:
                 emit_plot_data(alone, "fig8", where / "emitted")
             for b, d in ((alone, "alone"), (pair[0], "0"), (pair[1], "1")):
                 f = b.fingerprint
-                payload = {"metadata": b.metadata, "tables": {"cp_metrics": {
-                    "columns": [*header, "config"], "rows": [[*row, f] for row in texts],
-                }}}
                 assert (where / d / "bundle.json").read_bytes().decode() == (
-                    json.dumps(payload, indent=2, sort_keys=True) + "\n"
+                    v2_json(b.metadata, {"cp_metrics": (header, texts)})
                 )
                 assert (where / d / "cp_metrics.csv").read_bytes().decode() == (
                     results._metadata_comment(b)
@@ -722,8 +749,26 @@ class TestBundles:
         for name, table in payload["tables"].items():
             lines = (tmp_path / f"{name}.csv").read_text().splitlines()
             data = [l for l in lines if not l.startswith("#")]
-            assert data[0].split(",") == table["columns"]
-            assert [line.split(",") for line in data[1:]] == table["rows"]
+            # each JSON row is its CSV row without the config field
+            assert data[0].split(",") == [*table["columns"], "config"]
+            assert [line.split(",")[:-1] for line in data[1:]] == table["rows"]
+
+    def test_the_fingerprint_is_once_in_each_bundle_json(self, tmp_path):
+        """In its metadata, for a scenario, a default context and every
+        combination of a sweep."""
+        for command, config in (
+            ("run-scenario", dict(scenario="garden_party")),
+            ("run-default-context", dict(seed=1, n_states=300)),
+            ("sweep", dict(seed=1, n_states=300)),
+        ):
+            run(RunConfig(command=command, output_dir=tmp_path / command, **config))
+        paths = sorted(tmp_path.rglob("bundle.json"))
+        assert len(paths) == 1 + 1 + 1 + 12  # a sweep's master and its 4 x 3 combinations
+        for path in paths:
+            text = path.read_text()
+            fingerprint = json.loads(text)["metadata"]["fingerprint"]
+            assert text.count(fingerprint) == 1
+            assert text.index(fingerprint) < text.index('"tables": {')
 
     def test_fingerprint_in_every_row(self, tmp_path):
         bundle = run(RunConfig(command="run-scenario", scenario="toy",

@@ -427,6 +427,53 @@ def test_parse_grid_rejects_an_axis_given_twice(spec, axis):
         parse_grid(spec)
 
 
+@pytest.mark.parametrize("grid, axis", [(((), (0.9,)), "alpha"), (((1.0,), ()), "theta")])
+def test_an_empty_grid_axis_is_refused_before_any_sampling(monkeypatch, grid, axis):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep over an empty axis sampled the default context")
+
+    monkeypatch.setattr(runner, "build_default_context", refuse)
+    with pytest.raises(ModelError, match=f"grid's {axis} axis is empty"):
+        run(RunConfig(command="sweep", seed=1, n_states=50, grid=grid))
+
+
+class TestCheckMargins:
+    """The ``checks`` and ``sweep_checks`` tables end in each check's signed
+    margin, the number its verdict comes from."""
+
+    @pytest.mark.parametrize("level", ["strict", "qualitative"])
+    def test_the_margin_column_is_each_checks_margin(self, level):
+        config = RunConfig(command="run-default-context", seed=1, n_states=2000)
+        ctx = cr.build_default_context(config.seed, config.n_states)
+        table = default_context_bundle(ctx, config, level).tables["checks"]
+        checks = analysis.default_context_checks(ctx, level)
+        assert table.columns[-1] == "margin"
+        columns = dict(zip(table.columns, table.data))
+        assert columns["margin"] == [c.margin for c in checks]
+        for c, passed, margin in zip(checks, columns["passed"], columns["margin"]):
+            if passed:
+                assert margin > 0 or (margin == 0 and c.inclusive)
+            else:
+                assert margin < 0 or (margin == 0 and not c.inclusive)
+        header, rendered = table.rendered("float")
+        assert list(rendered[-1]) == [f"{m:.12g}" for m in columns["margin"]]
+
+    def test_sweep_checks_repeat_each_combinations_checks(self):
+        master, subs = sweep_bundles(
+            RunConfig(command="sweep", seed=1, n_states=300, grid=((1.0, 3.0), (0.9, 0.95)))
+        )
+        table = master.tables["sweep_checks"]
+        assert table.columns == (
+            "alpha", "theta", "check", "passed", "observed", "requirement", "margin",
+        )
+        expected = [
+            (alpha, theta, name, passed, observed, requirement, margin)
+            for (alpha, theta), sub in subs.items()
+            for name, _, passed, observed, requirement, margin in sub.tables["checks"].rows
+        ]
+        assert table.rows == tuple(expected)
+
+
 def test_a_write_of_nothing_is_refused_before_any_work(monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("a write of nothing sampled the default context")
