@@ -26,7 +26,7 @@ def show(name: str, conditional_text: str) -> None:
     print(f"\n=== {name}: hearing {conditional_text!r} ===")
     print(f"  ({defn.antecedent_name}: {defn.antecedent_gloss}; "
           f"{defn.consequent_name}: {defn.consequent_gloss})")
-    prior_belief = antecedent_belief(post, "prior")
+    prior_belief = antecedent_belief(prior_posterior(ctx))
     print(f"  belief in {defn.antecedent_name} before: {prior_belief}")
     print(f"  after interpreting the conditional:      {antecedent_belief(post)}")
     print("  inferred world models:",

@@ -1,13 +1,16 @@
 """Orchestration: turn a run configuration into a result bundle on disk.
 
 Three commands exist.  ``run-scenario`` evaluates one built-in or file
-scenario in its context's arithmetic and emits listener, speaker, surprise
-and belief tables (``--numeric`` picks only their rendering);
-``run-default-context`` samples the default prior under a mandatory seed
-and emits the aggregate analyses plus the tolerance-manifest check
-summary; ``sweep`` repeats the latter over the robustness grid, reusing
-one state sample per seed, and emits per-combination bundles plus a
-qualitative check summary.
+``scenario`` in its context's arithmetic, at its own or the given ``alpha``
+and ``theta``, and emits listener, speaker, surprise and belief tables
+(``numeric`` picks only their rendering); ``run-default-context`` samples
+``n_states`` states of the default prior under a mandatory ``seed`` and
+emits the aggregate analyses at ``alpha`` and ``theta`` plus the
+tolerance-manifest check summary; ``sweep`` repeats the latter over each
+``alpha`` and ``theta`` of its ``grid``, reusing one state sample, and
+emits per-combination bundles plus a qualitative check summary.  A
+`RunConfig` refuses any other parameter, and a bundle's metadata holds the
+values its run used, with None under each key its command does not fill.
 
 A bundle only lays values out, one column per field: scenario tables
 flatten the engine's matrices (`_cross_columns`), and default-context
@@ -123,13 +126,32 @@ class GridCollisionError(ModelError):
     """Two values of one sweep grid axis would write the same sub-bundle."""
 
 
+#: the run parameters that each command reads, besides its output
+#: directory, formats and figure, each with the default that `RunConfig`
+#: fills in (None: no default); every other parameter is refused
+_PARAMETERS = {
+    "run-scenario": dict.fromkeys(("scenario", "alpha", "theta", "numeric")),
+    "run-default-context": {
+        "seed": None, "n_states": TOLERANCES.default_n_states,
+        "alpha": TOLERANCES.default_alpha, "theta": TOLERANCES.default_theta,
+    },
+    "sweep": {
+        "seed": None, "n_states": TOLERANCES.default_n_states,
+        "grid": (TOLERANCES.grid_alphas, TOLERANCES.grid_thetas),
+    },
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
+    """One run of ``command``: a parameter that the command does not read
+    is refused, and each one it reads and is not given gets its default."""
+
     command: str
     scenario: str | None = None
     alpha: Scalar | None = None
     theta: Scalar | None = None
-    n_states: int = TOLERANCES.default_n_states
+    n_states: int | None = None
     seed: int | None = None
     grid: tuple[tuple[float, ...], tuple[float, ...]] | None = None
     output_dir: Path | None = None
@@ -147,19 +169,37 @@ class RunConfig:
             raise _nothing_to_write(self.output_dir)
         if self.numeric not in (None, RATIONAL, FLOAT):
             raise ModelError(f"numeric mode must be 'rational' or 'float', got {self.numeric!r}")
-        if self.command in ("run-default-context", "sweep"):
-            if self.seed is None:
-                raise ModelError(f"{self.command} samples states and requires an explicit --seed")
-            if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-                raise ModelError(f"seed must be an integer, got {self.seed!r}")
-            if self.seed < 0:
-                raise ModelError(f"seed must be non-negative, got {self.seed}")
-            if self.numeric == RATIONAL:
-                raise ModelError("sampled contexts only support float numerics")
-            if isinstance(self.n_states, bool) or not isinstance(self.n_states, (int, np.integer)):
-                raise ModelError(f"n_states must be an integer, got {self.n_states!r}")
-            if self.n_states < 1:
-                raise ModelError("n_states must be positive")
+        if self.command != "run-scenario" and self.numeric == RATIONAL:
+            raise ModelError("sampled contexts only support float numerics")
+        if self.command == "sweep" and (self.figure is not None or "plotdata" in self.formats):
+            raise ModelError(
+                "sweep does not emit plot data; run run-default-context "
+                "with --figure or --format plotdata for a single combination"
+            )
+        reads = _PARAMETERS[self.command]
+        for name in ("scenario", "alpha", "theta", "n_states", "seed", "grid", "numeric"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, reads.get(name))
+            elif name not in reads:
+                raise ModelError(
+                    f"{self.command} does not read {name} (it reads {', '.join(reads)})"
+                )
+        if self.command == "run-scenario":
+            if self.scenario is None:
+                raise ModelError("run-scenario requires --scenario <name or file>")
+            return
+        if self.seed is None:
+            raise ModelError(f"{self.command} samples states and requires an explicit --seed")
+        for name in ("seed", "n_states"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ModelError(f"{name} must be an integer, got {value!r}")
+            # stored as an int: a numpy integer would reach the metadata
+            object.__setattr__(self, name, int(value))
+        if self.seed < 0:
+            raise ModelError(f"seed must be non-negative, got {self.seed}")
+        if self.n_states < 1:
+            raise ModelError("n_states must be positive")
         for axis, values in zip(("alpha", "theta"), self.grid or ()):
             if not values:
                 raise ModelError(f"the sweep grid's {axis} axis is empty")
@@ -171,11 +211,6 @@ class RunConfig:
                     f"grid {axis} values {[v for v, n in zip(values, names) if n == clash]} "
                     f"share the name {axis}-{clash} of their output directories"
                 )
-        if self.command == "sweep" and (self.figure is not None or "plotdata" in self.formats):
-            raise ModelError(
-                "sweep does not emit plot data; run run-default-context "
-                "with --figure or --format plotdata for a single combination"
-            )
 
 
 def _echo(value) -> object:
@@ -184,23 +219,13 @@ def _echo(value) -> object:
     return value
 
 
-def _config_dict(config: RunConfig, **extra) -> dict:
-    # deliberately excludes formats, figure and the output
-    # directory: those never influence computed values, so bundles stay
-    # byte-identical across them
-    base = {
-        "command": config.command,
-        "scenario": config.scenario,
-        "alpha": _echo(config.alpha),
-        "theta": _echo(config.theta),
-        "n_states": config.n_states if config.command != "run-scenario" else None,
-        "seed": config.seed,
-        "grid": config.grid,
-        "numeric": None,
-        "version": __version__,
-    }
-    base.update(extra)
-    return base
+def _new_bundle(command: str, numeric: str, **used) -> ResultBundle:
+    """An empty bundle whose fingerprinted configuration is the values
+    ``used`` by the run, None under every other key.  Formats, figures and
+    the output directory never change a value, so they are left out."""
+    config = dict.fromkeys(("scenario", "alpha", "theta", "n_states", "seed", "grid"))
+    config.update(command=command, numeric=numeric, version=__version__, **used)
+    return make_bundle(config)
 
 
 # --------------------------------------------------------------------------
@@ -249,8 +274,6 @@ def _beliefs_table(beliefs: dict[str, dict[CausalStructure, Scalar]]) -> ResultT
 
 
 def scenario_bundle(config: RunConfig) -> ResultBundle:
-    if config.scenario is None:
-        raise ModelError("run-scenario requires --scenario <name or file>")
     defn = _load_scenario(config.scenario)
 
     ctx = defn.to_context()
@@ -267,14 +290,8 @@ def scenario_bundle(config: RunConfig) -> ResultBundle:
     echo = _echo if mode == RATIONAL else float
 
     names = defn.variable_names
-    bundle = make_bundle(
-        _config_dict(
-            config,
-            numeric=mode,
-            alpha=echo(ctx.alpha),
-            theta=echo(ctx.theta),
-            scenario=defn.name,
-        )
+    bundle = _new_bundle(
+        "run-scenario", mode, scenario=defn.name, alpha=echo(ctx.alpha), theta=echo(ctx.theta)
     )
 
     labels = [label or f"state{i}" for i, label in enumerate(ctx.labels)]
@@ -379,25 +396,22 @@ def delta_p_table(ctx: ScenarioContext, cohorts: Sequence[analysis.DeltaPCohort]
 
 def default_context_bundle(
     ctx: ScenarioContext,
-    config: RunConfig,
+    seed: int,
     check_level: str = "strict",
     world: ResultTable | None = None,
     prior: ResultTable | None = None,
 ) -> ResultBundle:
-    """The default-context bundle of ``ctx``.  ``world`` is its
-    `world_probabilities_table` and ``prior`` the `delta_p_table` of its
-    prior cohort, when the caller already holds them; given ``prior``,
-    ``delta_p_cohorts`` is written in two parts, that one and the rest."""
+    """The default-context bundle of ``ctx``, sampled under ``seed``.
+    ``world`` is its `world_probabilities_table` and ``prior`` the
+    `delta_p_table` of its prior cohort, when the caller already holds them;
+    given ``prior``, ``delta_p_cohorts`` is written in two parts, that one
+    and the rest."""
     # computed before any table is laid out, so that the tables reuse the
     # heap that the analyses' short-lived arrays freed
     analyses = analysis.context_analyses(ctx)
-    bundle = make_bundle(
-        _config_dict(
-            config,
-            numeric=FLOAT,
-            alpha=float(ctx.alpha),
-            theta=float(ctx.theta),
-        )
+    bundle = _new_bundle(
+        "run-default-context", FLOAT,
+        alpha=float(ctx.alpha), theta=float(ctx.theta), n_states=ctx.n_states, seed=seed,
     )
 
     bundle.add(world if world is not None else world_probabilities_table(ctx))
@@ -462,14 +476,10 @@ _SWEPT_CHECK_COLUMNS = ("check", "passed", "observed", "requirement", "margin")
 
 
 def sweep_bundles(config: RunConfig) -> tuple[ResultBundle, dict[tuple[float, float], ResultBundle]]:
-    alphas, thetas = config.grid if config.grid is not None else (
-        TOLERANCES.grid_alphas, TOLERANCES.grid_thetas,
-    )
-    ctx = build_default_context(
-        config.seed, config.n_states, alpha=alphas[0], theta=thetas[0]
-    )
-    master = make_bundle(_config_dict(config, numeric=FLOAT, grid={
-        "alpha": list(alphas), "theta": list(thetas)}))
+    alphas, thetas = config.grid
+    ctx = build_default_context(config.seed, config.n_states, alpha=alphas[0], theta=thetas[0])
+    grid = {"alpha": list(alphas), "theta": list(thetas)}
+    master = _new_bundle("sweep", FLOAT, n_states=config.n_states, seed=config.seed, grid=grid)
     # the prior cohort reads only the cells, which every combination shares
     prior = delta_p_table(ctx, (analysis.context_analyses(ctx).cohorts.prior,))
     world = world_probabilities_table(ctx)
@@ -477,16 +487,9 @@ def sweep_bundles(config: RunConfig) -> tuple[ResultBundle, dict[tuple[float, fl
     summary: dict[str, list] = {name: [] for name in ("alpha", "theta", *_SWEPT_CHECK_COLUMNS)}
     for theta in thetas:
         for alpha in alphas:
-            sub_config = RunConfig(
-                command="run-default-context",
-                alpha=alpha,
-                theta=theta,
-                n_states=config.n_states,
-                seed=config.seed,
-            )
             if (alpha, theta) != (ctx.alpha, ctx.theta):  # one build per combination
                 ctx = ctx.with_params(alpha=alpha, theta=theta)
-            sub = default_context_bundle(ctx, sub_config, "qualitative", world, prior)
+            sub = default_context_bundle(ctx, config.seed, "qualitative", world, prior)
             combos[(alpha, theta)] = sub
             checks = sub.tables["checks"]
             summary["alpha"] += [alpha] * checks.n_rows
@@ -511,18 +514,14 @@ def _combo_dirname(alpha: float, theta: float) -> str:
 
 def run(config: RunConfig) -> ResultBundle:
     """Execute a configuration; writes files when ``output_dir`` is set."""
+    subs: dict[tuple[float, float], ResultBundle] = {}
     if config.command == "run-scenario":
         bundle = scenario_bundle(config)
-        subs: dict[tuple[float, float], ResultBundle] = {}
     elif config.command == "run-default-context":
         ctx = build_default_context(
-            config.seed,
-            config.n_states,
-            alpha=TOLERANCES.default_alpha if config.alpha is None else config.alpha,
-            theta=TOLERANCES.default_theta if config.theta is None else config.theta,
+            config.seed, config.n_states, alpha=config.alpha, theta=config.theta
         )
-        bundle = default_context_bundle(ctx, config)
-        subs = {}
+        bundle = default_context_bundle(ctx, config.seed)
     else:
         bundle, subs = sweep_bundles(config)
 

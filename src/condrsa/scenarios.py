@@ -97,13 +97,9 @@ class ScenarioDefinition:
 # --------------------------------------------------------------------------
 
 
-def antecedent_belief(post: Posterior, which: str = "posterior") -> Scalar:
-    """Expected probability of the antecedent variable, under the posterior
-    weights or (``which="prior"``) the context's prior weights."""
-    if which == "prior":
-        post = engine.prior_posterior(post.context)
-    elif which != "posterior":
-        raise ValueError(f"which must be 'prior' or 'posterior', got {which!r}")
+def antecedent_belief(post: Posterior) -> Scalar:
+    """Expected probability of the antecedent variable under the posterior
+    weights (the prior's: ``antecedent_belief(prior_posterior(ctx))``)."""
     return joint_event_belief(post, A)
 
 

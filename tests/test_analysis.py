@@ -406,9 +406,8 @@ class TestContextAnalysesReference:
 
         monkeypatch.setattr(analysis, "event_column", counted)
         ctx = small_ctx.with_params()
-        config = RunConfig("run-default-context", seed=7, n_states=ctx.n_states)
-        default_context_bundle(ctx, config)
-        default_context_bundle(ctx, config, check_level="qualitative")
+        default_context_bundle(ctx, 7)
+        default_context_bundle(ctx, 7, check_level="qualitative")
         assert calls == [cr.A, cr.C]
         marginals = analysis.marginal_arrays(ctx)
         assert all(m.ndim == 1 and not m.flags.writeable for m in marginals)

@@ -265,8 +265,7 @@ class TestComputedOnce:
 
             monkeypatch.setattr(module, name, counted)
         ctx = cr.build_default_context(1, 300)
-        config = RunConfig(command="run-default-context", seed=1, n_states=300)
-        bundle = default_context_bundle(ctx, config)
+        bundle = default_context_bundle(ctx, 1)
         assert calls == {
             "best_utterance_frequencies": 2,  # once per grouping
             "expected_choice_probabilities": 2,  # once per speaker rule
@@ -345,9 +344,7 @@ class TestColumnarTables:
 
     def test_sampled_tables_equal_the_row_generators(self):
         ctx = cr.build_default_context(1, 500)
-        bundle = default_context_bundle(
-            ctx, RunConfig(command="run-default-context", seed=1, n_states=500)
-        )
+        bundle = default_context_bundle(ctx, 1)
         # the row-by-row layouts that the columns replace
         relation_names = [r.value for r in RELATION_ORDER]
         world_rows = tuple(
@@ -443,9 +440,8 @@ class TestCheckMargins:
 
     @pytest.mark.parametrize("level", ["strict", "qualitative"])
     def test_the_margin_column_is_each_checks_margin(self, level):
-        config = RunConfig(command="run-default-context", seed=1, n_states=2000)
-        ctx = cr.build_default_context(config.seed, config.n_states)
-        table = default_context_bundle(ctx, config, level).tables["checks"]
+        ctx = cr.build_default_context(1, 2000)
+        table = default_context_bundle(ctx, 1, level).tables["checks"]
         checks = analysis.default_context_checks(ctx, level)
         assert table.columns[-1] == "margin"
         columns = dict(zip(table.columns, table.data))
@@ -565,3 +561,90 @@ class TestOneRenderingPerWrite:
         for path in files:
             shared = tmp_path / "shared" / path.relative_to(tmp_path / "alone")
             assert shared.read_bytes() == path.read_bytes()
+
+
+#: the run parameters that each command reads, as README and
+#: docs/bundle-format.md state them
+READS = {
+    "run-scenario": {"scenario", "alpha", "theta", "numeric"},
+    "run-default-context": {"seed", "n_states", "alpha", "theta"},
+    "sweep": {"seed", "n_states", "grid"},
+}
+#: a value for each parameter, and the smallest configuration of each command
+PARAMETER_VALUES = {
+    "scenario": "toy", "alpha": 3.0, "theta": 0.9, "n_states": 100, "seed": 1,
+    "grid": ((1.0,), (0.9,)), "numeric": "float",
+}
+REQUIRED = {"run-scenario": {"scenario": "toy"}, "run-default-context": {"seed": 1},
+            "sweep": {"seed": 1}}
+
+
+class TestRunParameters:
+    """A configuration holds only what its command reads, and a bundle's
+    metadata only the values its run used."""
+
+    @pytest.mark.parametrize("command, name", [
+        (command, name) for command, reads in READS.items()
+        for name in PARAMETER_VALUES if name not in reads
+    ])
+    def test_a_parameter_the_command_does_not_read_is_refused(
+        self, monkeypatch, command, name
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{command} with {name} set loaded or sampled a context")
+
+        monkeypatch.setattr(runner, "build_default_context", refuse)
+        monkeypatch.setattr(runner, "_load_scenario", refuse)
+        config = {**REQUIRED[command], name: PARAMETER_VALUES[name]}
+        with pytest.raises(ModelError, match=f"{command} does not read {name} "):
+            run(RunConfig(command, **config))
+
+    @pytest.mark.parametrize("config, filled", [
+        (RunConfig("run-scenario", scenario="toy"), {"scenario", "alpha", "theta"}),
+        (RunConfig("run-default-context", seed=1, n_states=50),
+         {"seed", "n_states", "alpha", "theta"}),
+        (RunConfig("sweep", seed=1, n_states=50, grid=((3.0,), (0.9,))),
+         {"seed", "n_states", "grid"}),
+    ], ids=list(READS))
+    def test_the_metadata_fills_the_keys_of_its_command(self, config, filled):
+        metadata = run(config).metadata
+        keys = {"command", "scenario", "alpha", "theta", "n_states", "seed", "grid", "numeric",
+                "version"}
+        assert keys <= metadata.keys()
+        assert {key for key in keys if metadata[key] is not None} == filled | {
+            "command", "numeric", "version"
+        }
+
+    def test_each_sweep_combination_is_the_run_of_its_parameters(self):
+        master, subs = sweep_bundles(
+            RunConfig("sweep", seed=2, n_states=300, grid=((1.0, 3.0), (0.9, 0.95)))
+        )
+        assert len(subs) == 4
+        for (alpha, theta), sub in subs.items():
+            single = run(RunConfig("run-default-context", seed=2, n_states=300,
+                                   alpha=alpha, theta=theta))
+            assert sub.metadata.keys() == single.metadata.keys()
+            for key in sub.metadata.keys() - {"checks_passed"}:
+                assert sub.metadata[key] == single.metadata[key], key
+            assert sub.metadata["command"] == "run-default-context"
+
+    @pytest.mark.parametrize("command, defaults", [
+        ("run-default-context", {"n_states": cr.TOLERANCES.default_n_states}),
+        ("run-default-context", {"alpha": cr.TOLERANCES.default_alpha,
+                                 "theta": cr.TOLERANCES.default_theta}),
+        ("sweep", {"grid": (cr.TOLERANCES.grid_alphas, cr.TOLERANCES.grid_thetas)}),
+    ])
+    def test_a_left_out_parameter_is_its_documented_default(self, command, defaults):
+        sized = {} if "n_states" in defaults else {"n_states": 200}
+        left_out = RunConfig(command, seed=1, **sized)
+        given = RunConfig(command, seed=1, **sized, **defaults)
+        assert left_out == given
+        assert run(left_out).metadata["fingerprint"] == run(given).metadata["fingerprint"]
+
+    def test_numpy_integers_are_stored_as_ints(self, tmp_path):
+        config = RunConfig("run-default-context", seed=np.int64(1), n_states=np.int64(100),
+                           output_dir=tmp_path)
+        assert (type(config.seed), type(config.n_states)) == (int, int)
+        plain = run(RunConfig("run-default-context", seed=1, n_states=100))
+        assert run(config).metadata == plain.metadata
+        assert json.loads((tmp_path / "bundle.json").read_text())["metadata"] == plain.metadata

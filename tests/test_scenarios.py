@@ -98,24 +98,19 @@ class TestAntecedentBelief:
         ctx = skiing.to_context()
         post = cr.pragmatic_listener(ctx, skiing.parse("E -> S"))
         assert antecedent_belief(post) == F(1, 5)
-        assert antecedent_belief(post, which="prior") == F(1, 5)
+        assert antecedent_belief(cr.prior_posterior(ctx)) == F(1, 5)
 
     def test_literal_listener_invariance(self, skiing, garden_party):
         for defn in (skiing, garden_party):
             ctx = defn.to_context()
             conditional = next(u for u in defn.utterances if u.kind.value == "conditional")
             literal = cr.literal_listener(ctx, conditional)
-            assert antecedent_belief(literal) == antecedent_belief(literal, "prior")
+            assert antecedent_belief(literal) == antecedent_belief(cr.prior_posterior(ctx))
 
     def test_sundowners_unchanged(self, sundowners):
         ctx = sundowners.to_context()
         post = cr.pragmatic_listener(ctx, sundowners.parse("R -> ~S"))
         assert antecedent_belief(post) == F(1, 2)
-
-    def test_which_validated(self, skiing):
-        post = cr.prior_posterior(skiing.to_context())
-        with pytest.raises(ValueError):
-            antecedent_belief(post, which="later")
 
 
 class TestJointEventBelief:
@@ -170,18 +165,18 @@ class TestObservationUpdate:
         ski_ctx = skiing.to_context()
         ski_post = cr.pragmatic_listener(ski_ctx, skiing.parse("E -> S"))
         assert observation_update(ski_post, skiing.observation) > antecedent_belief(
-            ski_post, "prior"
+            cr.prior_posterior(ski_ctx)
         )
 
         gp_ctx = garden_party.to_context()
         gp_post = cr.pragmatic_listener(gp_ctx, garden_party.parse("D -> G"))
         assert observation_update(gp_post, garden_party.observation) < antecedent_belief(
-            gp_post, "prior"
+            cr.prior_posterior(gp_ctx)
         )
 
         sun_ctx = sundowners.to_context()
         sun_post = cr.pragmatic_listener(sun_ctx, sundowners.parse("R -> ~S"))
-        assert antecedent_belief(sun_post) == antecedent_belief(sun_post, "prior")
+        assert antecedent_belief(sun_post) == antecedent_belief(cr.prior_posterior(sun_ctx))
 
     def test_uninformative_link_changes_nothing(self, skiing):
         ctx = skiing.to_context()
